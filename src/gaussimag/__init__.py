@@ -40,12 +40,14 @@ from .linalg import (
     spectral_norm,
     symplectic_form,
     trace_norm,
+    trace_norms,
 )
 from .measures import (
     MeasureReport,
     StepThreshold,
     SupSearchConfig,
     channel_measure_ic,
+    channel_measure_ic_stack,
     channel_measure_id,
     channel_measure_is,
     in_fo,

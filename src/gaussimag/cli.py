@@ -199,8 +199,8 @@ def cmd_check_super(args) -> int:
 
 def cmd_qbm(args) -> int:
     start = time.perf_counter()
-    if args.horizon <= 0 or args.step <= 0:
-        print("horizon and step must be positive", file=sys.stderr)
+    if not (0 < args.horizon < np.inf and 0 < args.step < np.inf):
+        print("horizon and step must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
     try:
         cfg = qbm.QbmConfig(
@@ -213,7 +213,7 @@ def cmd_qbm(args) -> int:
         traj = qbm.imaginarity_trajectory(cfg, args.horizon, args.step)
         traj.write_csv(args.out)
     except (qbm.ClosedFormError, qbm.FormulaInconsistencyError,
-            qbm.IntegrationResolutionError, RuntimeError) as exc:
+            qbm.IntegrationResolutionError, RuntimeError, ArithmeticError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
@@ -222,6 +222,7 @@ def cmd_qbm(args) -> int:
     results = {
         "rows": len(traj.tau),
         "out": str(args.out),
+        "cross_check_error": traj.cross_check_error,
     }
     if args.horizon > window:
         win_start = args.horizon - window

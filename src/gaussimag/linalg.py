@@ -93,16 +93,26 @@ def sigma_blocks(n: int) -> np.ndarray:
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:
-    # Symmetric eigensolve of M^T M, clamped at zero before the square
-    # root.  Matrices here are tiny, so conditioning is a non-issue.
-    w = np.linalg.eigvalsh(m.T @ m)
-    return np.sqrt(np.clip(w, 0.0, None))
+    # A direct SVD keeps singular values far below sqrt(eps) * sigma_max,
+    # which an eigensolve of M^T M would round away.  Works on stacks
+    # (..., r, c) as well.
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def trace_norm(m) -> float:
     """Sum of singular values of ``m``."""
     m = _as_matrix(m)
     return float(np.sum(_singular_values(m)))
+
+
+def trace_norms(stack) -> np.ndarray:
+    """Trace norm of every matrix in a stack of shape (..., r, c)."""
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim < 2:
+        raise ValueError(f"stack must be at least 2-dimensional, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("stack contains non-finite entries")
+    return np.sum(_singular_values(stack), axis=-1)
 
 
 def spectral_norm(m) -> float:

@@ -33,7 +33,7 @@ from .gaussian import (
     apply_channel,
     superchannel_is_real,
 )
-from .linalg import max_abs, mode_permutation, selectors, spectral_norm, trace_norm
+from .linalg import max_abs, spectral_norm, trace_norms
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,12 @@ def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> M
     determinant ratio is 1 by block-diagonality) and the ratio term is
     in [0, 1) by the Fischer inequality.
     """
-    n = s.modes
-    p = mode_permutation(n)
-    q, qp = selectors(n)
-    nu_sorted = p @ s.covariance @ p.T
-    v_qq = q @ nu_sorted @ q.T
-    v_pp = qp @ nu_sorted @ qp.T
-    det_qq = np.linalg.det(v_qq)
-    det_pp = np.linalg.det(v_pp)
+    det_qq = np.linalg.det(s.covariance[0::2, 0::2])
+    det_pp = np.linalg.det(s.covariance[1::2, 1::2])
     if det_qq <= 0 or det_pp <= 0:
         raise ValidationError("covariance sector block has non-positive determinant")
     cov_term = 1.0 - np.linalg.det(s.covariance) / (det_qq * det_pp)
-    mom = qp @ p @ s.displacement
+    mom = s.displacement[1::2]
     disp_term = h.step(float(np.sum(np.abs(mom))), max_abs(s.displacement))
     return MeasureReport(
         value=float(cov_term + disp_term),
@@ -133,26 +127,36 @@ def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> M
 # channel measures
 # ---------------------------------------------------------------------------
 
-def _channel_terms(c: GaussianChannel) -> tuple[float, float, float, float, tuple]:
-    """The four raw summands (and their scales) shared by I_c and I_d."""
-    n = c.modes
-    p = mode_permutation(n)
-    t_sorted = p @ c.T @ p.T
-    n_sorted = p @ c.N @ p.T
-    t11, t12 = t_sorted[:n, :n], t_sorted[:n, n:]
-    t21, t22 = t_sorted[n:, :n], t_sorted[n:, n:]
-    n12 = n_sorted[:n, n:]
-    term_t21 = trace_norm(t21)
-    term_t12t22 = trace_norm(t12) * trace_norm(t22)
-    term_n12 = trace_norm(n12)
-    term_d = float(np.sum(np.abs(c.d[1::2])))
-    scales = (max_abs(c.T), max_abs(c.T), max_abs(c.N), max_abs(c.d))
+def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
+    """The four raw summands (and their scales) shared by I_c and I_d.
+
+    Works on stacks: ``t`` and ``n`` are (m, 2n, 2n), ``d`` is (m, 2n),
+    all in the interleaved ordering, so position rows/columns are the
+    even indices and momentum ones the odd indices.  Returns four (m,)
+    summand arrays and a tuple of four (m,) scale arrays.  The
+    displacement summand is the trace (l2) norm of the momentum part of d.
+    """
+    term_t21 = trace_norms(t[..., 1::2, 0::2])
+    term_t12t22 = trace_norms(t[..., 0::2, 1::2]) * trace_norms(t[..., 1::2, 1::2])
+    term_n12 = trace_norms(n[..., 0::2, 1::2])
+    term_d = np.linalg.norm(d[..., 1::2], axis=-1)
+    scale_t = np.max(np.abs(t), axis=(-2, -1))
+    scales = (scale_t, scale_t, np.max(np.abs(n), axis=(-2, -1)), np.max(np.abs(d), axis=-1))
     return term_t21, term_t12t22, term_n12, term_d, scales
+
+
+def _single_channel_terms(c: GaussianChannel) -> tuple:
+    """:func:`_channel_terms` of one channel, as a stack of one."""
+    t21, t12t22, n12, disp, scales = _channel_terms(c.T[None], c.N[None], c.d[None])
+    return (
+        float(t21[0]), float(t12t22[0]), float(n12[0]), float(disp[0]),
+        tuple(float(v[0]) for v in scales),
+    )
 
 
 def channel_measure_ic(c: GaussianChannel) -> MeasureReport:
     """Continuous channel imaginarity measure (four trace-norm summands)."""
-    t21, t12t22, n12, disp, _ = _channel_terms(c)
+    t21, t12t22, n12, disp, _ = _single_channel_terms(c)
     return MeasureReport(
         value=float(t21 + t12t22 + n12 + disp),
         kind="I_c",
@@ -165,11 +169,24 @@ def channel_measure_ic(c: GaussianChannel) -> MeasureReport:
     )
 
 
+def channel_measure_ic_stack(t, n, d) -> np.ndarray:
+    """I_c of every channel in a stack, as one (m,) array.
+
+    ``t`` and ``n`` are (m, 2n, 2n) and ``d`` is (m, 2n); the summands
+    are those of :func:`channel_measure_ic`.  The matrices are not
+    validated beyond finiteness.
+    """
+    t21, t12t22, n12, disp, _ = _channel_terms(
+        np.asarray(t, dtype=float), np.asarray(n, dtype=float), np.asarray(d, dtype=float)
+    )
+    return t21 + t12t22 + n12 + disp
+
+
 def channel_measure_id(
     c: GaussianChannel, h: StepThreshold = StepThreshold()
 ) -> MeasureReport:
     """Discrete channel imaginarity measure: step of each I_c summand."""
-    t21, t12t22, n12, disp, scales = _channel_terms(c)
+    t21, t12t22, n12, disp, scales = _single_channel_terms(c)
     terms = [
         ("T21", h.step(t21, scales[0])),
         ("T12*T22", h.step(t12t22, scales[1])),

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .gaussian import GaussianChannel
-from .measures import channel_measure_ic
+from .measures import channel_measure_ic_stack
 from .specfun import QuadratureSpec, expint_ei, integrate_adaptive
 
 #: Default trajectory grid step in units of tau.
@@ -74,8 +74,8 @@ class QbmConfig:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.x > 0 and self.theta > 0):
-            raise ValueError("alpha, x, theta must all be positive")
+        if not all(0 < v < np.inf for v in (self.alpha, self.x, self.theta)):
+            raise ValueError("alpha, x, theta must all be positive and finite")
         if self.regime not in ("high", "low"):
             raise ValueError(f"regime must be 'high' or 'low', got {self.regime!r}")
 
@@ -116,23 +116,9 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(tau == 0.0, 0.0, values)
 
 
-def coeff_gamma_closed(cfg: QbmConfig, tau):
-    """Damping coefficient gamma(tau), closed form."""
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    x, a2 = cfg.x, cfg.alpha**2
-    e_p, e_m, f_p, f_m = _ei_pairs(t, x)
-    bracket = (
-        np.exp(-1.0 / x) * 1j * (e_m - e_p)
-        + np.exp(1.0 / x) * (2.0 * np.pi + 1j * f_p - 1j * f_m)
-        - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
-    )
-    out = _zero_at_origin(t, _real_checked((a2 / (4.0 * x)) * bracket, "gamma"))
-    return out if np.ndim(tau) else float(out[0])
-
-
-def _delta_pi_high(cfg: QbmConfig, t: np.ndarray):
+def _delta_pi_high(cfg: QbmConfig, pairs):
     x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
-    e_p, e_m, f_p, f_m = _ei_pairs(t, x)
+    e_p, e_m, f_p, f_m = pairs
     pref = a2 * theta * np.exp(-1.0 / x) / 2.0
     b1 = 1j * (e_m - e_p)
     b2 = 2.0 * np.pi + 1j * f_p - 1j * f_m
@@ -177,9 +163,9 @@ def _low_t_shifted_terms(cfg: QbmConfig, t: np.ndarray):
     return delta_b, pi_b
 
 
-def _delta_pi_low(cfg: QbmConfig, t: np.ndarray):
+def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
     x, a2 = cfg.x, cfg.alpha**2
-    e_p, e_m, f_p, f_m = _ei_pairs(t, x)
+    e_p, e_m, f_p, f_m = pairs
     boundary = t / (1.0 + t * t)
     delta_1 = a2 * (
         np.cos(t / x) * boundary
@@ -203,20 +189,50 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray):
     return delta_1 + delta_b, pi_1 + pi_b
 
 
+def _coefficients(cfg: QbmConfig, t: np.ndarray):
+    """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
+
+    The four ``_ei_pairs`` batches (and, at low temperature, the four
+    cutoff-shifted ones) are evaluated once and shared by all three
+    coefficients; each coefficient's imaginary residue is checked.
+    """
+    x, a2 = cfg.x, cfg.alpha**2
+    pairs = _ei_pairs(t, x)
+    e_p, e_m, f_p, f_m = pairs
+    gamma = (a2 / (4.0 * x)) * (
+        np.exp(-1.0 / x) * 1j * (e_m - e_p)
+        + np.exp(1.0 / x) * (2.0 * np.pi + 1j * f_p - 1j * f_m)
+        - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
+    )
+    if cfg.regime == "high":
+        delta, pi_ = _delta_pi_high(cfg, pairs)
+    else:
+        delta, pi_ = _delta_pi_low(cfg, t, pairs)
+    return tuple(
+        _zero_at_origin(t, _real_checked(values, name))
+        for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"))
+    )
+
+
+def _coefficient_view(cfg: QbmConfig, tau, index: int):
+    t = np.atleast_1d(np.asarray(tau, dtype=float))
+    out = _coefficients(cfg, t)[index]
+    return out if np.ndim(tau) else float(out[0])
+
+
+def coeff_gamma_closed(cfg: QbmConfig, tau):
+    """Damping coefficient gamma(tau), closed form."""
+    return _coefficient_view(cfg, tau, 0)
+
+
 def coeff_delta_closed(cfg: QbmConfig, tau):
     """Direct diffusion coefficient Delta(tau), regime-consistent closed form."""
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    delta, _ = _delta_pi_high(cfg, t) if cfg.regime == "high" else _delta_pi_low(cfg, t)
-    out = _zero_at_origin(t, _real_checked(delta, "Delta"))
-    return out if np.ndim(tau) else float(out[0])
+    return _coefficient_view(cfg, tau, 1)
 
 
 def coeff_pi_closed(cfg: QbmConfig, tau):
     """Anomalous diffusion coefficient Pi(tau), regime-consistent closed form."""
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    _, pi_ = _delta_pi_high(cfg, t) if cfg.regime == "high" else _delta_pi_low(cfg, t)
-    out = _zero_at_origin(t, _real_checked(pi_, "Pi"))
-    return out if np.ndim(tau) else float(out[0])
+    return _coefficient_view(cfg, tau, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +304,17 @@ class GammaAccumulator:
 
     Coefficient evaluations are cached on the grid (they are the
     expensive part); values between nodes are linearly interpolated.
+    ``_fine`` holds (refined grid, gamma, Delta, Pi, node indices) on the
+    ``NOISE_REFINEMENT``-fold refined grid, shared by Gamma and the noise
+    integral, which fills ``_wbar``.
     """
 
     cfg: QbmConfig
     grid: np.ndarray
     gamma: np.ndarray
     values: np.ndarray
-    _delta: np.ndarray | None = None
-    _pi: np.ndarray | None = None
-    _wbar: np.ndarray | None = None
     _fine: tuple | None = None
+    _wbar: np.ndarray | None = None
 
     def gamma_at(self, tau: float) -> float:
         return float(np.interp(tau, self.grid, self.gamma))
@@ -312,36 +329,12 @@ class GammaAccumulator:
 
 
 def _make_grid(horizon: float, step: float) -> np.ndarray:
-    if horizon <= 0 or step <= 0:
-        raise ValueError("horizon and step must be positive")
+    if not (0 < horizon < np.inf and 0 < step < np.inf):
+        raise ValueError("horizon and step must be positive and finite")
     grid = np.arange(0.0, horizon + 0.5 * step, step)
     if grid[-1] < horizon - 1e-12:
         grid = np.append(grid, horizon)
     return grid
-
-
-def gamma_capital(
-    cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP, gamma_fn=None
-) -> GammaAccumulator:
-    """Cumulative damping exponent Gamma on a fresh grid.
-
-    ``gamma_fn(cfg, taus)`` may replace the closed-form coefficient
-    (used by synthetic probes); integration is cumulative Simpson, exact
-    for polynomials up to degree 2 and refinement-stable.
-    """
-    grid = _make_grid(horizon, step)
-    fn = gamma_fn if gamma_fn is not None else coeff_gamma_closed
-    g = np.asarray(fn(cfg, grid), dtype=float)
-    values = 2.0 * cumulative_simpson(g, x=grid, initial=0.0)
-    return GammaAccumulator(cfg=cfg, grid=grid, gamma=g, values=values)
-
-
-def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
-    """Free rotation R(tau) by angle tau/x (orthogonal, det 1)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    c, s = np.cos(tau / cfg.x), np.sin(tau / cfg.x)
-    return np.array([[c, s], [-s, c]])
 
 
 #: Internal subdivision of each grid interval for the noise integral.
@@ -358,15 +351,57 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     return np.append(fine, grid[-1])
 
 
+def _fine_coefficients(cfg: QbmConfig, grid: np.ndarray) -> tuple:
+    """(fine grid, gamma, Delta, Pi, node indices) on the refined grid.
+
+    The refined grid holds every node of ``grid`` exactly, so
+    ``gamma[nodes]`` equals the coefficient evaluated on ``grid`` itself.
+    """
+    fine = _refine_grid(grid, NOISE_REFINEMENT)
+    nodes = np.append(np.arange(len(grid) - 1) * NOISE_REFINEMENT, len(fine) - 1)
+    return (fine, *_coefficients(cfg, fine), nodes)
+
+
+def gamma_capital(
+    cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP, gamma_fn=None
+) -> GammaAccumulator:
+    """Cumulative damping exponent Gamma on a fresh grid.
+
+    ``gamma_fn(cfg, taus)`` may replace the closed-form coefficient
+    (used by synthetic probes); integration is cumulative Simpson, exact
+    for polynomials up to degree 2 and refinement-stable.  Without
+    ``gamma_fn`` the closed-form coefficients are evaluated once, on the
+    refined grid of the noise integral, and Gamma integrates their
+    values at the grid nodes.
+    """
+    grid = _make_grid(horizon, step)
+    fine = None
+    if gamma_fn is None:
+        fine = _fine_coefficients(cfg, grid)
+        _, gamma_f, _, _, nodes = fine
+        g = gamma_f[nodes]
+    else:
+        g = np.asarray(gamma_fn(cfg, grid), dtype=float)
+    values = 2.0 * cumulative_simpson(g, x=grid, initial=0.0)
+    return GammaAccumulator(cfg=cfg, grid=grid, gamma=g, values=values, _fine=fine)
+
+
+def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
+    """Free rotation R(tau) by angle tau/x (orthogonal, det 1)."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    c, s = np.cos(tau / cfg.x), np.sin(tau / cfg.x)
+    return np.array([[c, s], [-s, c]])
+
+
 def _ensure_noise_cache(acc: GammaAccumulator):
     if acc._wbar is not None:
         return
-    cfg, grid = acc.cfg, acc.grid
-    fine = _refine_grid(grid, NOISE_REFINEMENT)
-    gamma_f = np.asarray(coeff_gamma_closed(cfg, fine), dtype=float)
+    cfg = acc.cfg
+    if acc._fine is None:
+        acc._fine = _fine_coefficients(cfg, acc.grid)
+    fine, gamma_f, delta_f, pi_f, nodes = acc._fine
     big_gamma_f = 2.0 * cumulative_simpson(gamma_f, x=fine, initial=0.0)
-    delta_f = coeff_delta_closed(cfg, fine)
-    pi_f = coeff_pi_closed(cfg, fine)
     c, s = np.cos(fine / cfg.x), np.sin(fine / cfg.x)
     zero = np.zeros_like(fine)
     rot = np.array([[c, s], [-s, c]])  # (2, 2, m)
@@ -375,13 +410,7 @@ def _ensure_noise_cache(acc: GammaAccumulator):
     integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot) * np.exp(big_gamma_f)
     cum = cumulative_simpson(integrand, x=fine, initial=0.0, axis=-1)
     wbar_f = np.einsum("ija,jka,lka->ila", rot, cum * np.exp(-big_gamma_f), rot)
-    nodes = np.append(
-        np.arange(len(grid) - 1) * NOISE_REFINEMENT, len(fine) - 1
-    )
-    acc._delta = delta_f[nodes]
-    acc._pi = pi_f[nodes]
     acc._wbar = wbar_f[:, :, nodes]
-    acc._fine = (fine, big_gamma_f, delta_f, pi_f, nodes)
 
 
 def noise_wbar(cfg: QbmConfig, tau: float, acc: GammaAccumulator) -> np.ndarray:
@@ -425,6 +454,8 @@ class Trajectory:
     n12: np.ndarray
     term_t21: np.ndarray
     term_t12t22: np.ndarray
+    #: Worst |generic I_c - formula I_c| over the grid (bounded by 1e-8).
+    cross_check_error: float
 
     def window_mean(self, start: float, width: float) -> float:
         """Mean of I_c over the window [start, start + width]."""
@@ -449,6 +480,39 @@ def _fmt(v: float) -> str:
     )
 
 
+#: Largest allowed |generic I_c - formula I_c| at any grid point.
+CROSS_CHECK_TOL = 1e-8
+
+
+def _cross_check(cfg: QbmConfig, acc: GammaAccumulator, direct: np.ndarray) -> float:
+    """Worst |generic I_c - direct| over the grid, one batched measure call.
+
+    Raises :class:`FormulaInconsistencyError` when a channel matrix is
+    non-finite or any point (NaN included) misses ``CROSS_CHECK_TOL``.
+    """
+    grid, x = acc.grid, cfg.x
+    half = np.exp(-acc.values / 2.0)
+    cos_, sin_ = np.cos(grid / x), np.sin(grid / x)
+    t_mats = half[:, None, None] * np.stack(
+        [np.stack([cos_, sin_], axis=-1), np.stack([-sin_, cos_], axis=-1)], axis=-2
+    )
+    n_mats = 2.0 * np.moveaxis(acc._wbar, -1, 0)
+    n_mats = 0.5 * (n_mats + np.swapaxes(n_mats, -1, -2))
+    finite = np.all(np.isfinite(t_mats), axis=(1, 2)) & np.all(np.isfinite(n_mats), axis=(1, 2))
+    if not np.all(finite):
+        tau = grid[int(np.argmin(finite))]
+        raise FormulaInconsistencyError(f"non-finite channel matrices at tau={tau:g}")
+    generic = channel_measure_ic_stack(t_mats, n_mats, np.zeros((len(grid), 2)))
+    error = np.abs(generic - direct)
+    if not np.all(error <= CROSS_CHECK_TOL):
+        i = int(np.argmax(~(error <= CROSS_CHECK_TOL)))
+        raise FormulaInconsistencyError(
+            f"generic measure and trajectory formula disagree by {error[i]:.3e} "
+            f"at tau={grid[i]:g}"
+        )
+    return float(np.max(error))
+
+
 def imaginarity_trajectory(
     cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP
 ) -> Trajectory:
@@ -460,7 +524,7 @@ def imaginarity_trajectory(
 
         |e^{-Gamma/2} sin(tau/x)| + (1/2)|e^{-Gamma} sin(2 tau/x)| + |N12|;
 
-    the two must agree within 1e-8.
+    the two must agree within ``CROSS_CHECK_TOL`` at every point.
     """
     acc = gamma_capital(cfg, horizon, step)
     _ensure_noise_cache(acc)
@@ -470,21 +534,6 @@ def imaginarity_trajectory(
     term1 = np.abs(np.exp(-big_gamma / 2.0) * np.sin(grid / x))
     term2 = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * grid / x))
     direct = term1 + term2 + np.abs(n12)
-
-    half = np.exp(-big_gamma / 2.0)
-    cos_, sin_ = np.cos(grid / x), np.sin(grid / x)
-    worst = 0.0
-    for i in range(len(grid)):
-        t_mat = half[i] * np.array([[cos_[i], sin_[i]], [-sin_[i], cos_[i]]])
-        n_mat = 2.0 * acc._wbar[:, :, i]
-        chan = GaussianChannel(1, t_mat, 0.5 * (n_mat + n_mat.T), np.zeros(2))
-        generic = channel_measure_ic(chan).value
-        worst = max(worst, abs(generic - direct[i]))
-    if worst > 1e-8:
-        raise FormulaInconsistencyError(
-            f"generic measure and trajectory formula disagree by {worst:.3e}"
-        )
-
     return Trajectory(
         cfg=cfg,
         tau=grid,
@@ -493,6 +542,7 @@ def imaginarity_trajectory(
         n12=n12,
         term_t21=term1,
         term_t12t22=term2,
+        cross_check_error=_cross_check(cfg, acc, direct),
     )
 
 
@@ -530,7 +580,8 @@ def n12_scalar_oracle(acc: GammaAccumulator) -> np.ndarray:
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
     """
     _ensure_noise_cache(acc)
-    fine, big_gamma, delta, pi_, nodes = acc._fine
+    fine, gamma, delta, pi_, nodes = acc._fine
+    big_gamma = 2.0 * cumulative_simpson(gamma, x=fine, initial=0.0)
     x = acc.cfg.x
     weight = np.exp(big_gamma)
     sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)

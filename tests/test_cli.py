@@ -135,6 +135,7 @@ def test_qbm_writes_csv(tmp_path, capsys):
     assert code == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["rows"] == 501
+    assert 0.0 <= report["results"]["cross_check_error"] <= 1e-8
     lines = out.read_text().splitlines()
     assert lines[0] == "tau,Ic,Gamma,N12,term_T21,term_T12T22"
     assert len(lines) == 502
@@ -161,6 +162,46 @@ def test_qbm_bad_parameters(tmp_path):
         "qbm", "--alpha", "-1", "--x", "0.5", "--theta", "100",
         "--horizon", "5", "--out", str(tmp_path / "t.csv"),
     ]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--horizon", "nan"],
+        ["--horizon", "inf"],
+        ["--horizon", "5", "--step", "nan"],
+        ["--horizon", "5", "--step", "inf"],
+        ["--horizon", "5", "--alpha", "inf"],
+        ["--horizon", "5", "--theta", "nan"],
+    ],
+)
+def test_qbm_non_finite_input_is_usage_error(tmp_path, capsys, extra):
+    base = ["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+            "--out", str(tmp_path / "t.csv")]
+    assert cli.main(base + extra) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
+    from gaussimag import qbm
+
+    original = qbm._ensure_noise_cache
+
+    def corrupted(acc):
+        original(acc)
+        acc._wbar[1, 1, 3] = np.nan
+
+    monkeypatch.setattr(qbm, "_ensure_noise_cache", corrupted)
+    code = cli.main([
+        "qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+        "--horizon", "5", "--out", str(tmp_path / "t.csv"),
+    ])
+    assert code == cli.EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed: non-finite")
+    assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gaussimag.linalg import (
     spectral_norm,
     symplectic_form,
     trace_norm,
+    trace_norms,
 )
 
 
@@ -97,6 +98,25 @@ def test_trace_norm_unitary_invariance():
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         assert trace_norm(u @ m @ v) == pytest.approx(trace_norm(m), rel=1e-9)
+
+
+def test_trace_norm_keeps_tiny_singular_values():
+    # an eigensolve of M^T M rounds the 1e-9 singular value away
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ np.diag([1.0, 1e-9]) @ rot.T
+    assert abs(trace_norm(m) - (1.0 + 1e-9)) <= 1e-15
+
+
+def test_trace_norms_of_a_stack():
+    rng = np.random.default_rng(29)
+    stack = rng.standard_normal((7, 3, 2))
+    got = trace_norms(stack)
+    assert got.shape == (7,)
+    for i in range(7):
+        assert got[i] == pytest.approx(trace_norm(stack[i]), rel=1e-14)
+    with pytest.raises(ValueError):
+        trace_norms(np.full((2, 2, 2), np.nan))
 
 
 def test_spectral_norm_examples():

@@ -11,11 +11,14 @@ from gaussimag.gaussian import (
     sample_random_channel,
     sample_random_superchannel,
 )
+from gaussimag.linalg import mode_permutation, trace_norm
 from gaussimag.measures import (
     MeasureReport,
     StepThreshold,
     SupSearchConfig,
+    _channel_terms,
     channel_measure_ic,
+    channel_measure_ic_stack,
     channel_measure_id,
     channel_measure_is,
     in_fo,
@@ -101,10 +104,45 @@ def test_ic_rotation_closed_form():
 
 
 def test_ic_amplifying_counts_momentum_displacement():
+    # the displacement summand is the trace (l2) norm of the momentum
+    # part (-1.5, 2.0): sqrt(1.5^2 + 2^2) = 2.5
     c = GaussianChannel.amplifying(2, tau=3.0, d=np.array([0.5, -1.5, 0.0, 2.0]))
     report = channel_measure_ic(c)
-    assert report.value == pytest.approx(3.5, abs=1e-12)
-    assert dict(report.breakdown)["displacement"] == pytest.approx(3.5, abs=1e-12)
+    assert report.value == pytest.approx(2.5, abs=1e-12)
+    assert dict(report.breakdown)["displacement"] == pytest.approx(2.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_terms_match_per_channel_measures(n):
+    rng = np.random.default_rng(100 + n)
+    h = StepThreshold()
+    chans = [
+        sample_random_channel(n, rng, rng.choice(["any", "completely-real", "covariant-real"]))
+        for _ in range(200)
+    ]
+    t = np.stack([c.T for c in chans])
+    nm = np.stack([c.N for c in chans])
+    d = np.stack([c.d for c in chans])
+    assert np.any(np.abs(d[:, 1::2]) > 0.1)
+    t21, t12t22, n12, disp, scales = _channel_terms(t, nm, d)
+    batched = channel_measure_ic_stack(t, nm, d)
+    p = mode_permutation(n)
+    for i, c in enumerate(chans):
+        ic = channel_measure_ic(c)
+        terms = (t21[i], t12t22[i], n12[i], disp[i])
+        assert list(terms) == pytest.approx([v for _, v in ic.breakdown], abs=1e-12)
+        assert batched[i] == pytest.approx(ic.value, abs=1e-12)
+        # independent route: sort by the permutation matrix, 2-d trace norms
+        ts, ns = p @ c.T @ p.T, p @ c.N @ p.T
+        oracle = (
+            trace_norm(ts[n:, :n])
+            + trace_norm(ts[:n, n:]) * trace_norm(ts[n:, n:])
+            + trace_norm(ns[:n, n:])
+            + float(np.linalg.norm(c.d[1::2]))
+        )
+        assert batched[i] == pytest.approx(oracle, abs=1e-12)
+        steps = [h.step(v, scales[k][i]) for k, v in enumerate(terms)]
+        assert steps == [v for _, v in channel_measure_id(c, h).breakdown]
 
 
 def test_ic_zero_iff_real_500_channels():

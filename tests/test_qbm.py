@@ -4,6 +4,7 @@ import pytest
 import gaussimag.qbm as qbm
 from gaussimag.gaussian import validate_channel
 from gaussimag.qbm import (
+    FormulaInconsistencyError,
     GammaAccumulator,
     QbmConfig,
     coeff_delta_closed,
@@ -135,9 +136,13 @@ def test_noise_zero_at_origin():
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
-    zero = lambda cfg, t: np.zeros_like(np.atleast_1d(np.asarray(t, dtype=float)))
-    monkeypatch.setattr(qbm, "coeff_delta_closed", zero)
-    monkeypatch.setattr(qbm, "coeff_pi_closed", zero)
+    shared = qbm._coefficients
+
+    def no_diffusion(cfg, t):
+        gamma, delta, pi_ = shared(cfg, t)
+        return gamma, np.zeros_like(delta), np.zeros_like(pi_)
+
+    monkeypatch.setattr(qbm, "_coefficients", no_diffusion)
     acc = gamma_capital(HIGH, 5.0)
     for tau in (1.0, 3.0, 5.0):
         assert np.max(np.abs(noise_wbar(HIGH, tau, acc))) == 0.0
@@ -207,6 +212,65 @@ def test_trajectory_breakdown_sums(short_trajectory):
         + np.abs(short_trajectory.n12)
     )
     assert np.max(np.abs(total - short_trajectory.ic)) <= 1e-12
+
+
+def test_trajectory_reports_cross_check_error(short_trajectory):
+    assert 0.0 <= short_trajectory.cross_check_error <= qbm.CROSS_CHECK_TOL
+
+
+@pytest.mark.parametrize("cfg,batches", [(HIGH, 4), (LOW, 8)], ids=["high", "low"])
+def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
+    # one batch per Ei argument family over the refined grid (16 points a
+    # row at high T, 32 at low T), plus the scalar constants Ei(+/-1/x)
+    # and, at low T, Ei(+/-b/x)
+    array_points, scalar_calls = [], []
+    original = qbm.expint_ei
+
+    def counting(z):
+        if np.ndim(z):
+            array_points.append(np.size(z))
+        else:
+            scalar_calls.append(z)
+        return original(z)
+
+    monkeypatch.setattr(qbm, "expint_ei", counting)
+    traj = imaginarity_trajectory(cfg, 5.0)
+    fine = qbm.NOISE_REFINEMENT * (len(traj.tau) - 1) + 1
+    assert array_points == [fine] * batches
+    assert len(scalar_calls) == batches // 2
+
+
+@pytest.mark.parametrize(
+    "value", [lambda w: w + 1e-6, lambda w: np.nan], ids=["off-by-1e-6", "nan"]
+)
+def test_corrupted_wbar_entry_fails_cross_check(monkeypatch, value):
+    # one off-diagonal entry: the formula reads N12 = 2 Wbar[0, 1], the
+    # generic measure the symmetrized N
+    original = qbm._ensure_noise_cache
+
+    def corrupted(acc):
+        original(acc)
+        mid = len(acc.grid) // 2
+        acc._wbar[0, 1, mid] = value(acc._wbar[0, 1, mid])
+
+    monkeypatch.setattr(qbm, "_ensure_noise_cache", corrupted)
+    with pytest.raises(FormulaInconsistencyError):
+        imaginarity_trajectory(HIGH, 5.0)
+
+
+def test_cross_check_fails_on_nan_formula_value():
+    acc = gamma_capital(HIGH, 5.0)
+    qbm._ensure_noise_cache(acc)
+    x = HIGH.x
+    direct = (
+        np.abs(np.exp(-acc.values / 2.0) * np.sin(acc.grid / x))
+        + 0.5 * np.abs(np.exp(-acc.values) * np.sin(2.0 * acc.grid / x))
+        + np.abs(2.0 * acc._wbar[0, 1])
+    )
+    assert qbm._cross_check(HIGH, acc, direct) <= qbm.CROSS_CHECK_TOL
+    direct[7] = np.nan
+    with pytest.raises(FormulaInconsistencyError):
+        qbm._cross_check(HIGH, acc, direct)
 
 
 def test_n12_matrix_route_matches_scalar_oracle():
