@@ -76,12 +76,8 @@ from .specfun import (
     ConvergenceError,
     PoleError,
     QuadratureSpec,
-    cosint_ci,
-    coshint_chi,
     expint_ei,
     integrate_adaptive,
-    sinhint_shi,
-    sinint_si,
 )
 
 __version__ = "0.1.0"

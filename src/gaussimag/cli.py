@@ -199,23 +199,26 @@ def cmd_check_super(args) -> int:
 
 def cmd_qbm(args) -> int:
     start = time.perf_counter()
-    if not (0 < args.horizon < np.inf and 0 < args.step < np.inf):
-        print("horizon and step must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cfg = qbm.QbmConfig(
             alpha=args.alpha, x=args.x, theta=args.theta, regime=args.regime
         )
+        # A ValueError here comes from the parameters: a grid too large
+        # to build, or Ei arguments that overflow.  The trajectory checks
+        # every value for finiteness, so numpy's warnings add nothing.
+        with np.errstate(all="ignore"):
+            traj = qbm.imaginarity_trajectory(cfg, args.horizon, args.step)
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        traj = qbm.imaginarity_trajectory(cfg, args.horizon, args.step)
-        traj.write_csv(args.out)
-    except (qbm.ClosedFormError, qbm.FormulaInconsistencyError,
-            qbm.IntegrationResolutionError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    try:
+        traj.write_csv(args.out)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     period = np.pi * cfg.x
     window = 10.0 * period

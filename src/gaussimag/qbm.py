@@ -43,8 +43,8 @@ DEFAULT_STEP = 0.01
 
 
 class ClosedFormError(RuntimeError):
-    """A closed-form coefficient produced an excessive imaginary residue,
-    signalling a branch or transcription fault."""
+    """A closed-form coefficient produced a non-finite value or an excessive
+    imaginary residue, signalling overflow or a branch or transcription fault."""
 
 
 class FormulaInconsistencyError(RuntimeError):
@@ -90,6 +90,8 @@ class QbmConfig:
 # ---------------------------------------------------------------------------
 
 def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ClosedFormError(f"{name}: non-finite closed-form value")
     scale = np.maximum(1.0, np.abs(values.real))
     residue = np.abs(values.imag) / scale
     worst = float(np.max(residue)) if residue.size else 0.0
@@ -101,12 +103,14 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _ei_pairs(tau: np.ndarray, x: float):
-    """Ei at the four recurring arguments (1 +/- i tau)/x, (-1 +/- i tau)/x."""
-    e_plus = expint_ei((1.0 + 1j * tau) / x)
-    e_minus = expint_ei((1.0 - 1j * tau) / x)
-    f_plus = expint_ei((-1.0 + 1j * tau) / x)
-    f_minus = expint_ei((-1.0 - 1j * tau) / x)
-    return np.asarray(e_plus), np.asarray(e_minus), np.asarray(f_plus), np.asarray(f_minus)
+    """Ei at the four recurring arguments (1 +/- i tau)/x, (-1 +/- i tau)/x.
+
+    Only the +i tau batches are evaluated; Ei(conj z) == conj(Ei(z))
+    gives the -i tau ones.
+    """
+    e_plus = np.asarray(expint_ei((1.0 + 1j * tau) / x))
+    f_plus = np.asarray(expint_ei((-1.0 + 1j * tau) / x))
+    return e_plus, np.conj(e_plus), f_plus, np.conj(f_plus)
 
 
 def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -136,9 +140,8 @@ def _low_t_shifted_terms(cfg: QbmConfig, t: np.ndarray):
     x, a2 = cfg.x, cfg.alpha**2
     b = cfg.cutoff_shift
     g_b = expint_ei((b + 1j * t) / x)
-    g_bc = expint_ei((b - 1j * t) / x)
     h_b = expint_ei((-b + 1j * t) / x)
-    h_bc = expint_ei((-b - 1j * t) / x)
+    g_bc, h_bc = np.conj(g_b), np.conj(h_b)
     boundary = t / (b * b + t * t)
     # 2 x the single-bath-copy closed forms: the low-T weight carries the
     # shifted exponential with coefficient 2.
@@ -192,7 +195,7 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
 def _coefficients(cfg: QbmConfig, t: np.ndarray):
     """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
 
-    The four ``_ei_pairs`` batches (and, at low temperature, the four
+    The two ``_ei_pairs`` batches (and, at low temperature, the two
     cutoff-shifted ones) are evaluated once and shared by all three
     coefficients; each coefficient's imaginary residue is checked.
     """
@@ -331,7 +334,12 @@ class GammaAccumulator:
 def _make_grid(horizon: float, step: float) -> np.ndarray:
     if not (0 < horizon < np.inf and 0 < step < np.inf):
         raise ValueError("horizon and step must be positive and finite")
-    grid = np.arange(0.0, horizon + 0.5 * step, step)
+    try:
+        grid = np.arange(0.0, horizon + 0.5 * step, step)
+    except ValueError as exc:  # more points than an array can index
+        raise ValueError(
+            f"step {step:g} is too small for horizon {horizon:g}: {exc}"
+        ) from None
     if grid[-1] < horizon - 1e-12:
         grid = np.append(grid, horizon)
     return grid
@@ -465,13 +473,28 @@ class Trajectory:
         return float(np.mean(self.ic[mask]))
 
     def write_csv(self, path):
+        rows = np.column_stack([
+            self.tau, self.ic, self.gamma_capital, self.n12,
+            self.term_t21, self.term_t12t22,
+        ]).tolist()
         with open(path, "w", newline="\n") as fh:
             fh.write("tau,Ic,Gamma,N12,term_T21,term_T12T22\n")
-            for row in zip(
-                self.tau, self.ic, self.gamma_capital, self.n12,
-                self.term_t21, self.term_t12t22,
-            ):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(_csv_lines(rows))
+
+
+_CSV_ROW = ",".join(["%.12g"] * 6) + "\n"
+
+
+def _csv_lines(rows):
+    """One CSV line per 6-value row: 12 significant digits, plain decimal.
+
+    ``%.12g`` matches ``_fmt`` digit for digit wherever it picks
+    positional notation; a line in which it picked an exponent is
+    formatted again value by value.
+    """
+    for row in rows:
+        line = _CSV_ROW % tuple(row)
+        yield line if "e" not in line else ",".join(map(_fmt, row)) + "\n"
 
 
 def _fmt(v: float) -> str:

@@ -1,22 +1,20 @@
 """Special functions with complex arguments, plus adaptive quadrature.
 
 The quantum-Brownian-motion closed forms need the exponential integral
-Ei, the trigonometric integrals Ci and Si, and the hyperbolic sine
-integral Shi, all at complex arguments.  These are thin wrappers over
-scipy's complex-capable special functions with the branch conventions
+Ei at complex arguments.  ``expint_ei`` is a thin wrapper over scipy's
+complex-capable exponential integral with the branch conventions
 documented below; the quadrature helper wraps the adaptive
 Gauss-Kronrod integrator and converts non-convergence into a typed
 error carrying the best estimate.
 
 Branch conventions
 ------------------
-All functions use the principal branch (cut along the negative real
-axis for Ei/Ci/Chi).  ``expint_ei`` returns the *real principal value*
-for arguments exactly on the negative real axis; off the axis the limit
-from the containing half-plane applies, so ``Ei(conj(z)) ==
-conj(Ei(z))``.  The closed forms served here always combine these
-functions in conjugate pairs with real prefactors, which is exactly
-what makes their values real.
+Ei uses the principal branch (cut along the negative real axis).
+``expint_ei`` returns the *real principal value* for arguments exactly
+on the negative real axis; off the axis the limit from the containing
+half-plane applies, so ``Ei(conj(z)) == conj(Ei(z))``.  The closed forms
+served here always combine Ei values in conjugate pairs with real
+prefactors, which is exactly what makes their values real.
 """
 
 from __future__ import annotations
@@ -101,40 +99,6 @@ def expint_ei(z):
         # the cut of -E1(-z) from the positive to the negative real axis.
         out[~on_axis] = -sp.exp1(-w) + 1j * np.pi * np.sign(w.imag)
     return out if out.ndim else complex(out)
-
-
-def cosint_ci(z):
-    """Cosine integral Ci at real or complex argument (principal branch)."""
-    arr = _as_complex(z)
-    if np.any(arr == 0):
-        raise PoleError("Ci has a logarithmic singularity at 0")
-    _, ci = sp.sici(arr)
-    if np.all(arr.imag == 0):
-        ci = ci.real + 0j
-    return ci if np.ndim(ci) else complex(ci)
-
-
-def sinint_si(z):
-    """Sine integral Si (entire) at real or complex argument."""
-    arr = _as_complex(z)
-    si, _ = sp.sici(arr)
-    return si if np.ndim(si) else complex(si)
-
-
-def sinhint_shi(z):
-    """Hyperbolic sine integral Shi (entire); Shi(z) = -i Si(i z)."""
-    arr = _as_complex(z)
-    shi, _ = sp.shichi(arr)
-    return shi if np.ndim(shi) else complex(shi)
-
-
-def coshint_chi(z):
-    """Hyperbolic cosine integral Chi (principal branch)."""
-    arr = _as_complex(z)
-    if np.any(arr == 0):
-        raise PoleError("Chi has a logarithmic singularity at 0")
-    _, chi = sp.shichi(arr)
-    return chi if np.ndim(chi) else complex(chi)
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:

@@ -204,6 +204,50 @@ def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
     assert len(err.strip().splitlines()) == 1
 
 
+QBM_BASE = ["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100", "--horizon", "5"]
+
+
+def assert_one_line(err, prefix):
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_qbm_non_finite_closed_form_is_compute_error(tmp_path, capsys):
+    # x = 1e-300 overflows e^{1/x}; the closed-form check catches it
+    code = cli.main(["qbm", "--alpha", "0.03", "--x", "1e-300", "--theta", "100",
+                     "--horizon", "5", "--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_COMPUTE
+    assert_one_line(capsys.readouterr().err,
+                    "computation failed: gamma: non-finite closed-form value")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_qbm_grid_too_large_is_usage_error(tmp_path, capsys):
+    code = cli.main(QBM_BASE + ["--step", "1e-300", "--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "bad parameters: step 1e-300 is too small")
+
+
+def test_qbm_memory_error_is_compute_error(tmp_path, capsys, monkeypatch):
+    from gaussimag import qbm
+
+    def no_memory(horizon, step):
+        raise MemoryError("Unable to allocate the grid")
+
+    monkeypatch.setattr(qbm, "_make_grid", no_memory)
+    code = cli.main(QBM_BASE + ["--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_COMPUTE
+    assert_one_line(capsys.readouterr().err, "computation failed: Unable to allocate")
+
+
+def test_qbm_unwritable_output_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.csv"
+    code = cli.main(QBM_BASE + ["--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "cannot write output:")
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -218,11 +218,11 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
     assert 0.0 <= short_trajectory.cross_check_error <= qbm.CROSS_CHECK_TOL
 
 
-@pytest.mark.parametrize("cfg,batches", [(HIGH, 4), (LOW, 8)], ids=["high", "low"])
+@pytest.mark.parametrize("cfg,batches", [(HIGH, 2), (LOW, 4)], ids=["high", "low"])
 def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
-    # one batch per Ei argument family over the refined grid (16 points a
-    # row at high T, 32 at low T), plus the scalar constants Ei(+/-1/x)
-    # and, at low T, Ei(+/-b/x)
+    # one batch per conjugate pair of Ei argument families over the
+    # refined grid (8 points a row at high T, 16 at low T), plus the
+    # scalar constants Ei(+/-1/x) and, at low T, Ei(+/-b/x)
     array_points, scalar_calls = [], []
     original = qbm.expint_ei
 
@@ -237,7 +237,53 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
     traj = imaginarity_trajectory(cfg, 5.0)
     fine = qbm.NOISE_REFINEMENT * (len(traj.tau) - 1) + 1
     assert array_points == [fine] * batches
-    assert len(scalar_calls) == batches // 2
+    assert len(scalar_calls) == batches
+
+
+def _low_t_shifted_terms_direct(cfg, t):
+    """The cutoff-shifted low-T terms with all four Ei batches evaluated."""
+    x, a2, b = cfg.x, cfg.alpha**2, cfg.cutoff_shift
+    g_b = qbm.expint_ei((b + 1j * t) / x)
+    g_bc = qbm.expint_ei((b - 1j * t) / x)
+    h_b = qbm.expint_ei((-b + 1j * t) / x)
+    h_bc = qbm.expint_ei((-b - 1j * t) / x)
+    boundary = t / (b * b + t * t)
+    delta_b = 2.0 * a2 * (
+        np.cos(t / x) * boundary
+        + (1.0 / (4j * x))
+        * (
+            np.exp(-b / x) * (g_b - g_bc)
+            + np.exp(b / x) * (h_b - h_bc - 2j * np.pi)
+        )
+    )
+    ei_b, ei_mb = qbm.expint_ei(b / x), qbm.expint_ei(-b / x)
+    pi_b = 2.0 * a2 * (
+        np.sin(t / x) * boundary
+        - (1.0 / (4.0 * x))
+        * (
+            np.exp(-b / x) * (g_b + g_bc - 2.0 * ei_b)
+            + np.exp(b / x) * (h_b + h_bc - 2.0 * ei_mb)
+        )
+    )
+    return delta_b, pi_b
+
+
+@pytest.mark.parametrize("x", [0.5, 0.7, 0.9])
+def test_conjugate_ei_batches_equal_direct_evaluation(x):
+    # Ei(conj z) == conj(Ei(z)) stands in for the -i tau batches; evaluating
+    # all four arguments directly stays here as the reference
+    cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
+    t = qbm._refine_grid(qbm._make_grid(60.0, 0.01), qbm.NOISE_REFINEMENT)
+    assert t[0] == 0.0
+    direct = [qbm.expint_ei((s + 1j * sign * t) / x)
+              for s in (1.0, -1.0) for sign in (1.0, -1.0)]
+    pairs = qbm._ei_pairs(t, x)
+    assert len(pairs) == 4
+    for got, want in zip(pairs, direct):
+        assert np.array_equal(got, want)
+    for got, want in zip(qbm._low_t_shifted_terms(cfg, t),
+                         _low_t_shifted_terms_direct(cfg, t)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -273,11 +319,76 @@ def test_cross_check_fails_on_nan_formula_value():
         qbm._cross_check(HIGH, acc, direct)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([1.0 + 0j, np.nan + 0j]),
+        np.array([1.0 + 0j, np.inf + 0j]),
+        np.array([1.0 + 0j, 1.0 + np.nan * 1j]),
+        np.array([-np.inf + 1j * np.inf]),
+    ],
+    ids=["nan-real", "inf-real-zero-imag", "nan-residue", "inf-inf"],
+)
+def test_real_checked_rejects_non_finite(values):
+    with pytest.raises(qbm.ClosedFormError, match="gamma"):
+        qbm._real_checked(values, "gamma")
+
+
+def test_real_checked_passes_small_residue_and_rejects_large():
+    values = np.array([2.0 + 1e-9j, -3.0 + 0j])
+    assert np.array_equal(qbm._real_checked(values, "Pi"), [2.0, -3.0])
+    with pytest.raises(qbm.ClosedFormError, match="imaginary residue"):
+        qbm._real_checked(np.array([2.0 + 1e-6j]), "Pi")
+
+
 def test_n12_matrix_route_matches_scalar_oracle():
     acc = gamma_capital(HIGH, 30.0)
     qbm._ensure_noise_cache(acc)
     oracle = n12_scalar_oracle(acc)
     assert np.max(np.abs(2.0 * acc._wbar[0, 1] - oracle)) <= 1e-9
+
+
+def _per_value_line(row):
+    """The CSV line as the writer once made it, one format call per value."""
+    return ",".join(
+        np.format_float_positional(v, precision=12, unique=False, fractional=False, trim="-")
+        for v in row
+    ) + "\n"
+
+
+def _csv_edge_values():
+    rng = np.random.default_rng(7)
+    magnitudes = 10.0 ** rng.uniform(-30.0, 20.0, 100_002)
+    random = magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)
+    # exact ties at the 13th significant digit (odd k), and near-ties
+    ties = np.concatenate([
+        10.0 + np.arange(1, 2048) / 2048.0,
+        123456.0 + np.arange(1, 128) / 128.0,
+        1.0 + np.arange(1, 4096, 2) / 2.0**40,
+    ])
+    powers = 10.0 ** np.arange(-20, 21)
+    neighbours = np.concatenate([
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+    ])
+    round_up = np.array([9.999999999995, 9.9999999999951, 0.00099999999999951,
+                         999999999999.5, 999999999999.4, 99999.99999995])
+    special = np.array([0.0, -0.0, 5e-324, 2.2e-308, 9.9e-5, 1e-4, 1.00000000001e-4,
+                        1e12, 1.2e12, 9.99999999999e11, -3e-7, 1e20])
+    values = np.concatenate([random, ties, -ties, neighbours, -neighbours,
+                             round_up, -round_up, special])
+    # rows of similar magnitudes, so that most rows avoid the fallback
+    values = values[np.argsort(np.abs(values), kind="stable")]
+    return values[: values.size // 6 * 6].reshape(-1, 6)
+
+
+def test_csv_rows_match_per_value_format():
+    rows = _csv_edge_values().tolist()
+    got = list(qbm._csv_lines(rows))
+    assert len(got) == len(rows)
+    for row, line in zip(rows, got):
+        assert line == _per_value_line(row), row
+    fallback = sum("e" in qbm._CSV_ROW % tuple(row) for row in rows)
+    assert 0 < fallback < 0.8 * len(rows)
 
 
 def test_csv_round_trip(tmp_path, short_trajectory):

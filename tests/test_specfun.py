@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from gaussimag.specfun import (
     ConvergenceError,
     PoleError,
     QuadratureSpec,
-    cosint_ci,
-    coshint_chi,
     expint_ei,
     integrate_adaptive,
-    sinhint_shi,
-    sinint_si,
 )
 
 EULER_GAMMA = 0.5772156649015328606
@@ -59,45 +56,14 @@ def test_ei_negative_axis_principal_value_is_real():
 def test_poles_rejected():
     with pytest.raises(PoleError):
         expint_ei(0.0)
-    with pytest.raises(PoleError):
-        cosint_ci(0.0)
-    with pytest.raises(PoleError):
-        coshint_chi(0.0)
-
-
-def test_si_limit_at_large_argument():
-    assert abs(complex(sinint_si(50.0)).real - np.pi / 2) < 2e-2
-    # asymptotic remainder bound ~ 1/z
-    assert abs(complex(sinint_si(50.0)).real - np.pi / 2) < 1.0 / 50 + 1e-3
-
-
-def test_ci_series_identity():
-    # Ci(z) - (gamma + ln z) equals the even analytic series
-    import math
-
-    z = 0.3
-    series = sum(
-        (-1) ** k * z ** (2 * k) / (2 * k * math.factorial(2 * k))
-        for k in range(1, 30)
-    )
-    value = complex(cosint_ci(z)).real - (EULER_GAMMA + np.log(z))
-    assert value == pytest.approx(series, abs=1e-12)
-
-
-def test_shi_si_identity():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        y = rng.uniform(0.05, 8.0)
-        assert complex(sinhint_shi(1j * y)) == pytest.approx(
-            1j * complex(sinint_si(y)), rel=1e-10
-        )
 
 
 def test_ei_ci_si_interrelation():
     # Ei(iy) = Ci(y) + i (Si(y) + pi/2) for real y > 0
     for y in np.linspace(0.2, 25.0, 30):
         lhs = expint_ei(1j * y)
-        rhs = complex(cosint_ci(y)) + 1j * (complex(sinint_si(y)) + np.pi / 2)
+        si, ci = sp.sici(y)
+        rhs = ci + 1j * (si + np.pi / 2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
@@ -112,17 +78,6 @@ def test_special_functions_vs_defining_integrals(x):
         lambda u: np.exp(-u) / u, x, x + 80.0
     )
     assert complex(expint_ei(x)).real == pytest.approx(ei_oracle, rel=1e-8)
-
-    si_oracle = quad_oracle(lambda u: np.sin(u) / u, 0.0, x)
-    assert complex(sinint_si(x)).real == pytest.approx(si_oracle, rel=1e-8, abs=1e-10)
-
-    ci_oracle = EULER_GAMMA + np.log(x) + quad_oracle(
-        lambda u: (np.cos(u) - 1.0) / u, 0.0, x
-    )
-    assert complex(cosint_ci(x)).real == pytest.approx(ci_oracle, rel=1e-8, abs=1e-10)
-
-    shi_oracle = quad_oracle(lambda u: np.sinh(u) / u, 0.0, x)
-    assert complex(sinhint_shi(x)).real == pytest.approx(shi_oracle, rel=1e-8)
 
 
 def test_integrate_adaptive_examples():
