@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -38,7 +39,7 @@ from .gaussian import (
     to_document,
     validate_any,
 )
-from .linalg import spectral_norm
+from .linalg import MAX_MODES, spectral_norm
 from .measures import (
     StepThreshold,
     SupSearchConfig,
@@ -136,11 +137,15 @@ def cmd_measure(args) -> int:
     elif which == "id":
         rep = channel_measure_id(obj, h)
     else:
-        cfg = SupSearchConfig(
-            restarts=args.restarts,
-            iterations_per_restart=args.iterations,
-            seed=args.seed,
-        )
+        try:
+            cfg = SupSearchConfig(
+                restarts=args.restarts,
+                iterations_per_restart=args.iterations,
+                seed=args.seed,
+            )
+        except ValueError as exc:
+            print(f"bad parameters: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         rep = channel_measure_is(obj, cfg, h)
 
     results = {
@@ -197,8 +202,26 @@ def cmd_check_super(args) -> int:
     return EXIT_OK
 
 
+def _unwritable(path) -> str | None:
+    """Why ``path`` cannot be written, or None; creates and truncates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"no such directory: {parent!r}"
+    if os.path.isdir(path):
+        return f"is a directory: {path!r}"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return f"permission denied: {path!r}"
+    return None
+
+
 def cmd_qbm(args) -> int:
     start = time.perf_counter()
+    # Checked before computing so that a bad path fails at once; the write
+    # below keeps its own handler for what only the write can find.
+    problem = _unwritable(args.out)
+    if problem is not None:
+        print(f"cannot write output: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cfg = qbm.QbmConfig(
             alpha=args.alpha, x=args.x, theta=args.theta, regime=args.regime
@@ -290,8 +313,14 @@ def _audit_suites(modes: int, trials: int, seed: int):
 
 
 def cmd_audit(args) -> int:
-    if args.trials < 1:
-        print("trials must be >= 1", file=sys.stderr)
+    problem = (
+        "trials must be >= 1" if args.trials < 1
+        else f"modes must be in [1, {MAX_MODES}]" if not 1 <= args.modes <= MAX_MODES
+        else "seed must be >= 0" if args.seed < 0
+        else None
+    )
+    if problem is not None:
+        print(f"bad parameters: {problem}", file=sys.stderr)
         return EXIT_USAGE
     counterexamples = []
     for name, sup, chan in _audit_suites(args.modes, args.trials, args.seed):

@@ -33,7 +33,6 @@ from .linalg import (
     is_psd,
     max_abs,
     min_eigenvalue,
-    mode_permutation,
     sigma_blocks,
     spectral_norm,
     symplectic_form,

@@ -80,6 +80,8 @@ class SupSearchConfig:
             raise ValueError("cm_eigenvalue_bound must exceed 1")
         if self.displacement_bound < 0:
             raise ValueError("displacement_bound must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
@@ -370,6 +369,50 @@ def _fine_coefficients(cfg: QbmConfig, grid: np.ndarray) -> tuple:
     return (fine, *_coefficients(cfg, fine), nodes)
 
 
+def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over [x_i, x_{i+1}] of the parabola through
+    x_i, x_{i+1}, x_{i+2}, for every i (unequal widths ``dx``).
+
+    Reversing ``y`` and ``dx`` gives the integrals over the second halves.
+    """
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    f1, f2, f3 = y[..., :-2], y[..., 1:-1], y[..., 2:]
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` over the 1-d grid ``x`` along
+    the last axis, starting from 0.
+
+    The arithmetic is that of ``scipy.integrate.cumulative_simpson(y,
+    x=x, initial=0.0)`` on unequal intervals, so the results are
+    bit-identical: each interval takes its first-half integral from the
+    panel to its right and, for odd intervals and the last one, its
+    second-half integral from the panel to its left.  Fewer than three
+    points fall back to the trapezoid rule, as SciPy does.
+    """
+    dx = np.diff(x)
+    if y.shape[-1] < 3:
+        parts = dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    else:
+        h1 = _simpson_first_halves(y, dx)
+        h2 = _simpson_first_halves(y[..., ::-1], dx[::-1])[..., ::-1]
+        parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+        parts[..., :-1:2] = h1[..., ::2]
+        parts[..., 1::2] = h2[..., ::2]
+        parts[..., -1] = h2[..., -1]
+    out = np.zeros(y.shape)
+    np.cumsum(parts, axis=-1, out=out[..., 1:])
+    return out
+
+
 def gamma_capital(
     cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP, gamma_fn=None
 ) -> GammaAccumulator:
@@ -390,7 +433,7 @@ def gamma_capital(
         g = gamma_f[nodes]
     else:
         g = np.asarray(gamma_fn(cfg, grid), dtype=float)
-    values = 2.0 * cumulative_simpson(g, x=grid, initial=0.0)
+    values = 2.0 * _cumulative_simpson(g, grid)
     return GammaAccumulator(cfg=cfg, grid=grid, gamma=g, values=values, _fine=fine)
 
 
@@ -409,14 +452,14 @@ def _ensure_noise_cache(acc: GammaAccumulator):
     if acc._fine is None:
         acc._fine = _fine_coefficients(cfg, acc.grid)
     fine, gamma_f, delta_f, pi_f, nodes = acc._fine
-    big_gamma_f = 2.0 * cumulative_simpson(gamma_f, x=fine, initial=0.0)
+    big_gamma_f = 2.0 * _cumulative_simpson(gamma_f, fine)
     c, s = np.cos(fine / cfg.x), np.sin(fine / cfg.x)
     zero = np.zeros_like(fine)
     rot = np.array([[c, s], [-s, c]])  # (2, 2, m)
     m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, zero]])
     # co-rotating integrand R^T M R, damped accumulation, rotated back
     integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot) * np.exp(big_gamma_f)
-    cum = cumulative_simpson(integrand, x=fine, initial=0.0, axis=-1)
+    cum = _cumulative_simpson(integrand, fine)
     wbar_f = np.einsum("ija,jka,lka->ila", rot, cum * np.exp(-big_gamma_f), rot)
     acc._wbar = wbar_f[:, :, nodes]
 
@@ -604,14 +647,14 @@ def n12_scalar_oracle(acc: GammaAccumulator) -> np.ndarray:
     """
     _ensure_noise_cache(acc)
     fine, gamma, delta, pi_, nodes = acc._fine
-    big_gamma = 2.0 * cumulative_simpson(gamma, x=fine, initial=0.0)
+    big_gamma = 2.0 * _cumulative_simpson(gamma, fine)
     x = acc.cfg.x
     weight = np.exp(big_gamma)
     sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)
-    a1 = cumulative_simpson(weight * delta * sin2, x=fine, initial=0.0)
-    a2 = cumulative_simpson(weight * delta * cos2, x=fine, initial=0.0)
-    b1 = cumulative_simpson(weight * pi_ * sin2, x=fine, initial=0.0)
-    b2 = cumulative_simpson(weight * pi_ * cos2, x=fine, initial=0.0)
+    a1 = _cumulative_simpson(weight * delta * sin2, fine)
+    a2 = _cumulative_simpson(weight * delta * cos2, fine)
+    b1 = _cumulative_simpson(weight * pi_ * sin2, fine)
+    b2 = _cumulative_simpson(weight * pi_ * cos2, fine)
     n12 = np.exp(-big_gamma) * (cos2 * (a1 - b2) - sin2 * (a2 + b1))
     return n12[nodes]
 

@@ -5,7 +5,8 @@ Ei at complex arguments.  ``expint_ei`` is a thin wrapper over scipy's
 complex-capable exponential integral with the branch conventions
 documented below; the quadrature helper wraps the adaptive
 Gauss-Kronrod integrator and converts non-convergence into a typed
-error carrying the best estimate.
+error carrying the best estimate.  Each imports its scipy module inside
+the call, so importing this module loads no scipy code.
 
 Branch conventions
 ------------------
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import warnings
 
 import numpy as np
-import scipy.integrate
-import scipy.special as sp
 
 
 class PoleError(ValueError):
@@ -86,6 +85,8 @@ def expint_ei(z):
     from each half-plane onto the negative real axis with a +/- i pi
     jump across it.
     """
+    import scipy.special as sp
+
     arr = _as_complex(z)
     if np.any(arr == 0):
         raise PoleError("Ei has a logarithmic singularity at 0")
@@ -108,6 +109,8 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec = QuadratureS
     estimate and its error bound) if the requested tolerance cannot be
     met within the subdivision budget.
     """
+    import scipy.integrate
+
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
     with warnings.catch_warnings():

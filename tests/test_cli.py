@@ -184,6 +184,28 @@ def test_qbm_non_finite_input_is_usage_error(tmp_path, capsys, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--which", "is", "--restarts", "-1"],
+        ["--which", "is", "--iterations", "-3"],
+        ["--which", "is", "--seed", "-1"],
+    ],
+)
+def test_measure_bad_search_parameters_are_usage_errors(amplifying_doc, capsys, argv):
+    assert cli.main(["measure", amplifying_doc, *argv]) == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "bad parameters:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--modes", "0"], ["--modes", "65"], ["--seed", "-4"]],
+)
+def test_audit_bad_parameters_are_usage_errors(capsys, argv):
+    assert cli.main(["audit", "--trials", "5", *argv]) == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "bad parameters:")
+
+
 def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
     from gaussimag import qbm
 
@@ -246,6 +268,43 @@ def test_qbm_unwritable_output_is_usage_error(tmp_path, capsys):
     code = cli.main(QBM_BASE + ["--out", str(out)])
     assert code == cli.EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "cannot write output:")
+
+
+@pytest.mark.parametrize("target", ["no-such-dir/x.csv", "a-directory"])
+def test_qbm_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch, target):
+    from gaussimag import qbm
+
+    def never(*args, **kwargs):
+        raise AssertionError("trajectory computed for an unwritable --out")
+
+    monkeypatch.setattr(qbm, "imaginarity_trajectory", never)
+    (tmp_path / "a-directory").mkdir()
+    code = cli.main(QBM_BASE + ["--out", str(tmp_path / target)])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "cannot write output:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+
+
+def test_qbm_existing_output_is_overwritten(tmp_path):
+    out = tmp_path / "t.csv"
+    out.write_text("stale\n")
+    code = cli.main(["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+                     "--horizon", "0.05", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert out.read_text().splitlines()[0] == "tau,Ic,Gamma,N12,term_T21,term_T12T22"
+
+
+@pytest.mark.parametrize("horizon", ["0.005", "0.01"])
+def test_qbm_two_point_grid(tmp_path, horizon):
+    # horizon <= step: the grid is [0, horizon] and Gamma uses the trapezoid rule
+    out = tmp_path / "t.csv"
+    code = cli.main(["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+                     "--horizon", horizon, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("0,0,")
+    assert lines[2].startswith(horizon + ",")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,58 @@
+"""Importing the package and running the CLI load only the scipy code they use."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+
+import gaussimag
+from gaussimag.gaussian import GaussianChannel, to_document
+
+#: The directory holding the package under test, for the child's sys.path.
+PACKAGE_ROOT = str(Path(gaussimag.__file__).resolve().parent.parent)
+
+
+def scipy_modules_after(tmp_path, body: str) -> list[str]:
+    """The scipy modules in ``sys.modules`` after ``body`` runs in a fresh interpreter."""
+    script = textwrap.dedent(body) + textwrap.dedent("""
+        import json, sys
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy."))))
+    """)
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    assert scipy_modules_after(tmp_path, "import gaussimag, gaussimag.cli") == []
+
+
+def test_measure_is_loads_no_scipy(tmp_path):
+    doc = tmp_path / "amp.json"
+    channel = GaussianChannel.amplifying(1, tau=2.0, d=np.array([0.5, 1.5]))
+    doc.write_text(json.dumps(to_document(channel)))
+    body = f"""
+        from gaussimag import cli
+        assert cli.main(["--json", "measure", {str(doc)!r}, "--which", "is",
+                         "--restarts", "2", "--iterations", "5"]) == 0
+    """
+    assert scipy_modules_after(tmp_path, body) == []
+
+
+def test_qbm_loads_no_scipy_integrate(tmp_path):
+    body = """
+        from gaussimag import cli
+        assert cli.main(["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+                         "--horizon", "1", "--out", "t.csv"]) == 0
+    """
+    loaded = scipy_modules_after(tmp_path, body)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.integrate")]

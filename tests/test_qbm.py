@@ -115,6 +115,56 @@ def test_gamma_capital_range_errors():
         gamma_capital(HIGH, -1.0)
 
 
+def _scipy_cumulative_simpson(y, x):
+    from scipy.integrate import cumulative_simpson
+
+    return cumulative_simpson(y, x=x, initial=0.0, axis=-1)
+
+
+def _assert_simpson_matches_scipy(y, x):
+    got = qbm._cumulative_simpson(y, x)
+    assert got.shape == y.shape
+    assert np.array_equal(got, _scipy_cumulative_simpson(y, x))
+
+
+PANEL_CONFIGS = [
+    QbmConfig(alpha=0.03, x=x, theta=100.0, regime="high") for x in (0.5, 0.7, 0.9)
+] + [LOW]
+
+
+@pytest.mark.parametrize(
+    "horizon, configs",
+    # 60.004 appends the horizon node after 60.00: a short last interval
+    [(60.0, PANEL_CONFIGS), (615.7, [HIGH]), (60.004, [HIGH])],
+    ids=["panels", "long", "short-last-interval"],
+)
+def test_cumulative_simpson_matches_scipy_on_refined_grids(horizon, configs):
+    fine = qbm._refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+    for cfg in configs:
+        gamma, delta, pi_ = qbm._coefficients(cfg, fine)
+        _assert_simpson_matches_scipy(gamma, fine)
+        _assert_simpson_matches_scipy(np.array([[delta, pi_], [pi_, gamma]]), fine)
+
+
+# Two points (a grid with horizon <= step) take SciPy's trapezoid fallback.
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_cumulative_simpson_matches_scipy_on_short_grids(m):
+    rng = np.random.default_rng(m)
+    x = np.cumsum(rng.uniform(0.05, 1.0, m))
+    _assert_simpson_matches_scipy(rng.normal(size=m), x)
+    _assert_simpson_matches_scipy(rng.normal(size=(2, 2, m)), x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cumulative_simpson_matches_scipy_on_random_grids(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(7, 200))
+    x = np.cumsum(rng.exponential(1.0, m)) + rng.normal()
+    assert np.all(np.diff(x) > 0)
+    _assert_simpson_matches_scipy(rng.normal(size=m), x)
+    _assert_simpson_matches_scipy(rng.normal(size=(2, 2, m)), x)
+
+
 # ---------------------------------------------------------------------------
 # rotation and noise
 # ---------------------------------------------------------------------------
