@@ -9,7 +9,8 @@ qbm          run a quantum-Brownian-motion trajectory and write CSV
 audit        randomized theorem and monotonicity audits
 
 Exit codes: 0 success, 1 usage/parse error, 2 physically invalid input,
-3 computation failure, 4 audit counterexample.
+3 computation failure (including a physicality form that overflows and
+a measure value that is not finite), 4 audit counterexample.
 """
 
 from __future__ import annotations
@@ -59,9 +60,21 @@ EXIT_COUNTEREXAMPLE = 4
 
 
 def _load_document(path):
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    return doc, from_document(doc)
+    """The document's object and its :func:`validate_any` result, or an exit
+    code after one stderr line: 1 when the document cannot be read, 3 when
+    finite entries overflow the physicality form, so validity is undecidable."""
+    try:
+        with open(path, "r") as fh:
+            obj = from_document(json.load(fh))
+    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        with np.errstate(all="ignore"):
+            return obj, validate_any(obj)
+    except ValueError as exc:
+        print(f"computation failed: physicality form overflows: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 def _digest(path) -> str:
@@ -92,12 +105,10 @@ def _report(command: str, path, results: dict, wall_time=None) -> dict:
 
 def cmd_validate(args) -> int:
     start = time.perf_counter()
-    try:
-        _, obj = _load_document(args.path)
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok, constraint = validate_any(obj)
+    loaded = _load_document(args.path)
+    if isinstance(loaded, int):
+        return loaded
+    obj, (ok, constraint) = loaded
     results = {"kind": type(obj).__name__, "valid": ok}
     if not ok:
         results["violated_constraint"] = constraint
@@ -110,12 +121,10 @@ def cmd_validate(args) -> int:
 
 def cmd_measure(args) -> int:
     start = time.perf_counter()
-    try:
-        _, obj = _load_document(args.path)
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok, constraint = validate_any(obj)
+    loaded = _load_document(args.path)
+    if isinstance(loaded, int):
+        return loaded
+    obj, (ok, constraint) = loaded
     if not ok:
         print(f"invalid object: {constraint}", file=sys.stderr)
         return EXIT_INVALID
@@ -130,13 +139,7 @@ def cmd_measure(args) -> int:
         return EXIT_USAGE
 
     h = StepThreshold()
-    if which == "ign":
-        rep = state_measure_ign(obj, h)
-    elif which == "ic":
-        rep = channel_measure_ic(obj)
-    elif which == "id":
-        rep = channel_measure_id(obj, h)
-    else:
+    if which == "is":
         try:
             cfg = SupSearchConfig(
                 restarts=args.restarts,
@@ -146,7 +149,24 @@ def cmd_measure(args) -> int:
         except ValueError as exc:
             print(f"bad parameters: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        rep = channel_measure_is(obj, cfg, h)
+    try:
+        # The value is checked below, so numpy's overflow warnings add nothing.
+        with np.errstate(all="ignore"):
+            if which == "ign":
+                rep = state_measure_ign(obj, h)
+            elif which == "ic":
+                rep = channel_measure_ic(obj)
+            elif which == "id":
+                rep = channel_measure_id(obj, h)
+            else:
+                rep = channel_measure_is(obj, cfg, h)
+    except ValidationError as exc:
+        print(f"computation failed: measure '{which}': {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    if not np.isfinite(rep.value):
+        print(f"computation failed: measure '{which}' is not finite ({rep.value})",
+              file=sys.stderr)
+        return EXIT_COMPUTE
 
     results = {
         "measure": which,
@@ -159,6 +179,7 @@ def cmd_measure(args) -> int:
             "restarts": args.restarts,
             "iterations_per_restart": args.iterations,
             "seed": args.seed,
+            **rep.diagnostics,
         }
     _emit(
         _report("measure", args.path, results, time.perf_counter() - start),
@@ -169,15 +190,13 @@ def cmd_measure(args) -> int:
 
 def cmd_check_super(args) -> int:
     start = time.perf_counter()
-    try:
-        _, obj = _load_document(args.path)
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    loaded = _load_document(args.path)
+    if isinstance(loaded, int):
+        return loaded
+    obj, (ok, constraint) = loaded
     if not isinstance(obj, GaussianSuperchannel):
         print("check-super requires a superchannel document", file=sys.stderr)
         return EXIT_USAGE
-    ok, constraint = validate_any(obj)
     if not ok:
         print(f"invalid superchannel: {constraint}", file=sys.stderr)
         return EXIT_INVALID

@@ -30,10 +30,9 @@ from .gaussian import (
     ValidationError,
     _a_o_block_diagonal,
     _superchannel_common_ok,
-    apply_channel,
     superchannel_is_real,
 )
-from .linalg import max_abs, spectral_norm, trace_norms
+from .linalg import spectral_norm, trace_norms
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,9 @@ class StepThreshold:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
 
-    def step(self, value: float, scale: float = 1.0) -> float:
-        return 0.0 if abs(value) <= self.epsilon * max(1.0, scale) else 1.0
+    def step(self, value, scale=1.0) -> np.ndarray:
+        """h(value) elementwise: 0 where |value| <= epsilon * max(1, scale), else 1."""
+        return np.where(np.abs(value) <= self.epsilon * np.maximum(1.0, scale), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,13 @@ class SupSearchConfig:
 
 @dataclass
 class MeasureReport:
-    """A measure value together with its per-term breakdown."""
+    """A measure value, its per-term breakdown, and what the computation
+    reports about itself (``diagnostics``; the I_s search statistics)."""
 
     value: float
     kind: str
     breakdown: list = field(default_factory=list)
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         total = sum(v for _, v in self.breakdown)
@@ -102,6 +104,28 @@ class MeasureReport:
 # state measure
 # ---------------------------------------------------------------------------
 
+def _ign_terms(cov: np.ndarray, disp: np.ndarray, h: StepThreshold) -> np.ndarray:
+    """The (covariance, displacement) summands of I_Gn as (m, 2), for stacks
+    ``cov`` (m, 2n, 2n) and ``disp`` (m, 2n) in the interleaved ordering."""
+    det_qq = np.linalg.det(cov[..., 0::2, 0::2])
+    det_pp = np.linalg.det(cov[..., 1::2, 1::2])
+    if np.any(det_qq <= 0) or np.any(det_pp <= 0):
+        raise ValidationError("covariance sector block has non-positive determinant")
+    cov_term = 1.0 - np.linalg.det(cov) / (det_qq * det_pp)
+    disp_term = h.step(np.sum(np.abs(disp[..., 1::2]), axis=-1), np.max(np.abs(disp), axis=-1))
+    return np.stack([cov_term, disp_term], axis=-1)
+
+
+def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
+    cov_term, disp_term = terms
+    return MeasureReport(
+        value=float(cov_term + disp_term),
+        kind=kind,
+        breakdown=[("covariance", float(cov_term)), ("displacement", float(disp_term))],
+        diagnostics=diagnostics,
+    )
+
+
 def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> MeasureReport:
     """Determinant-based state imaginarity measure.
 
@@ -111,18 +135,7 @@ def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> M
     determinant ratio is 1 by block-diagonality) and the ratio term is
     in [0, 1) by the Fischer inequality.
     """
-    det_qq = np.linalg.det(s.covariance[0::2, 0::2])
-    det_pp = np.linalg.det(s.covariance[1::2, 1::2])
-    if det_qq <= 0 or det_pp <= 0:
-        raise ValidationError("covariance sector block has non-positive determinant")
-    cov_term = 1.0 - np.linalg.det(s.covariance) / (det_qq * det_pp)
-    mom = s.displacement[1::2]
-    disp_term = h.step(float(np.sum(np.abs(mom))), max_abs(s.displacement))
-    return MeasureReport(
-        value=float(cov_term + disp_term),
-        kind="I_Gn",
-        breakdown=[("covariance", float(cov_term)), ("displacement", float(disp_term))],
-    )
+    return _ign_report(_ign_terms(s.covariance[None], s.displacement[None], h)[0], "I_Gn")
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +202,9 @@ def channel_measure_id(
 ) -> MeasureReport:
     """Discrete channel imaginarity measure: step of each I_c summand."""
     t21, t12t22, n12, disp, scales = _single_channel_terms(c)
+    steps = h.step(np.array([t21, t12t22, n12, disp]), np.array(scales))
     terms = [
-        ("T21", h.step(t21, scales[0])),
-        ("T12*T22", h.step(t12t22, scales[1])),
-        ("N12", h.step(n12, scales[2])),
-        ("displacement", h.step(disp, scales[3])),
+        (name, float(v)) for name, v in zip(("T21", "T12*T22", "N12", "displacement"), steps)
     ]
     return MeasureReport(
         value=float(sum(v for _, v in terms)), kind="I_d", breakdown=terms
@@ -204,26 +215,21 @@ def channel_measure_id(
 # I_s lower-bound search
 # ---------------------------------------------------------------------------
 
-def _assemble_state(n: int, d_pos: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> GaussianState:
-    dim = 2 * n
-    d0 = np.zeros(dim)
-    d0[0::2] = d_pos
-    nu = np.zeros((dim, dim))
-    nu[0::2, 0::2] = v1
-    nu[1::2, 1::2] = v2
-    return GaussianState(n, d0, nu)
-
-
 def _clip_spd(v: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Project a symmetric matrix onto eigenvalues in [low, high].
+    """Project every symmetric matrix of a stack onto eigenvalues in [low, high].
 
     Sector blocks with eigenvalues >= 1 automatically satisfy the
     uncertainty relation (nu >= I implies nu + iDelta >= 0), which keeps
     every search iterate a valid real state without rejection.
     """
-    sym = 0.5 * (v + v.T)
-    w, q = np.linalg.eigh(sym)
-    return q @ np.diag(np.clip(w, low, high)) @ q.T
+    w, q = np.linalg.eigh(0.5 * (v + np.swapaxes(v, -1, -2)))
+    return (q * np.clip(w, low, high)[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _random_syms(rngs: list, n: int, scale: float) -> np.ndarray:
+    """One random symmetric n x n matrix from each generator, as a stack."""
+    g = np.stack([rng.standard_normal((n, n)) for rng in rngs]) * scale / n
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
 def channel_measure_is(
@@ -237,53 +243,76 @@ def channel_measure_is(
     over the compact family of real states described in
     :class:`SupSearchConfig`.  Deterministic for a fixed seed; the
     reported value never decreases when the restart budget grows.
+
+    The restarts advance in lockstep as one stack, each drawing from its
+    own substream; a move is accepted only when it strictly improves.
+    ``diagnostics``: the winning restart (None for the vacuum), accepted
+    moves, and objective evaluations, 1 + restarts * (1 + iterations).
     """
     n = c.modes
-    bound = cfg.cm_eigenvalue_bound
+    bound, d_bound = cfg.cm_eigenvalue_bound, cfg.displacement_bound
+    evaluations = 0
 
-    def objective(state: GaussianState):
-        return state_measure_ign(apply_channel(c, state), h)
+    def objective(d_pos, v1, v2):
+        # I_Gn terms of the channel outputs of the real states (d_pos, v1 (+) v2)
+        nonlocal evaluations
+        evaluations += len(d_pos)
+        d0 = np.zeros((len(d_pos), 2 * n))
+        d0[:, 0::2] = d_pos
+        nu = np.zeros((len(d_pos), 2 * n, 2 * n))
+        nu[:, 0::2, 0::2] = v1
+        nu[:, 1::2, 1::2] = v2
+        cov = c.T @ nu @ c.T.T + c.N
+        disp = (c.T @ d0[..., None])[..., 0] + c.d
+        if not all(np.all(np.isfinite(a)) for a in (d0, nu, disp, cov)):
+            raise ValidationError("search iterate or channel output has non-finite entries")
+        return _ign_terms(cov, disp, h)
 
-    best_report = objective(GaussianState.vacuum(n))
-    best = best_report.value
+    eye = np.eye(n)[None]
+    vacuum = objective(np.zeros((1, n)), eye, eye)[0]
 
-    root = np.random.SeedSequence(cfg.seed)
-    for child in root.spawn(cfg.restarts):
-        rng = np.random.default_rng(child)
-        d_pos = rng.uniform(-cfg.displacement_bound, cfg.displacement_bound, n)
-        v1 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
-        v2 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
-        report = objective(_assemble_state(n, d_pos, v1, v2))
-        value = report.value
-        step_disp = 0.5 * max(cfg.displacement_bound, 1.0)
-        step_cm = 0.25 * (bound - 1.0)
-        for it in range(cfg.iterations_per_restart):
-            move = it % 3
-            d_new, v1_new, v2_new = d_pos, v1, v2
-            if move == 0 and n > 0:
-                d_new = d_pos.copy()
-                d_new[rng.integers(n)] += rng.uniform(-step_disp, step_disp)
-                np.clip(d_new, -cfg.displacement_bound, cfg.displacement_bound, out=d_new)
-            elif move == 1:
-                v1_new = _clip_spd(v1 + _random_sym(n, rng, step_cm), 1.0, bound)
-            else:
-                v2_new = _clip_spd(v2 + _random_sym(n, rng, step_cm), 1.0, bound)
-            trial = objective(_assemble_state(n, d_new, v1_new, v2_new))
-            if trial.value > value:
-                d_pos, v1, v2, value, report = d_new, v1_new, v2_new, trial.value, trial
-            step_disp *= 0.985
-            step_cm *= 0.985
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    d_pos = np.stack([rng.uniform(-d_bound, d_bound, n) for rng in rngs])
+    v1 = _clip_spd(_random_syms(rngs, n, bound), 1.0, bound)
+    v2 = _clip_spd(_random_syms(rngs, n, bound), 1.0, bound)
+    terms = objective(d_pos, v1, v2)
+    accepted = 0
+    step_disp = 0.5 * max(d_bound, 1.0)
+    step_cm = 0.25 * (bound - 1.0)
+    for it in range(cfg.iterations_per_restart):
+        move = it % 3
+        d_new, v1_new, v2_new = d_pos, v1, v2
+        if move == 0:
+            d_new = d_pos.copy()
+            for k, rng in enumerate(rngs):
+                d_new[k, rng.integers(n)] += rng.uniform(-step_disp, step_disp)
+            np.clip(d_new, -d_bound, d_bound, out=d_new)
+        elif move == 1:
+            v1_new = _clip_spd(v1 + _random_syms(rngs, n, step_cm), 1.0, bound)
+        else:
+            v2_new = _clip_spd(v2 + _random_syms(rngs, n, step_cm), 1.0, bound)
+        trial = objective(d_new, v1_new, v2_new)
+        better = trial.sum(axis=1) > terms.sum(axis=1)
+        accepted += int(np.count_nonzero(better))
+        keep = better[:, None]
+        d_pos = np.where(keep, d_new, d_pos)
+        v1 = np.where(keep[..., None], v1_new, v1)
+        v2 = np.where(keep[..., None], v2_new, v2)
+        terms = np.where(keep, trial, terms)
+        step_disp *= 0.985
+        step_cm *= 0.985
+
+    best, winner = vacuum.sum(), None
+    for k, value in enumerate(terms.sum(axis=1)):
         if value > best:
-            best, best_report = value, report
-
-    return MeasureReport(
-        value=best, kind="I_s lower bound", breakdown=best_report.breakdown
+            best, winner = value, k
+    return _ign_report(
+        vacuum if winner is None else terms[winner],
+        "I_s lower bound",
+        winning_restart=winner,
+        accepted_moves=accepted,
+        objective_evaluations=evaluations,
     )
-
-
-def _random_sym(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    g = rng.standard_normal((n, n)) * scale / max(n, 1)
-    return 0.5 * (g + g.T)
 
 
 # ---------------------------------------------------------------------------

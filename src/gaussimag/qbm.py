@@ -40,6 +40,16 @@ from .specfun import QuadratureSpec, expint_ei, integrate_adaptive
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
 
+#: Largest coupling: the closed forms are second order in alpha.
+ALPHA_MAX = 1.0
+
+#: Largest alpha**2 * theta, the scale of the high-temperature diffusion.
+#: The absolute cross-check error grows with it: at alpha 0.03, x 0.5 it is
+#: 2.2e-11 at theta 1e8 and 1.49e-8 (failing) at theta 1e12; at the bound it
+#: stays below 6e-9 for x 0.5-0.9 and horizons up to 615.7 (alpha 1 at x 0.9
+#: first meets the exp(Gamma) overflow of the noise integral near tau 607).
+NOISE_SCALE_MAX = 1e5
+
 
 class ClosedFormError(RuntimeError):
     """A closed-form coefficient produced a non-finite value or an excessive
@@ -75,6 +85,16 @@ class QbmConfig:
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.alpha, self.x, self.theta)):
             raise ValueError("alpha, x, theta must all be positive and finite")
+        if self.alpha > ALPHA_MAX:
+            raise ValueError(
+                f"alpha must be at most {ALPHA_MAX:g} (weak coupling), got {self.alpha:g}"
+            )
+        if self.alpha**2 * self.theta > NOISE_SCALE_MAX:
+            raise ValueError(
+                f"theta must be at most {NOISE_SCALE_MAX / self.alpha**2:.3g} at "
+                f"alpha {self.alpha:g} (alpha**2 * theta <= {NOISE_SCALE_MAX:g}), "
+                f"got {self.theta:g}"
+            )
         if self.regime not in ("high", "low"):
             raise ValueError(f"regime must be 'high' or 'low', got {self.regime!r}")
 

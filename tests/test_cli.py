@@ -81,7 +81,11 @@ def test_measure_is_with_budget(amplifying_doc, capsys):
     assert code == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["value"] == pytest.approx(1.0, abs=1e-9)
-    assert report["results"]["search"]["restarts"] == 2
+    search = report["results"]["search"]
+    assert search["restarts"] == 2
+    assert search["objective_evaluations"] == 1 + 2 * (1 + 10)
+    assert 0 <= search["accepted_moves"] <= 2 * 10
+    assert search["winning_restart"] in (None, 0, 1)
 
 
 def test_measure_kind_mismatch(amplifying_doc, tmp_path, capsys):
@@ -92,6 +96,63 @@ def test_measure_kind_mismatch(amplifying_doc, tmp_path, capsys):
 
 def test_measure_rejects_invalid_object(invalid_channel_doc):
     assert cli.main(["measure", invalid_channel_doc, "--which", "ic"]) == cli.EXIT_INVALID
+
+
+@pytest.mark.filterwarnings("error")  # numpy warnings would be extra stderr lines
+@pytest.mark.parametrize(
+    "doc,which",
+    [
+        # valid, but det(N) overflows and inf / inf gives NaN
+        ({"kind": "channel", "modes": 1, "T": [[0.5, 0.0], [0.0, 0.5]],
+          "N": [[1e307, 0.0], [0.0, 1e307]], "d": [0.0, 0.0]}, "is"),
+        ({"kind": "state", "modes": 1, "displacement": [0.0, 0.0],
+          "covariance": [[1e200, 0.0], [0.0, 1e200]]}, "ign"),
+    ],
+)
+def test_measure_non_finite_value_is_compute_error(tmp_path, capsys, doc, which):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["--json", "measure", str(path), "--which", which,
+                     "--restarts", "2", "--iterations", "4"])
+    assert code == cli.EXIT_COMPUTE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, f"computation failed: measure '{which}' is not finite (nan)")
+
+
+@pytest.mark.filterwarnings("error")  # numpy warnings would be extra stderr lines
+def test_measure_search_overflow_is_compute_error(tmp_path, capsys):
+    # valid (N dominates T Delta T^T), but T nu T^T overflows for nu up to 50
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "channel", "modes": 1,
+                                "T": [[2e153, 0.0], [0.0, 2e153]],
+                                "N": [[5e306, 0.0], [0.0, 5e306]], "d": [0.0, 0.0]}))
+    assert cli.main(["validate", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["measure", str(path), "--which", "is"]) == cli.EXIT_COMPUTE
+    assert_one_line(capsys.readouterr().err, "computation failed: measure 'is': search iterate")
+
+
+@pytest.mark.filterwarnings("error")  # numpy warnings would be extra stderr lines
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["validate"], {"kind": "channel", "modes": 1, "T": [[1e160, 0.0], [0.0, 1e160]],
+                        "N": [[1.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.0]}),
+        (["measure", "--which", "ic"], {"kind": "channel", "modes": 1,
+                                        "T": [[1e160, 0.0], [0.0, 1e160]],
+                                        "N": [[1.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.0]}),
+        (["check-super"], {"kind": "superchannel", "modes": 1,
+                           "A": [[1e160, 0.0], [0.0, 1e160]], "O": [[1.0, 0.0], [0.0, 1.0]],
+                           "Y": [[1.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.0]}),
+    ],
+)
+def test_physicality_form_overflow_is_compute_error(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_COMPUTE
+    assert_one_line(capsys.readouterr().err,
+                    "computation failed: physicality form overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +294,21 @@ def assert_one_line(err, prefix):
     assert err.startswith(prefix)
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "alpha,theta,prefix",
+    [
+        ("1e200", "100", "bad parameters: alpha must be at most 1"),
+        ("0.03", "1e300", "bad parameters: theta must be at most 1.11e+08 at alpha 0.03"),
+    ],
+)
+def test_qbm_out_of_domain_parameter_is_usage_error(tmp_path, capsys, alpha, theta, prefix):
+    code = cli.main(["qbm", "--alpha", alpha, "--x", "0.5", "--theta", theta,
+                     "--horizon", "5", "--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, prefix)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_qbm_non_finite_closed_form_is_compute_error(tmp_path, capsys):

@@ -6,9 +6,11 @@ from gaussimag.gaussian import (
     GaussianState,
     GaussianSuperchannel,
     ValidationError,
+    apply_channel,
     apply_superchannel,
     channel_realness,
     sample_random_channel,
+    sample_random_state,
     sample_random_superchannel,
 )
 from gaussimag.linalg import mode_permutation, trace_norm
@@ -68,6 +70,31 @@ def test_state_measure_range():
         s = sample_random_state(int(rng.integers(1, 4)), rng)
         v = state_measure_ign(s).value
         assert -1e-12 <= v <= 2.0 + 1e-12
+
+
+def scalar_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> tuple:
+    """Reference I_Gn of one state: (value, covariance term, displacement term)."""
+    det_qq = np.linalg.det(s.covariance[0::2, 0::2])
+    det_pp = np.linalg.det(s.covariance[1::2, 1::2])
+    if det_qq <= 0 or det_pp <= 0:
+        raise ValidationError("covariance sector block has non-positive determinant")
+    cov_term = 1.0 - np.linalg.det(s.covariance) / (det_qq * det_pp)
+    mom = float(np.sum(np.abs(s.displacement[1::2])))
+    scale = float(np.max(np.abs(s.displacement)))
+    disp_term = 0.0 if abs(mom) <= h.epsilon * max(1.0, scale) else 1.0
+    return float(cov_term + disp_term), float(cov_term), disp_term
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_state_measure_equals_scalar_reference(n):
+    rng = np.random.default_rng(15 + n)
+    states = [sample_random_state(n, rng, real=bool(k % 2)) for k in range(50)]
+    states.append(GaussianState(n, np.zeros(2 * n), np.eye(2 * n)))
+    for s in states:
+        report = state_measure_ign(s)
+        value, cov_term, disp_term = scalar_ign(s)
+        assert report.value == value
+        assert report.breakdown == [("covariance", cov_term), ("displacement", disp_term)]
 
 
 def test_state_measure_rejects_singular_blocks():
@@ -197,6 +224,115 @@ def test_breakdown_sums_enforced():
 # ---------------------------------------------------------------------------
 
 SMALL_SEARCH = SupSearchConfig(restarts=4, iterations_per_restart=40)
+
+
+def _clip_spd(v, low, high):
+    sym = 0.5 * (v + v.T)
+    w, q = np.linalg.eigh(sym)
+    return q @ np.diag(np.clip(w, low, high)) @ q.T
+
+
+def _random_sym(n, rng, scale):
+    g = rng.standard_normal((n, n)) * scale / max(n, 1)
+    return 0.5 * (g + g.T)
+
+
+def _real_state(n, d_pos, v1, v2):
+    d0 = np.zeros(2 * n)
+    d0[0::2] = d_pos
+    nu = np.zeros((2 * n, 2 * n))
+    nu[0::2, 0::2] = v1
+    nu[1::2, 1::2] = v2
+    return GaussianState(n, d0, nu)
+
+
+def scalar_is_search(c, cfg, h=StepThreshold()):
+    """Reference I_s search: one restart after another, one state at a time.
+
+    Returns (value, breakdown, final value of each restart, accepted moves).
+    """
+    n = c.modes
+    bound = cfg.cm_eigenvalue_bound
+
+    def objective(state):
+        value, cov_term, disp_term = scalar_ign(apply_channel(c, state), h)
+        return value, [("covariance", cov_term), ("displacement", disp_term)]
+
+    best, best_breakdown = objective(GaussianState.vacuum(n))
+    finals, accepted = [], 0
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
+        rng = np.random.default_rng(child)
+        d_pos = rng.uniform(-cfg.displacement_bound, cfg.displacement_bound, n)
+        v1 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
+        v2 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
+        value, breakdown = objective(_real_state(n, d_pos, v1, v2))
+        step_disp = 0.5 * max(cfg.displacement_bound, 1.0)
+        step_cm = 0.25 * (bound - 1.0)
+        for it in range(cfg.iterations_per_restart):
+            move = it % 3
+            d_new, v1_new, v2_new = d_pos, v1, v2
+            if move == 0:
+                d_new = d_pos.copy()
+                d_new[rng.integers(n)] += rng.uniform(-step_disp, step_disp)
+                np.clip(d_new, -cfg.displacement_bound, cfg.displacement_bound, out=d_new)
+            elif move == 1:
+                v1_new = _clip_spd(v1 + _random_sym(n, rng, step_cm), 1.0, bound)
+            else:
+                v2_new = _clip_spd(v2 + _random_sym(n, rng, step_cm), 1.0, bound)
+            trial, trial_breakdown = objective(_real_state(n, d_new, v1_new, v2_new))
+            if trial > value:
+                d_pos, v1, v2, value, breakdown = d_new, v1_new, v2_new, trial, trial_breakdown
+                accepted += 1
+            step_disp *= 0.985
+            step_cm *= 0.985
+        finals.append(value)
+        if value > best:
+            best, best_breakdown = value, breakdown
+    return best, best_breakdown, finals, accepted
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed,restarts,iterations", [(7, 1, 1), (3, 5, 17), (11, 12, 50)])
+def test_is_search_equals_scalar_reference(n, seed, restarts, iterations):
+    rng = np.random.default_rng(1000 * n + seed)
+    cfg = SupSearchConfig(restarts=restarts, iterations_per_restart=iterations, seed=seed)
+    for flag in ("any", "any", "covariant-real"):
+        c = sample_random_channel(n, rng, flag)
+        report = channel_measure_is(c, cfg)
+        value, breakdown, finals, accepted = scalar_is_search(c, cfg)
+        assert report.value == value
+        assert report.breakdown == breakdown
+        stats = report.diagnostics
+        assert stats["objective_evaluations"] == 1 + restarts * (1 + iterations)
+        assert stats["accepted_moves"] == accepted <= restarts * iterations
+        winner = stats["winning_restart"]
+        if winner is None:
+            assert all(v <= value for v in finals)
+        else:
+            assert finals[winner] == report.value
+            assert all(v < report.value for v in finals[:winner])
+
+
+def test_is_search_statistics_at_default_budget():
+    c = sample_random_channel(2, 5)
+    report = channel_measure_is(c)
+    stats = report.diagnostics
+    assert stats["objective_evaluations"] == 6433
+    assert 0 < stats["accepted_moves"] <= 32 * 200
+    assert stats["winning_restart"] in range(32)
+
+
+def test_is_search_rejects_non_finite_channel_output():
+    # finite matrices whose output covariance T nu T^T overflows
+    c = GaussianChannel(1, 1e200 * np.eye(2), np.eye(2), np.zeros(2))
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        channel_measure_is(c, SMALL_SEARCH)
+
+
+def test_is_search_rejects_singular_output_blocks():
+    c = GaussianChannel(1, np.zeros((2, 2)), np.diag([0.0, 1.0]), np.zeros(2))
+    with pytest.raises(ValidationError, match="non-positive determinant"):
+        channel_measure_is(c, SMALL_SEARCH)
 
 
 def test_is_zero_on_real_channels():

@@ -78,6 +78,20 @@ def test_invalid_config_rejected():
         coeff_gamma_quadrature(HIGH, -1.0)
 
 
+def test_config_domain_bounds():
+    # alpha**2 * theta <= 1e5; the largest allowed theta still passes the
+    # cross-check, which the trajectory raises on
+    for alpha, theta in ((1.0, 1e5), (0.03, 1e5 / 0.03**2)):
+        traj = imaginarity_trajectory(QbmConfig(alpha=alpha, x=0.9, theta=theta), 60.0)
+        assert traj.cross_check_error <= qbm.CROSS_CHECK_TOL
+    with pytest.raises(ValueError, match="alpha must be at most 1"):
+        QbmConfig(alpha=1.5, x=0.5, theta=1.0)
+    with pytest.raises(ValueError, match="theta must be at most"):
+        QbmConfig(alpha=0.03, x=0.5, theta=1.2e8)
+    with pytest.raises(ValueError, match="theta must be at most"):
+        QbmConfig(alpha=1.0, x=0.5, theta=1e5 * (1 + 1e-15), regime="low")
+
+
 # ---------------------------------------------------------------------------
 # accumulated damping
 # ---------------------------------------------------------------------------
