@@ -11,6 +11,7 @@ from .gaussian import (
     GaussianState,
     GaussianSuperchannel,
     RealnessReport,
+    SuperchannelPatterns,
     ValidationError,
     apply_channel,
     apply_superchannel,
@@ -24,18 +25,18 @@ from .gaussian import (
     state_realness,
     superchannel_is_imaginarity_breaking,
     superchannel_is_real,
+    superchannel_patterns,
     to_document,
     validate_channel,
     validate_state,
     validate_superchannel,
+    violated_constraint,
 )
 from .linalg import (
     DimensionError,
     HermitianForm,
     is_psd,
     min_eigenvalue,
-    mode_permutation,
-    selectors,
     sigma_blocks,
     spectral_norm,
     symplectic_form,
@@ -70,7 +71,6 @@ from .qbm import (
     qbm_channel,
     rotation_r,
     steady_state_n12,
-    sweep,
 )
 from .specfun import (
     ConvergenceError,

@@ -16,6 +16,7 @@ a measure value that is not finite), 4 audit counterexample.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import gaussian, measures, qbm
+from . import qbm
 from .gaussian import (
     GaussianChannel,
     GaussianState,
@@ -35,10 +36,9 @@ from .gaussian import (
     from_document,
     sample_random_channel,
     sample_random_superchannel,
-    superchannel_is_imaginarity_breaking,
-    superchannel_is_real,
+    superchannel_patterns,
     to_document,
-    validate_any,
+    violated_constraint,
 )
 from .linalg import MAX_MODES, spectral_norm
 from .measures import (
@@ -60,7 +60,7 @@ EXIT_COUNTEREXAMPLE = 4
 
 
 def _load_document(path):
-    """The document's object and its :func:`validate_any` result, or an exit
+    """The document's object and its :func:`violated_constraint`, or an exit
     code after one stderr line: 1 when the document cannot be read, 3 when
     finite entries overflow the physicality form, so validity is undecidable."""
     try:
@@ -71,7 +71,7 @@ def _load_document(path):
         return EXIT_USAGE
     try:
         with np.errstate(all="ignore"):
-            return obj, validate_any(obj)
+            return obj, violated_constraint(obj)
     except ValueError as exc:
         print(f"computation failed: physicality form overflows: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -108,15 +108,15 @@ def cmd_validate(args) -> int:
     loaded = _load_document(args.path)
     if isinstance(loaded, int):
         return loaded
-    obj, (ok, constraint) = loaded
-    results = {"kind": type(obj).__name__, "valid": ok}
-    if not ok:
+    obj, constraint = loaded
+    results = {"kind": type(obj).__name__, "valid": not constraint}
+    if constraint:
         results["violated_constraint"] = constraint
     _emit(
         _report("validate", args.path, results, time.perf_counter() - start),
         args.json,
     )
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_INVALID if constraint else EXIT_OK
 
 
 def cmd_measure(args) -> int:
@@ -124,8 +124,8 @@ def cmd_measure(args) -> int:
     loaded = _load_document(args.path)
     if isinstance(loaded, int):
         return loaded
-    obj, (ok, constraint) = loaded
-    if not ok:
+    obj, constraint = loaded
+    if constraint:
         print(f"invalid object: {constraint}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -193,26 +193,21 @@ def cmd_check_super(args) -> int:
     loaded = _load_document(args.path)
     if isinstance(loaded, int):
         return loaded
-    obj, (ok, constraint) = loaded
+    obj, constraint = loaded
     if not isinstance(obj, GaussianSuperchannel):
         print("check-super requires a superchannel document", file=sys.stderr)
         return EXIT_USAGE
-    if not ok:
+    if constraint:
         print(f"invalid superchannel: {constraint}", file=sys.stderr)
         return EXIT_INVALID
 
-    tol = gaussian.DEFAULT_PATTERN_TOL
+    patterns = superchannel_patterns(obj)
     results = {
-        "isReal": superchannel_is_real(obj, tol),
-        "isImaginarityBreaking": superchannel_is_imaginarity_breaking(obj, tol),
-        "inFO": in_fo(obj, tol),
-        "inFO1": in_fo1(obj, tol),
-        "diagnostics": {
-            "momentum_pattern_dbar_Y": gaussian._superchannel_common_ok(obj, tol),
-            "A_erases_momentum": gaussian._a_erases_momentum(obj, tol),
-            "A_O_sector_preserving": gaussian._a_o_block_diagonal(obj, tol),
-            "spectral_norm_A": spectral_norm(obj.A),
-        },
+        "isReal": patterns.is_real,
+        "isImaginarityBreaking": patterns.is_imaginarity_breaking,
+        "inFO": in_fo(obj),
+        "inFO1": in_fo1(obj),
+        "diagnostics": {**dataclasses.asdict(patterns), "spectral_norm_A": spectral_norm(obj.A)},
     }
     _emit(
         _report("check-super", args.path, results, time.perf_counter() - start),

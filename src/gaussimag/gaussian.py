@@ -32,7 +32,6 @@ from .linalg import (
     HermitianForm,
     is_psd,
     max_abs,
-    min_eigenvalue,
     sigma_blocks,
     spectral_norm,
     symplectic_form,
@@ -49,22 +48,13 @@ class ValidationError(ValueError):
     """Raised when an operation is handed a malformed or unphysical object."""
 
 
-def _as_vector(v, length: int, name: str) -> np.ndarray:
+def _as_array(v, shape: tuple, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (length,):
-        raise DimensionError(f"{name} must have shape ({length},), got {v.shape}")
+    if v.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains non-finite entries")
     return v
-
-
-def _as_square(m, dim: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (dim, dim):
-        raise DimensionError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return m
 
 
 @dataclass
@@ -79,8 +69,8 @@ class GaussianState:
         if self.modes < 1:
             raise DimensionError("modes must be >= 1")
         dim = 2 * self.modes
-        self.displacement = _as_vector(self.displacement, dim, "displacement")
-        self.covariance = _as_square(self.covariance, dim, "covariance")
+        self.displacement = _as_array(self.displacement, (dim,), "displacement")
+        self.covariance = _as_array(self.covariance, (dim, dim), "covariance")
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "GaussianState":
@@ -100,9 +90,9 @@ class GaussianChannel:
         if self.modes < 1:
             raise DimensionError("modes must be >= 1")
         dim = 2 * self.modes
-        self.T = _as_square(self.T, dim, "T")
-        self.N = _as_square(self.N, dim, "N")
-        self.d = _as_vector(self.d, dim, "d")
+        self.T = _as_array(self.T, (dim, dim), "T")
+        self.N = _as_array(self.N, (dim, dim), "N")
+        self.d = _as_array(self.d, (dim,), "d")
 
     @classmethod
     def identity(cls, modes: int = 1) -> "GaussianChannel":
@@ -139,10 +129,10 @@ class GaussianSuperchannel:
         if self.modes < 1:
             raise DimensionError("modes must be >= 1")
         dim = 2 * self.modes
-        self.A = _as_square(self.A, dim, "A")
-        self.O = _as_square(self.O, dim, "O")
-        self.Y = _as_square(self.Y, dim, "Y")
-        self.dbar = _as_vector(self.dbar, dim, "dbar")
+        self.A = _as_array(self.A, (dim, dim), "A")
+        self.O = _as_array(self.O, (dim, dim), "O")
+        self.Y = _as_array(self.Y, (dim, dim), "Y")
+        self.dbar = _as_array(self.dbar, (dim,), "dbar")
 
     @classmethod
     def identity(cls, modes: int = 1) -> "GaussianSuperchannel":
@@ -173,49 +163,58 @@ def _symmetric(m: np.ndarray, tol: float) -> bool:
     return max_abs(m - m.T) <= tol * max(1.0, max_abs(m))
 
 
+def _constraints(obj, tol: float):
+    """(name, holds) for each physicality constraint of ``obj``, in check
+    order; each is evaluated only when the previous ones were consumed."""
+    if isinstance(obj, GaussianState):
+        nu = obj.covariance
+        yield "covariance symmetry", _symmetric(nu, 1e-9)
+        sym = 0.5 * (nu + nu.T)
+        yield "nu+iDelta", is_psd(HermitianForm(sym, symplectic_form(obj.modes)), tol)
+    elif isinstance(obj, GaussianChannel):
+        yield "N symmetry", _symmetric(obj.N, 1e-9)
+        sym = 0.5 * (obj.N + obj.N.T)
+        yield "N>=0", is_psd(HermitianForm(sym, np.zeros_like(sym)), tol)
+        delta = symplectic_form(obj.modes)
+        t_form = HermitianForm(sym, delta - obj.T @ delta @ obj.T.T)
+        yield "N+iDelta-iTDeltaT^T", is_psd(t_form, tol)
+    elif isinstance(obj, GaussianSuperchannel):
+        dim = 2 * obj.modes
+        # not (> 1e-9): a NaN from overflow passes on to the checks that raise
+        yield "OO^T=I", not max_abs(obj.O @ obj.O.T - np.eye(dim)) > 1e-9
+        yield "Y symmetry", _symmetric(obj.Y, 1e-9)
+        delta = symplectic_form(obj.modes)
+        sym = 0.5 * (obj.Y + obj.Y.T)
+        a_form = HermitianForm(sym, delta - obj.A @ delta @ obj.A.T)
+        yield "Y+iDelta-iADeltaA^T", is_psd(a_form, tol)
+        # i Delta - i O Delta O^T >= 0; the left side is traceless, so PSD
+        # forces it to vanish: O must preserve the symplectic form.
+        o_form = HermitianForm(np.zeros((dim, dim)), delta - obj.O @ delta @ obj.O.T)
+        yield "iDelta-iODeltaO^T", is_psd(o_form, tol)
+    else:
+        raise TypeError(f"cannot validate object of type {type(obj).__name__}")
+
+
+def violated_constraint(obj, tol: float = DEFAULT_PSD_TOL) -> str:
+    """The name of the first physicality constraint that the state, channel
+    or superchannel ``obj`` violates (for example "N>=0"), or "" if none."""
+    return next((name for name, holds in _constraints(obj, tol) if not holds), "")
+
+
 def validate_state(s: GaussianState, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Whether the covariance is symmetric and nu + i Delta >= 0."""
-    nu = s.covariance
-    if not _symmetric(nu, 1e-9):
-        return False
-    delta = symplectic_form(s.modes)
-    sym = 0.5 * (nu + nu.T)
-    return is_psd(HermitianForm(sym, delta), tol)
-
-
-def channel_constraint(c: GaussianChannel) -> HermitianForm:
-    """The Hermitian form N + i(Delta - T Delta T^T) of the CP condition."""
-    delta = symplectic_form(c.modes)
-    sym = 0.5 * (c.N + c.N.T)
-    return HermitianForm(sym, delta - c.T @ delta @ c.T.T)
+    return not violated_constraint(s, tol)
 
 
 def validate_channel(c: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Whether N is symmetric PSD and N + i Delta - i T Delta T^T >= 0."""
-    if not _symmetric(c.N, 1e-9):
-        return False
-    sym = 0.5 * (c.N + c.N.T)
-    if not is_psd(HermitianForm(sym, np.zeros_like(sym)), tol):
-        return False
-    return is_psd(channel_constraint(c), tol)
+    return not violated_constraint(c, tol)
 
 
 def validate_superchannel(s: GaussianSuperchannel, tol: float = DEFAULT_PSD_TOL) -> bool:
     """Whether O is orthogonal and symplectic, Y symmetric, and the CP
     condition Y + i Delta - i A Delta A^T >= 0 holds."""
-    dim = 2 * s.modes
-    if max_abs(s.O @ s.O.T - np.eye(dim)) > 1e-9:
-        return False
-    if not _symmetric(s.Y, 1e-9):
-        return False
-    delta = symplectic_form(s.modes)
-    sym = 0.5 * (s.Y + s.Y.T)
-    if not is_psd(HermitianForm(sym, delta - s.A @ delta @ s.A.T), tol):
-        return False
-    # i Delta - i O Delta O^T >= 0; the left side is traceless, so PSD
-    # forces it to vanish: O must preserve the symplectic form.
-    zero = np.zeros((dim, dim))
-    return is_psd(HermitianForm(zero, delta - s.O @ delta @ s.O.T), tol)
+    return not violated_constraint(s, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -289,55 +288,44 @@ def decompose_superchannel(
 #                                 -> T[0::2, 1::2] == T[1::2, 0::2] == 0
 # ---------------------------------------------------------------------------
 
-def _vector_violations(v: np.ndarray, label: str, tol: float) -> list:
-    thresh = tol * max(1.0, max_abs(v))
+_MOMENTUM, _POSITION, _ALL = slice(1, None, 2), slice(0, None, 2), slice(None)
+
+#: The (rows, cols) blocks that each zero pattern asks to vanish; ``cols``
+#: None marks the entries of a vector.
+_PATTERNS = {
+    "momentum": [(_MOMENTUM, None)],
+    "qp": [(_POSITION, _MOMENTUM)],
+    "momentum_rows": [(_MOMENTUM, _ALL)],
+    "mixing": [(_POSITION, _MOMENTUM), (_MOMENTUM, _POSITION)],
+}
+
+
+def _violations(m: np.ndarray, name: str, pattern: str, tol: float) -> list:
+    """(f"{name}_{pattern}", (i, j), |m_ij|) for each entry of the blocks of
+    ``pattern`` above tol * max(1, max |m|), block by block in row-major
+    order; a vector's entry i is reported at (i, i)."""
+    a = np.abs(m)
+    above = a > tol * max(1.0, max_abs(m))
+    index = np.arange(len(m))
     out = []
-    for i in range(1, len(v), 2):
-        if abs(v[i]) > thresh:
-            out.append((label, (i, i), float(abs(v[i]))))
+    for rows, cols in _PATTERNS[pattern]:
+        if cols is None:
+            i = j = index[rows][above[rows]]
+            magnitudes = a[i]
+        else:
+            bi, bj = np.nonzero(above[rows, cols])
+            i, j = index[rows][bi], index[cols][bj]
+            magnitudes = a[i, j]
+        out += [(f"{name}_{pattern}", (r, c), v)
+                for r, c, v in zip(i.tolist(), j.tolist(), magnitudes.tolist())]
     return out
-
-
-def _block_violations(m: np.ndarray, rows, cols, label: str, tol: float) -> list:
-    thresh = tol * max(1.0, max_abs(m))
-    out = []
-    for i in rows:
-        for j in cols:
-            if abs(m[i, j]) > thresh:
-                out.append((label, (i, j), float(abs(m[i, j]))))
-    return out
-
-
-def _momentum_rows(dim: int):
-    return range(1, dim, 2)
-
-
-def _position_rows(dim: int):
-    return range(0, dim, 2)
-
-
-def _offdiag_pattern_violations(m: np.ndarray, label: str, tol: float) -> list:
-    """Violations of the position-row / momentum-column zero pattern."""
-    dim = m.shape[0]
-    return _block_violations(m, _position_rows(dim), _momentum_rows(dim), label, tol)
-
-
-def _mixing_pattern_violations(m: np.ndarray, label: str, tol: float) -> list:
-    """Violations of sector-mixing zeros (both off-diagonal blocks)."""
-    dim = m.shape[0]
-    return _block_violations(
-        m, _position_rows(dim), _momentum_rows(dim), label, tol
-    ) + _block_violations(m, _momentum_rows(dim), _position_rows(dim), label, tol)
 
 
 def channel_realness(c: GaussianChannel, tol: float = DEFAULT_PATTERN_TOL) -> RealnessReport:
     """Classify a channel as completely real, covariant real, or neither."""
-    dim = 2 * c.modes
-    common = _vector_violations(c.d, "d_momentum", tol)
-    common += _offdiag_pattern_violations(c.N, "N_qp", tol)
-
-    erase = _block_violations(c.T, _momentum_rows(dim), range(dim), "T_momentum_rows", tol)
-    mix = _mixing_pattern_violations(c.T, "T_mixing", tol)
+    common = _violations(c.d, "d", "momentum", tol) + _violations(c.N, "N", "qp", tol)
+    erase = _violations(c.T, "T", "momentum_rows", tol)
+    mix = _violations(c.T, "T", "mixing", tol)
 
     completely = not common and not erase
     covariant = not common and not mix
@@ -356,40 +344,59 @@ def channel_realness(c: GaussianChannel, tol: float = DEFAULT_PATTERN_TOL) -> Re
 def state_realness(s: GaussianState, tol: float = DEFAULT_PATTERN_TOL) -> bool:
     """Whether the state has no momentum displacement and a covariance
     that does not couple the position and momentum sectors."""
-    if _vector_violations(s.displacement, "d0_momentum", tol):
-        return False
-    return not _offdiag_pattern_violations(s.covariance, "nu_qp", tol)
+    return not (_violations(s.displacement, "d0", "momentum", tol)
+                or _violations(s.covariance, "nu", "qp", tol))
 
 
-def _superchannel_common_ok(s: GaussianSuperchannel, tol: float) -> bool:
-    return not _vector_violations(s.dbar, "dbar_momentum", tol) and not (
-        _offdiag_pattern_violations(s.Y, "Y_qp", tol)
-    )
+@dataclass(frozen=True)
+class SuperchannelPatterns:
+    """The three realness patterns of a superchannel (A, O, Y, dbar).
+
+    ``momentum_pattern_dbar_Y``: dbar has no momentum part and Y no qp
+    block; ``A_erases_momentum``: the momentum rows of A vanish;
+    ``A_O_sector_preserving``: neither A nor O mixes the sectors.
+    """
+
+    momentum_pattern_dbar_Y: bool
+    A_erases_momentum: bool
+    A_O_sector_preserving: bool
+
+    @property
+    def is_real(self) -> bool:
+        """Every real channel is mapped to a real channel."""
+        return self.momentum_pattern_dbar_Y and (
+            self.A_erases_momentum or self.A_O_sector_preserving
+        )
+
+    @property
+    def is_imaginarity_breaking(self) -> bool:
+        """The output channel is real for every input channel."""
+        return self.momentum_pattern_dbar_Y and self.A_erases_momentum
 
 
-def _a_erases_momentum(s: GaussianSuperchannel, tol: float) -> bool:
-    dim = 2 * s.modes
-    return not _block_violations(s.A, _momentum_rows(dim), range(dim), "A_momentum_rows", tol)
-
-
-def _a_o_block_diagonal(s: GaussianSuperchannel, tol: float) -> bool:
-    return not _mixing_pattern_violations(s.A, "A_mixing", tol) and not (
-        _mixing_pattern_violations(s.O, "O_mixing", tol)
+def superchannel_patterns(
+    s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL
+) -> SuperchannelPatterns:
+    """The realness patterns of ``s``; see :class:`SuperchannelPatterns`."""
+    return SuperchannelPatterns(
+        momentum_pattern_dbar_Y=not (_violations(s.dbar, "dbar", "momentum", tol)
+                                     or _violations(s.Y, "Y", "qp", tol)),
+        A_erases_momentum=not _violations(s.A, "A", "momentum_rows", tol),
+        A_O_sector_preserving=not (_violations(s.A, "A", "mixing", tol)
+                                   or _violations(s.O, "O", "mixing", tol)),
     )
 
 
 def superchannel_is_real(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
     """Whether the superchannel maps every real channel to a real channel."""
-    if not _superchannel_common_ok(s, tol):
-        return False
-    return _a_erases_momentum(s, tol) or _a_o_block_diagonal(s, tol)
+    return superchannel_patterns(s, tol).is_real
 
 
 def superchannel_is_imaginarity_breaking(
     s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL
 ) -> bool:
     """Whether the output channel is real for *every* input channel."""
-    return _superchannel_common_ok(s, tol) and _a_erases_momentum(s, tol)
+    return superchannel_patterns(s, tol).is_imaginarity_breaking
 
 
 # ---------------------------------------------------------------------------
@@ -609,38 +616,3 @@ def from_document(doc: dict):
         raise ValidationError(f"malformed {kind or 'object'} document: {exc}") from exc
     raise ValidationError(f"unknown document kind {kind!r}")
 
-
-def validate_any(obj, tol: float = DEFAULT_PSD_TOL):
-    """Validate any of the three object kinds.
-
-    Returns (ok, constraint_name) where ``constraint_name`` identifies
-    the violated physicality constraint when ``ok`` is False.
-    """
-    if isinstance(obj, GaussianState):
-        if not _symmetric(obj.covariance, 1e-9):
-            return False, "covariance symmetry"
-        return (True, "") if validate_state(obj, tol) else (False, "nu+iDelta")
-    if isinstance(obj, GaussianChannel):
-        if not _symmetric(obj.N, 1e-9):
-            return False, "N symmetry"
-        sym = 0.5 * (obj.N + obj.N.T)
-        if not is_psd(HermitianForm(sym, np.zeros_like(sym))):
-            return False, "N>=0"
-        if not is_psd(channel_constraint(obj), tol):
-            return False, "N+iDelta-iTDeltaT^T"
-        return True, ""
-    if isinstance(obj, GaussianSuperchannel):
-        dim = 2 * obj.modes
-        if max_abs(obj.O @ obj.O.T - np.eye(dim)) > 1e-9:
-            return False, "OO^T=I"
-        if not _symmetric(obj.Y, 1e-9):
-            return False, "Y symmetry"
-        delta = symplectic_form(obj.modes)
-        sym = 0.5 * (obj.Y + obj.Y.T)
-        if not is_psd(HermitianForm(sym, delta - obj.A @ delta @ obj.A.T), tol):
-            return False, "Y+iDelta-iADeltaA^T"
-        zero = np.zeros((dim, dim))
-        if not is_psd(HermitianForm(zero, delta - obj.O @ delta @ obj.O.T), tol):
-            return False, "iDelta-iODeltaO^T"
-        return True, ""
-    raise TypeError(f"cannot validate object of type {type(obj).__name__}")

@@ -2,10 +2,10 @@
 
 Everything in this package works with 2n x 2n real matrices in the
 "interleaved" quadrature ordering (q1, p1, q2, p2, ...).  This module
-provides the structural constant matrices (symplectic form, mode
-permutation, coordinate selectors), the matrix norms used by the
-imaginarity measures, and positive-semidefiniteness tests for Hermitian
-forms X + iY with real symmetric X and real antisymmetric Y.
+provides the structural constant matrices (symplectic form, per-mode
+momentum flip), the matrix norms used by the imaginarity measures, and
+positive-semidefiniteness tests for Hermitian forms X + iY with real
+symmetric X and real antisymmetric Y.
 """
 
 from __future__ import annotations
@@ -60,30 +60,6 @@ def symplectic_form(n: int) -> np.ndarray:
         delta[2 * k, 2 * k + 1] = 1.0
         delta[2 * k + 1, 2 * k] = -1.0
     return delta
-
-
-def mode_permutation(n: int) -> np.ndarray:
-    """Return the permutation P_n sending (q1,p1,...,qn,pn) to (q1..qn,p1..pn).
-
-    Entries p[k, 2k] = p[n+k, 2k+1] = 1 (0-based), so (P v)_k picks the
-    k-th position coordinate and (P v)_{n+k} the k-th momentum coordinate.
-    """
-    n = _check_modes(n)
-    p = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        p[k, 2 * k] = 1.0
-        p[n + k, 2 * k + 1] = 1.0
-    return p
-
-
-def selectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (Q_n, Q'_n): the n x 2n selectors of the first/last n coordinates."""
-    n = _check_modes(n)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    q = np.hstack([eye, zero])
-    qp = np.hstack([zero, eye])
-    return q, qp
 
 
 def sigma_blocks(n: int) -> np.ndarray:

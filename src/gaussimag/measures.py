@@ -28,9 +28,8 @@ from .gaussian import (
     GaussianState,
     GaussianSuperchannel,
     ValidationError,
-    _a_o_block_diagonal,
-    _superchannel_common_ok,
     superchannel_is_real,
+    superchannel_patterns,
 )
 from .linalg import spectral_norm, trace_norms
 
@@ -328,6 +327,4 @@ def in_fo(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
 
 def in_fo1(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
     """FO member whose A and O both preserve the position/momentum split."""
-    if not in_fo(s, tol):
-        return False
-    return _superchannel_common_ok(s, tol) and _a_o_block_diagonal(s, tol)
+    return in_fo(s, tol) and superchannel_patterns(s, tol).A_O_sector_preserving

@@ -50,6 +50,12 @@ ALPHA_MAX = 1.0
 #: first meets the exp(Gamma) overflow of the noise integral near tau 607).
 NOISE_SCALE_MAX = 1e5
 
+#: Largest b/x = (1 + 1/theta)/x in the low regime: the closed forms carry
+#: exp(b/x), which overflows near 709.8.  At alpha 0.03, x 0.5 and 0.9 and
+#: horizons 60 and 615.7, b/x = 705 passes the cross-check (error <= 4.4e-16)
+#: and b/x = 709 fails with a non-finite Delta.
+LOW_T_EXPONENT_MAX = 700.0
+
 
 class ClosedFormError(RuntimeError):
     """A closed-form coefficient produced a non-finite value or an excessive
@@ -97,6 +103,13 @@ class QbmConfig:
             )
         if self.regime not in ("high", "low"):
             raise ValueError(f"regime must be 'high' or 'low', got {self.regime!r}")
+        if self.regime == "low" and self.cutoff_shift / self.x > LOW_T_EXPONENT_MAX:
+            room = LOW_T_EXPONENT_MAX * self.x - 1.0
+            raise ValueError(
+                f"theta must be at least {1.0 / room if room > 0 else np.inf:.3g} at x "
+                f"{self.x:g} in the low regime ((1 + 1/theta)/x <= {LOW_T_EXPONENT_MAX:g}), "
+                f"got {self.theta:g}"
+            )
 
     @property
     def cutoff_shift(self) -> float:
@@ -121,14 +134,14 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
     return values.real
 
 
-def _ei_pairs(tau: np.ndarray, x: float):
-    """Ei at the four recurring arguments (1 +/- i tau)/x, (-1 +/- i tau)/x.
+def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
+    """Ei at the four recurring arguments (b +/- i tau)/x, (-b +/- i tau)/x.
 
     Only the +i tau batches are evaluated; Ei(conj z) == conj(Ei(z))
     gives the -i tau ones.
     """
-    e_plus = np.asarray(expint_ei((1.0 + 1j * tau) / x))
-    f_plus = np.asarray(expint_ei((-1.0 + 1j * tau) / x))
+    e_plus = np.asarray(expint_ei((b + 1j * tau) / x))
+    f_plus = np.asarray(expint_ei((-b + 1j * tau) / x))
     return e_plus, np.conj(e_plus), f_plus, np.conj(f_plus)
 
 
@@ -154,60 +167,42 @@ def _delta_pi_high(cfg: QbmConfig, pairs):
     return delta, pi_
 
 
-def _low_t_shifted_terms(cfg: QbmConfig, t: np.ndarray):
-    """The cutoff-shifted (b = 1 + 1/theta) halves of the low-T coefficients."""
+def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pairs):
+    """(Delta, Pi) of one bath copy with cutoff b and thermal weight ``weight``,
+    from the ``_ei_pairs(t, x, b)`` batches.
+
+    The low-T weight 1 + 2 e^{-u/theta} makes the coefficients the sum of
+    the copy (b, weight) = (1, 1) and the cutoff-shifted copy
+    (1 + 1/theta, 2).
+    """
     x, a2 = cfg.x, cfg.alpha**2
-    b = cfg.cutoff_shift
-    g_b = expint_ei((b + 1j * t) / x)
-    h_b = expint_ei((-b + 1j * t) / x)
-    g_bc, h_bc = np.conj(g_b), np.conj(h_b)
+    g, g_c, h, h_c = pairs
     boundary = t / (b * b + t * t)
-    # 2 x the single-bath-copy closed forms: the low-T weight carries the
-    # shifted exponential with coefficient 2.
-    delta_b = 2.0 * a2 * (
+    delta = weight * a2 * (
         np.cos(t / x) * boundary
         + (1.0 / (4j * x))
         * (
-            np.exp(-b / x) * (g_b - g_bc)
-            + np.exp(b / x) * (h_b - h_bc - 2j * np.pi)
+            np.exp(-b / x) * (g - g_c)
+            + np.exp(b / x) * (h - h_c - 2j * np.pi)
         )
     )
     ei_b = expint_ei(b / x)
     ei_mb = expint_ei(-b / x)
-    pi_b = 2.0 * a2 * (
+    pi_ = weight * a2 * (
         np.sin(t / x) * boundary
         - (1.0 / (4.0 * x))
         * (
-            np.exp(-b / x) * (g_b + g_bc - 2.0 * ei_b)
-            + np.exp(b / x) * (h_b + h_bc - 2.0 * ei_mb)
+            np.exp(-b / x) * (g + g_c - 2.0 * ei_b)
+            + np.exp(b / x) * (h + h_c - 2.0 * ei_mb)
         )
     )
-    return delta_b, pi_b
+    return delta, pi_
 
 
 def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
-    x, a2 = cfg.x, cfg.alpha**2
-    e_p, e_m, f_p, f_m = pairs
-    boundary = t / (1.0 + t * t)
-    delta_1 = a2 * (
-        np.cos(t / x) * boundary
-        + (1.0 / (4j * x))
-        * (
-            np.exp(-1.0 / x) * (e_p - e_m)
-            + np.exp(1.0 / x) * (f_p - f_m - 2j * np.pi)
-        )
-    )
-    ei_pos = expint_ei(1.0 / x)
-    ei_neg = expint_ei(-1.0 / x)
-    pi_1 = a2 * (
-        np.sin(t / x) * boundary
-        - (1.0 / (4.0 * x))
-        * (
-            np.exp(-1.0 / x) * (e_p + e_m - 2.0 * ei_pos)
-            + np.exp(1.0 / x) * (f_p + f_m - 2.0 * ei_neg)
-        )
-    )
-    delta_b, pi_b = _low_t_shifted_terms(cfg, t)
+    b = cfg.cutoff_shift
+    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs)
+    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b))
     return delta_1 + delta_b, pi_1 + pi_b
 
 
@@ -333,13 +328,9 @@ class GammaAccumulator:
 
     cfg: QbmConfig
     grid: np.ndarray
-    gamma: np.ndarray
     values: np.ndarray
     _fine: tuple | None = None
     _wbar: np.ndarray | None = None
-
-    def gamma_at(self, tau: float) -> float:
-        return float(np.interp(tau, self.grid, self.gamma))
 
     def value_at(self, tau: float) -> float:
         self._check_covered(tau)
@@ -454,7 +445,7 @@ def gamma_capital(
     else:
         g = np.asarray(gamma_fn(cfg, grid), dtype=float)
     values = 2.0 * _cumulative_simpson(g, grid)
-    return GammaAccumulator(cfg=cfg, grid=grid, gamma=g, values=values, _fine=fine)
+    return GammaAccumulator(cfg=cfg, grid=grid, values=values, _fine=fine)
 
 
 def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
@@ -630,26 +621,6 @@ def imaginarity_trajectory(
         term_t12t22=term2,
         cross_check_error=_cross_check(cfg, acc, direct),
     )
-
-
-@dataclass
-class SweepResult:
-    cfg: QbmConfig
-    trajectory: Trajectory | None
-    error: str | None
-
-
-def sweep(cfgs, horizon: float, step: float = DEFAULT_STEP) -> list[SweepResult]:
-    """Independent trajectories for each config, errors captured per entry."""
-    if not cfgs:
-        raise ValueError("config list must be nonempty")
-    out = []
-    for cfg in cfgs:
-        try:
-            out.append(SweepResult(cfg, imaginarity_trajectory(cfg, horizon, step), None))
-        except Exception as exc:  # noqa: BLE001 - per-entry error capture contract
-            out.append(SweepResult(cfg, None, f"{type(exc).__name__}: {exc}"))
-    return out
 
 
 # ---------------------------------------------------------------------------

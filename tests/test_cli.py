@@ -179,6 +179,22 @@ def test_check_super_breaking_sample(tmp_path, capsys):
     assert results["diagnostics"]["A_erases_momentum"] is True
 
 
+def test_check_super_sector_preserving_sample(tmp_path, capsys):
+    sup = sample_random_superchannel(2, 5, "real-eq9", unit_norm_a=True)
+    doc = write_doc(tmp_path, "eq9.json", sup)
+    assert cli.main(["--json", "check-super", doc]) == cli.EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["diagnostics"] == {
+        "momentum_pattern_dbar_Y": True,
+        "A_erases_momentum": False,
+        "A_O_sector_preserving": True,
+        "spectral_norm_A": pytest.approx(1.0),
+    }
+    assert [results[k] for k in ("isReal", "isImaginarityBreaking", "inFO", "inFO1")] == [
+        True, False, True, True,
+    ]
+
+
 def test_check_super_wrong_kind(amplifying_doc):
     assert cli.main(["check-super", amplifying_doc]) == cli.EXIT_USAGE
 
@@ -308,6 +324,16 @@ def test_qbm_out_of_domain_parameter_is_usage_error(tmp_path, capsys, alpha, the
                      "--horizon", "5", "--out", str(tmp_path / "t.csv")])
     assert code == cli.EXIT_USAGE
     assert_one_line(capsys.readouterr().err, prefix)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_qbm_low_temperature_theta_floor_is_usage_error(tmp_path, capsys):
+    # b = 1 + 1/theta: exp(b/x) would overflow the closed forms at theta 1e-3
+    code = cli.main(["qbm", "--regime", "low", "--alpha", "0.03", "--x", "0.5",
+                     "--theta", "1e-3", "--horizon", "5", "--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err,
+                    "bad parameters: theta must be at least 0.00287 at x 0.5 in the low regime")
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -6,6 +6,7 @@ from gaussimag.gaussian import (
     GaussianChannel,
     GaussianState,
     GaussianSuperchannel,
+    RealnessReport,
     apply_channel,
     apply_superchannel,
     channel_realness,
@@ -18,12 +19,14 @@ from gaussimag.gaussian import (
     state_realness,
     superchannel_is_imaginarity_breaking,
     superchannel_is_real,
+    superchannel_patterns,
     to_document,
     validate_channel,
     validate_state,
     validate_superchannel,
+    violated_constraint,
 )
-from gaussimag.linalg import DimensionError
+from gaussimag.linalg import DimensionError, max_abs
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +53,42 @@ def test_validate_superchannel_examples():
     bad_o = np.diag([1.0, -1.0])
     bad = GaussianSuperchannel(1, np.eye(2), bad_o, 10.0 * np.eye(2), np.zeros(2))
     assert not validate_superchannel(bad)
+
+
+def _channel(t, n):
+    return GaussianChannel(1, t, n, np.zeros(2))
+
+
+def _superchannel(a, o, y):
+    return GaussianSuperchannel(1, a, o, y, np.zeros(2))
+
+
+@pytest.mark.parametrize("obj,name", [
+    (GaussianState(1, np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]), "covariance symmetry"),
+    (GaussianState(1, np.zeros(2), 0.5 * np.eye(2)), "nu+iDelta"),
+    (_channel(np.eye(2), [[1.0, 1.0], [0.0, 1.0]]), "N symmetry"),
+    (_channel(np.eye(2), np.diag([-1.0, 0.0])), "N>=0"),
+    (_channel(2.0 * np.eye(2), np.zeros((2, 2))), "N+iDelta-iTDeltaT^T"),
+    (_superchannel(np.eye(2), 2.0 * np.eye(2), np.eye(2)), "OO^T=I"),
+    (_superchannel(np.eye(2), np.eye(2), [[1.0, 1.0], [0.0, 1.0]]), "Y symmetry"),
+    (_superchannel(2.0 * np.eye(2), np.eye(2), np.zeros((2, 2))), "Y+iDelta-iADeltaA^T"),
+    (_superchannel(np.eye(2), np.diag([1.0, -1.0]), 10.0 * np.eye(2)), "iDelta-iODeltaO^T"),
+    (GaussianSuperchannel.identity(), ""),
+])
+def test_violated_constraint_names(obj, name):
+    assert violated_constraint(obj) == name
+    validator = {GaussianState: validate_state, GaussianChannel: validate_channel,
+                 GaussianSuperchannel: validate_superchannel}[type(obj)]
+    assert validator(obj) is (name == "")
+
+
+@pytest.mark.parametrize("tol,name", [(1e-9, "N>=0"), (1e-6, "")])
+def test_validate_channel_and_violated_constraint_honour_tol(tol, name):
+    # min eigenvalue -1e-8: below -tol at 1e-9, within it at 1e-6, for the
+    # N >= 0 check as for the CP condition
+    c = _channel(np.eye(2), np.diag([-1e-8, 0.0]))
+    assert violated_constraint(c, tol) == name
+    assert validate_channel(c, tol) is (name == "")
 
 
 def test_state_shape_errors():
@@ -196,6 +235,109 @@ def test_superchannel_realness_examples():
     bad = sample_random_superchannel(1, 0, "real-eq9")
     bad.A = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not superchannel_is_real(bad)
+
+
+# The loops below are the reference for the realness patterns: each pattern
+# lists its offending entries block by block, in row-major order.
+
+def _vector_violations(v, label, tol):
+    thresh = tol * max(1.0, max_abs(v))
+    out = []
+    for i in range(1, len(v), 2):
+        if abs(v[i]) > thresh:
+            out.append((label, (i, i), float(abs(v[i]))))
+    return out
+
+
+def _block_violations(m, rows, cols, label, tol):
+    thresh = tol * max(1.0, max_abs(m))
+    out = []
+    for i in rows:
+        for j in cols:
+            if abs(m[i, j]) > thresh:
+                out.append((label, (i, j), float(abs(m[i, j]))))
+    return out
+
+
+def _patterns_reference(v, m, x, names, tol):
+    """(common, erase, mix) violations of the vector v, noise m and transfer x."""
+    dim = len(v)
+    mom, pos = range(1, dim, 2), range(0, dim, 2)
+    common = (_vector_violations(v, f"{names[0]}_momentum", tol)
+              + _block_violations(m, pos, mom, f"{names[1]}_qp", tol))
+    erase = _block_violations(x, mom, range(dim), f"{names[2]}_momentum_rows", tol)
+    mix = (_block_violations(x, pos, mom, f"{names[2]}_mixing", tol)
+           + _block_violations(x, mom, pos, f"{names[2]}_mixing", tol))
+    return common, erase, mix
+
+
+def _channel_realness_reference(c, tol):
+    common, erase, mix = _patterns_reference(c.d, c.N, c.T, ("d", "N", "T"), tol)
+    completely = not common and not erase
+    covariant = not common and not mix
+    report = RealnessReport(completely or covariant, completely, covariant)
+    if not report.is_real:
+        report.violations = common + (erase if len(erase) <= len(mix) else mix)
+        if not report.violations:
+            report.violations = erase + mix
+    return report
+
+
+def _near_threshold(m, rng, tol=DEFAULT_PATTERN_TOL):
+    """``m`` scaled, with a few entries set just below, at and just above
+    the pattern threshold tol * max(1, max |m|)."""
+    m = rng.choice([1e-3, 1.0, 1e3]) * np.array(m, dtype=float)
+    thresh = tol * max(1.0, max_abs(m))
+    for _ in range(int(rng.integers(0, 4))):
+        idx = tuple(int(rng.integers(k)) for k in m.shape)
+        m[idx] = rng.choice([-1.0, 1.0]) * thresh * rng.choice([1 - 1e-6, 1.0, 1 + 1e-6])
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_channel_realness_equals_loop_reference(n):
+    rng = np.random.default_rng(500 + n)
+    kinds = set()
+    for _ in range(60):
+        for flag in ("any", "completely-real", "covariant-real"):
+            c = sample_random_channel(n, rng, flag)
+            near = GaussianChannel(n, _near_threshold(c.T, rng), _near_threshold(c.N, rng),
+                                   _near_threshold(c.d, rng))
+            for chan in (c, near):
+                report = channel_realness(chan)
+                assert report == _channel_realness_reference(chan, DEFAULT_PATTERN_TOL)
+                kinds.add((report.is_completely_real, report.is_covariant_real,
+                           bool(report.violations)))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_state_and_superchannel_patterns_equal_loop_reference(n):
+    rng = np.random.default_rng(600 + n)
+    tol = DEFAULT_PATTERN_TOL
+    seen = set()
+    for _ in range(40):
+        s = sample_random_state(n, rng, real=bool(rng.integers(2)))
+        s = GaussianState(n, _near_threshold(s.displacement, rng),
+                          _near_threshold(s.covariance, rng))
+        common, _, _ = _patterns_reference(s.displacement, s.covariance, s.covariance,
+                                           ("d0", "nu", "nu"), tol)
+        assert state_realness(s) is not common
+        for flag in ("any", "real-eq8", "real-eq9", "breaking"):
+            sup = sample_random_superchannel(n, rng, flag)
+            sup = GaussianSuperchannel(n, *(_near_threshold(m, rng) for m in
+                                            (sup.A, sup.O, sup.Y, sup.dbar)))
+            common, erase, mix = _patterns_reference(sup.dbar, sup.Y, sup.A,
+                                                     ("dbar", "Y", "A"), tol)
+            _, _, mix_o = _patterns_reference(sup.dbar, sup.Y, sup.O, ("dbar", "Y", "O"), tol)
+            expected = (not common, not erase, not mix and not mix_o)
+            patterns = superchannel_patterns(sup)
+            assert (patterns.momentum_pattern_dbar_Y, patterns.A_erases_momentum,
+                    patterns.A_O_sector_preserving) == expected
+            assert superchannel_is_real(sup) is (expected[0] and (expected[1] or expected[2]))
+            assert superchannel_is_imaginarity_breaking(sup) is (expected[0] and expected[1])
+            seen.add(expected)
+    assert len(seen) >= 4
 
 
 # ---------------------------------------------------------------------------

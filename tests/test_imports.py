@@ -1,5 +1,7 @@
-"""Importing the package and running the CLI load only the scipy code they use."""
+"""Importing the package and running the CLI load only the scipy code they use;
+the package modules use only each other's public names and import nothing unused."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gaussimag
 from gaussimag.gaussian import GaussianChannel, to_document
@@ -56,3 +59,41 @@ def test_qbm_loads_no_scipy_integrate(tmp_path):
     loaded = scipy_modules_after(tmp_path, body)
     assert "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith("scipy.integrate")]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def import_findings(path: Path) -> list[str]:
+    """Private names a module imports or reads from another module, and the
+    names it imports but never uses."""
+    tree = ast.parse(path.read_text())
+    imported = {}  # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: imports {node.module}.{alias.name}"
+                      for alias in node.names if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in imported and _private(node.attr)):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name != "__init__.py":  # the package's imports are its exports
+        found += [f"line {line}: {name} is imported but unused"
+                  for name, line in imported.items() if name not in used]
+    return found
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(gaussimag.__file__).parent.glob("*.py"))
+)
+def test_modules_use_public_names_and_no_unused_imports(module):
+    assert import_findings(Path(gaussimag.__file__).parent / module) == []

@@ -7,14 +7,13 @@ from gaussimag.linalg import (
     is_psd,
     max_abs,
     min_eigenvalue,
-    mode_permutation,
-    selectors,
     sigma_blocks,
     spectral_norm,
     symplectic_form,
     trace_norm,
     trace_norms,
 )
+from test_measures import mode_permutation
 
 
 def test_symplectic_form_one_mode():
@@ -38,6 +37,9 @@ def test_symplectic_form_algebra(n):
     assert np.max(np.abs(d @ d.T - np.eye(2 * n))) == 0
 
 
+# The sector-sorting permutation is the independent oracle of
+# test_measures.py; these check the oracle itself.
+
 def test_mode_permutation_one_mode_is_identity():
     assert np.array_equal(mode_permutation(1), np.eye(2))
 
@@ -56,23 +58,13 @@ def test_mode_permutation_sorts_and_is_orthogonal(n):
     assert np.max(np.abs(p @ p.T - np.eye(2 * n))) <= 1e-12
 
 
-def test_selectors():
-    q, qp = selectors(1)
-    assert np.array_equal(q, [[1, 0]])
-    assert np.array_equal(qp, [[0, 1]])
-    q, qp = selectors(3)
-    assert np.array_equal(q @ q.T, np.eye(3))
-    assert np.array_equal(qp @ qp.T, np.eye(3))
-    assert np.array_equal(q @ qp.T, np.zeros((3, 3)))
-
-
 def test_sigma_blocks():
     assert np.array_equal(sigma_blocks(2), np.diag([1.0, -1.0, 1.0, -1.0]))
 
 
 @pytest.mark.parametrize("bad", [0, -1, 65])
 def test_dimension_errors(bad):
-    for builder in (symplectic_form, mode_permutation, selectors, sigma_blocks):
+    for builder in (symplectic_form, sigma_blocks):
         with pytest.raises(DimensionError):
             builder(bad)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussimag.gaussian import (
     GaussianChannel,
@@ -13,7 +15,7 @@ from gaussimag.gaussian import (
     sample_random_state,
     sample_random_superchannel,
 )
-from gaussimag.linalg import mode_permutation, trace_norm
+from gaussimag.linalg import trace_norm
 from gaussimag.measures import (
     MeasureReport,
     StepThreshold,
@@ -27,6 +29,16 @@ from gaussimag.measures import (
     in_fo1,
     state_measure_ign,
 )
+
+
+def mode_permutation(n: int) -> np.ndarray:
+    """The permutation P_n sending (q1,p1,...,qn,pn) to (q1..qn,p1..pn):
+    p[k, 2k] = p[n+k, 2k+1] = 1 (0-based)."""
+    p = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        p[k, 2 * k] = 1.0
+        p[n + k, 2 * k + 1] = 1.0
+    return p
 
 
 def rotation_channel(theta: float) -> GaussianChannel:
@@ -212,6 +224,37 @@ def test_ic_continuity():
         )
         diff = abs(channel_measure_ic(c2).value - channel_measure_ic(c).value)
         assert diff <= 4.0 * (2 * n) ** 2 * eps
+
+
+_FLAGS = st.sampled_from(["any", "completely-real", "covariant-real"])
+_SHARES = st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1.0])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+       flags=st.tuples(_FLAGS, _FLAGS), shares=st.tuples(_SHARES, _SHARES, _SHARES))
+def test_ic_continuity_bound(n, seeds, flags, shares):
+    # I_c is continuous: each summand is a trace norm of a block or a product
+    # of two, so |I_c(phi) - I_c(phi')| <= ||dT21|| + ||dT12|| ||T22||
+    # + ||T12'|| ||dT22|| + ||dN12|| + ||dd_p||_2.  phi' moves each of T, N
+    # and d a share of the way towards a second random channel.
+    c = sample_random_channel(n, seeds[0], flags[0])
+    other = sample_random_channel(n, seeds[1], flags[1])
+    t2, n2, d2 = (a + share * (b - a) for a, b, share in
+                  zip((c.T, c.N, c.d), (other.T, other.N, other.d), shares))
+    p = mode_permutation(n)
+    ts, ts2, ns, ns2 = (p @ m @ p.T for m in (c.T, t2, c.N, n2))
+    dt, dn = ts2 - ts, ns2 - ns
+    bound = (
+        trace_norm(dt[n:, :n])
+        + trace_norm(dt[:n, n:]) * trace_norm(ts[n:, n:])
+        + trace_norm(ts2[:n, n:]) * trace_norm(dt[n:, n:])
+        + trace_norm(dn[:n, n:])
+        + float(np.linalg.norm(d2[1::2] - c.d[1::2]))
+    )
+    moved = GaussianChannel(n, t2, n2, d2)
+    diff = abs(channel_measure_ic(c).value - channel_measure_ic(moved).value)
+    assert diff <= bound + 1e-12 * max(1.0, bound)
 
 
 def test_breakdown_sums_enforced():

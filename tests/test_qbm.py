@@ -20,7 +20,6 @@ from gaussimag.qbm import (
     qbm_channel,
     rotation_r,
     steady_state_n12,
-    sweep,
 )
 
 HIGH = QbmConfig(alpha=0.03, x=0.5, theta=100.0, regime="high")
@@ -90,6 +89,15 @@ def test_config_domain_bounds():
         QbmConfig(alpha=0.03, x=0.5, theta=1.2e8)
     with pytest.raises(ValueError, match="theta must be at most"):
         QbmConfig(alpha=1.0, x=0.5, theta=1e5 * (1 + 1e-15), regime="low")
+    # low regime: (1 + 1/theta)/x <= 700, the smallest allowed theta runs
+    for x in (0.5, 0.9):
+        floor = 1.0 / (qbm.LOW_T_EXPONENT_MAX * x - 1.0)
+        cfg = QbmConfig(alpha=0.03, x=x, theta=floor, regime="low")
+        assert cfg.cutoff_shift / x == qbm.LOW_T_EXPONENT_MAX
+        assert imaginarity_trajectory(cfg, 60.0).cross_check_error <= qbm.CROSS_CHECK_TOL
+        with pytest.raises(ValueError, match=f"theta must be at least {floor:.3g} at x {x:g}"):
+            QbmConfig(alpha=0.03, x=x, theta=floor * (1 - 1e-12), regime="low")
+        QbmConfig(alpha=0.03, x=x, theta=floor * (1 - 1e-12), regime="high")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +353,8 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     assert len(pairs) == 4
     for got, want in zip(pairs, direct):
         assert np.array_equal(got, want)
-    for got, want in zip(qbm._low_t_shifted_terms(cfg, t),
+    b = cfg.cutoff_shift
+    for got, want in zip(qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b)),
                          _low_t_shifted_terms_direct(cfg, t)):
         assert np.array_equal(got, want)
 
@@ -468,16 +477,6 @@ def test_csv_round_trip(tmp_path, short_trajectory):
     assert np.allclose(data[:, 1], short_trajectory.ic, rtol=1e-11, atol=1e-12)
     # fixed-precision decimal, no scientific notation
     assert "e" not in lines[1] and "E" not in lines[1]
-
-
-def test_sweep_runs_all_entries():
-    results = sweep([HIGH, LOW], 5.0)
-    assert [r.cfg for r in results] == [HIGH, LOW]
-    for r in results:
-        assert r.error is None
-        assert r.trajectory.tau[-1] == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        sweep([], 5.0)
 
 
 # ---------------------------------------------------------------------------
