@@ -88,6 +88,8 @@ def trace_norms(stack) -> np.ndarray:
         raise ValueError(f"stack must be at least 2-dimensional, got shape {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("stack contains non-finite entries")
+    if stack.shape[-2:] == (1, 1):  # the one singular value is |entry|
+        return np.abs(stack[..., 0, 0])
     return np.sum(_singular_values(stack), axis=-1)
 
 

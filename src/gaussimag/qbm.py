@@ -50,10 +50,10 @@ ALPHA_MAX = 1.0
 #: first meets the exp(Gamma) overflow of the noise integral near tau 607).
 NOISE_SCALE_MAX = 1e5
 
-#: Largest b/x = (1 + 1/theta)/x in the low regime: the closed forms carry
-#: exp(b/x), which overflows near 709.8.  At alpha 0.03, x 0.5 and 0.9 and
-#: horizons 60 and 615.7, b/x = 705 passes the cross-check (error <= 4.4e-16)
-#: and b/x = 709 fails with a non-finite Delta.
+#: Largest exponent of the closed forms: exp(2/x) at high T and exp(b/x),
+#: b = 1 + 1/theta, at low T overflow near 709.8.  At alpha 0.03, x 0.5 and
+#: 0.9 and horizons 60 and 615.7, b/x = 705 passes the cross-check (error
+#: <= 4.4e-16) and b/x = 709 fails with a non-finite Delta.
 LOW_T_EXPONENT_MAX = 700.0
 
 
@@ -103,13 +103,16 @@ class QbmConfig:
             )
         if self.regime not in ("high", "low"):
             raise ValueError(f"regime must be 'high' or 'low', got {self.regime!r}")
-        if self.regime == "low" and self.cutoff_shift / self.x > LOW_T_EXPONENT_MAX:
-            room = LOW_T_EXPONENT_MAX * self.x - 1.0
-            raise ValueError(
-                f"theta must be at least {1.0 / room if room > 0 else np.inf:.3g} at x "
-                f"{self.x:g} in the low regime ((1 + 1/theta)/x <= {LOW_T_EXPONENT_MAX:g}), "
-                f"got {self.theta:g}"
-            )
+        limit = LOW_T_EXPONENT_MAX
+        if self.regime == "high" and 2.0 / self.x > limit:
+            raise ValueError(f"x must be at least {2.0 / limit:.3g} in the high regime "
+                             f"(2/x <= {limit:g}), got {self.x:g}")
+        if self.regime == "low" and self.cutoff_shift / self.x > limit:
+            bound = f"in the low regime ((1 + 1/theta)/x <= {limit:g})"
+            if limit * self.x <= 1.0:
+                raise ValueError(f"x must exceed {1.0 / limit:.3g} {bound}, got {self.x:g}")
+            raise ValueError(f"theta must be at least {1.0 / (limit * self.x - 1.0):.3g} "
+                             f"at x {self.x:g} {bound}, got {self.theta:g}")
 
     @property
     def cutoff_shift(self) -> float:

@@ -1,12 +1,14 @@
 """Special functions with complex arguments, plus adaptive quadrature.
 
 The quantum-Brownian-motion closed forms need the exponential integral
-Ei at complex arguments.  ``expint_ei`` is a thin wrapper over scipy's
-complex-capable exponential integral with the branch conventions
-documented below; the quadrature helper wraps the adaptive
-Gauss-Kronrod integrator and converts non-convergence into a typed
-error carrying the best estimate.  Each imports its scipy module inside
-the call, so importing this module loads no scipy code.
+Ei at complex arguments.  ``expint_ei`` evaluates it in numpy, choosing
+per element (DLMF 6.6, 6.9, 6.12): the asymptotic series
+i pi sgn(Im w) + (e^w/w) sum k!/w^k for |w| >= 40; the power series
+gamma + log w + sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the
+wedge Re w > 2|Im w|; and the continued fraction of E1(-w) elsewhere.
+``integrate_adaptive`` wraps scipy's Gauss-Kronrod integrator, imported
+inside the call, and converts non-convergence into a typed error
+carrying the best estimate.
 
 Branch conventions
 ------------------
@@ -69,11 +71,30 @@ class QuadratureSpec:
             raise ValueError("tail_cut must be >= 10")
 
 
-def _as_complex(z):
-    arr = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("argument contains non-finite entries")
-    return arr
+#: The power series serves |w| < 5 right of Re w = -2; further left it cancels
+#: on the axis, where Ei is -E1(|w|), and the continued fraction converges.
+_SERIES_RADIUS, _SERIES_LEFT = 5.0, -2.0
+#: 1/(k k!) for k = 1..120, enough for the wedge Re w > 2|Im w| up to |w| = 40.
+_SERIES_COEFFS = 1.0 / (np.arange(1, 121) * np.cumprod(np.arange(1.0, 121)))
+#: Continued-fraction depth: 5e-15 relative at |w| = 5 on the wedge edge.
+_CF_DEPTH = 300
+#: (lowest |w|, term count) of each band of the asymptotic series, highest first.
+_ASYMPTOTIC_BANDS = ((200.0, 12), (80.0, 25), (40.0, 45))
+
+
+def _series(w):
+    s = np.zeros_like(w)
+    for c in _SERIES_COEFFS[::-1]:
+        s = (s + c) * w
+    return np.euler_gamma + np.log(w) + s
+
+
+def _e1_continued_fraction(z):
+    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/...)))
+    t = np.zeros_like(z)
+    for k in range(_CF_DEPTH, 0, -1):
+        t = k * k / (z + (2 * k + 1) - t)
+    return np.exp(-z) / (z + 1.0 - t)
 
 
 def expint_ei(z):
@@ -85,20 +106,30 @@ def expint_ei(z):
     from each half-plane onto the negative real axis with a +/- i pi
     jump across it.
     """
-    import scipy.special as sp
-
-    arr = _as_complex(z)
-    if np.any(arr == 0):
+    w = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("argument contains non-finite entries")
+    if np.any(w == 0):
         raise PoleError("Ei has a logarithmic singularity at 0")
-    out = np.empty(arr.shape, dtype=complex)
-    on_axis = arr.imag == 0
-    if np.any(on_axis):
-        out[on_axis] = sp.expi(arr[on_axis].real)
-    if np.any(~on_axis):
-        w = arr[~on_axis]
-        # E1 gives the principal branch; the sign(Im) * i*pi term moves
-        # the cut of -E1(-z) from the positive to the negative real axis.
-        out[~on_axis] = -sp.exp1(-w) + 1j * np.pi * np.sign(w.imag)
+    r = np.abs(w)
+    near = r < _ASYMPTOTIC_BANDS[-1][0]
+    series = near & ((w.real > 2.0 * np.abs(w.imag))
+                     | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
+    out = np.empty(w.shape, dtype=complex)
+    out[series] = _series(w[series])
+    out[near & ~series] = -_e1_continued_fraction(-w[near & ~series])
+    upper = np.inf
+    for lower, terms in _ASYMPTOTIC_BANDS:
+        band = (r >= lower) & (r < upper)
+        u, s = 1.0 / w[band], 1.0
+        for k in range(terms - 1, 0, -1):
+            s = 1.0 + k * u * s
+        out[band] = np.exp(w[band]) * u * s
+        upper = lower
+    # the i pi sgn(Im w) term moves the cut of -E1(-w) to the negative axis
+    out[~series] += 1j * np.pi * np.sign(w.imag[~series])
+    on_axis = w.imag == 0
+    out[on_axis] = out[on_axis].real
     return out if out.ndim else complex(out)
 
 

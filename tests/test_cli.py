@@ -337,8 +337,26 @@ def test_qbm_low_temperature_theta_floor_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_qbm_non_finite_closed_form_is_compute_error(tmp_path, capsys):
-    # x = 1e-300 overflows e^{1/x}; the closed-form check catches it
+@pytest.mark.parametrize("regime, x, message", [
+    ("high", "0.0015", "x must be at least 0.00286 in the high regime (2/x <= 700), got 0.0015"),
+    ("high", "1e-3", "x must be at least 0.00286 in the high regime"),
+    ("low", "1e-3", "x must exceed 0.00143 in the low regime ((1 + 1/theta)/x <= 700), got 0.001"),
+], ids=["high-0.0015", "high-1e-3", "low-1e-3"])
+def test_qbm_small_x_is_usage_error(tmp_path, capsys, regime, x, message):
+    # exp(2/x) (high T) or exp((1 + 1/theta)/x) (low T) would overflow
+    code = cli.main(["qbm", "--regime", regime, "--alpha", "0.03", "--x", x, "--theta", "100",
+                     "--horizon", "5", "--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"bad parameters: {message}")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_qbm_non_finite_closed_form_is_compute_error(tmp_path, capsys, monkeypatch):
+    # x = 1e-300 overflows e^{1/x}; with the config's exponent bound lifted,
+    # the closed-form check catches it
+    from gaussimag import qbm
+
+    monkeypatch.setattr(qbm, "LOW_T_EXPONENT_MAX", np.inf)
     code = cli.main(["qbm", "--alpha", "0.03", "--x", "1e-300", "--theta", "100",
                      "--horizon", "5", "--out", str(tmp_path / "t.csv")])
     assert code == cli.EXIT_COMPUTE

@@ -1,4 +1,4 @@
-"""Importing the package and running the CLI load only the scipy code they use;
+"""Importing the package and running the CLI load no scipy code;
 the package modules use only each other's public names and import nothing unused."""
 
 import ast
@@ -50,15 +50,14 @@ def test_measure_is_loads_no_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, body) == []
 
 
-def test_qbm_loads_no_scipy_integrate(tmp_path):
-    body = """
+@pytest.mark.parametrize("regime, theta", [("high", "100"), ("low", "10")])
+def test_qbm_loads_no_scipy(tmp_path, regime, theta):
+    body = f"""
         from gaussimag import cli
-        assert cli.main(["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
-                         "--horizon", "1", "--out", "t.csv"]) == 0
+        assert cli.main(["qbm", "--regime", {regime!r}, "--alpha", "0.03", "--x", "0.5",
+                         "--theta", {theta!r}, "--horizon", "1", "--out", "t.csv"]) == 0
     """
-    loaded = scipy_modules_after(tmp_path, body)
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.integrate")]
+    assert scipy_modules_after(tmp_path, body) == []
 
 
 def _private(name: str) -> bool:

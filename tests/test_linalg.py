@@ -111,6 +111,25 @@ def test_trace_norms_of_a_stack():
         trace_norms(np.full((2, 2, 2), np.nan))
 
 
+def test_trace_norms_of_one_by_one_stacks_equal_the_svd():
+    # (..., 1, 1) stacks take |entry|; the SVD stays the reference
+    rng = np.random.default_rng(31)
+    entries = np.concatenate([
+        rng.standard_normal(5000),
+        [0.0, -0.0, 1e-310, -1e-310, 5e-324, 1e300, -1e300, 1.7e308, -1.7e308],
+    ])
+    for stack in (entries.reshape(-1, 1, 1), entries.reshape(-1, 1, 1)[::3]):
+        svd = np.sum(np.linalg.svd(stack, compute_uv=False), axis=-1)
+        assert np.array_equal(trace_norms(stack), svd)
+    assert np.array_equal(trace_norms(entries[:30].reshape(5, 6, 1, 1)),
+                          np.abs(entries[:30]).reshape(5, 6))
+    for bad in (np.nan, np.inf, -np.inf):
+        stack = entries[:4].reshape(4, 1, 1).copy()
+        stack[2, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_norms(stack)
+
+
 def test_spectral_norm_examples():
     assert spectral_norm(np.eye(6)) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)

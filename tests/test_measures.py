@@ -184,6 +184,23 @@ def test_batched_terms_match_per_channel_measures(n):
         assert steps == [v for _, v in channel_measure_id(c, h).breakdown]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ic_equals_svd_sums_exactly(n):
+    # trace_norms takes |entry| for the 1x1 blocks of one mode; every
+    # value stays == to summing the singular values of each block
+    def svd_sum(m):
+        return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1)
+
+    rng = np.random.default_rng(200 + n)
+    chans = [sample_random_channel(n, rng) for _ in range(100)]
+    t, nm = np.stack([c.T for c in chans]), np.stack([c.N for c in chans])
+    d = np.stack([c.d for c in chans])
+    want = (svd_sum(t[:, 1::2, 0::2]) + svd_sum(t[:, 0::2, 1::2]) * svd_sum(t[:, 1::2, 1::2])
+            + svd_sum(nm[:, 0::2, 1::2]) + np.linalg.norm(d[:, 1::2], axis=-1))
+    assert np.array_equal(channel_measure_ic_stack(t, nm, d), want)
+    assert [channel_measure_ic(c).value for c in chans] == want.tolist()
+
+
 def test_ic_zero_iff_real_500_channels():
     rng = np.random.default_rng(51)
     for _ in range(500):

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -42,6 +43,64 @@ def test_closed_forms_match_quadrature(cfg, tau):
     assert coeff_pi_closed(cfg, tau) == pytest.approx(
         coeff_pi_quadrature(cfg, tau), rel=1e-5, abs=1e-12
     )
+
+
+def mp_coefficients(cfg: QbmConfig, tau: float) -> tuple:
+    """(gamma, Delta, Pi) of the closed forms at 40 digits.
+
+    Each conjugate pair Ei(z) +/- Ei(conj z) is written as 2 Re or 2i Im of
+    mpmath's Ei(z), so no float kernel or cancellation enters.
+    """
+    with mp.workdps(40):
+        x, a2, t = mp.mpf(cfg.x), mp.mpf(cfg.alpha) ** 2, mp.mpf(tau)
+
+        def ei(re):  # Ei((re + i tau)/x)
+            return mp.ei(mp.mpc(re, t) / x)
+
+        e, f = ei(1), ei(-1)
+        gamma = a2 / (4 * x) * (
+            mp.exp(-1 / x) * 2 * e.imag + mp.exp(1 / x) * (2 * mp.pi - 2 * f.imag)
+            - 4 * x * mp.sin(t / x) / (1 + t * t)
+        )
+        if cfg.regime == "high":
+            pref, grow = a2 * mp.mpf(cfg.theta) * mp.exp(-1 / x) / 2, mp.exp(2 / x)
+            delta = pref * (2 * e.imag + grow * (2 * mp.pi - 2 * f.imag))
+            pi_ = pref * (2 * mp.ei(1 / x) - 2 * e.real
+                          + grow * (2 * f.real - 2 * mp.ei(-1 / x)))
+            return float(gamma), float(delta), float(pi_)
+        delta = pi_ = 0
+        for b, weight in ((mp.mpf(1), 1), (1 + 1 / mp.mpf(cfg.theta), 2)):
+            g, h = ei(b), ei(-b)
+            boundary = t / (b * b + t * t)
+            delta += weight * a2 * (mp.cos(t / x) * boundary + (
+                mp.exp(-b / x) * g.imag + mp.exp(b / x) * (h.imag - mp.pi)) / (2 * x))
+            pi_ += weight * a2 * (mp.sin(t / x) * boundary - (
+                mp.exp(-b / x) * (g.real - mp.ei(b / x))
+                + mp.exp(b / x) * (h.real - mp.ei(-b / x))) / (2 * x))
+        return float(gamma), float(delta), float(pi_)
+
+
+#: Short times, where the quadrature route converges, and long ones, where it
+#: raises ConvergenceError and only the 40-digit evaluation checks the floats.
+ORACLE_TAUS = [0.05, 0.7, 3.0, 25.0, 615.7, 3e3, 2e4, 4.2e4, 1e5, 2.1e5]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cfg", [
+    HIGH, QbmConfig(alpha=0.03, x=0.9, theta=100.0), LOW,
+    QbmConfig(alpha=0.03, x=0.9, theta=10.0, regime="low"),
+], ids=["high-0.5", "high-0.9", "low-0.5", "low-0.9"])
+def test_closed_forms_match_40_digit_evaluation(cfg):
+    taus = np.array(ORACLE_TAUS)
+    want = np.array([mp_coefficients(cfg, t) for t in taus]).T
+    got = [fn(cfg, taus) for fn in (coeff_gamma_closed, coeff_delta_closed, coeff_pi_closed)]
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 5e-14 * np.max(np.abs(w))
+    # the transcription above agrees with the defining integrals
+    for t, (gamma, delta, pi_) in zip(taus[:3], want.T):
+        assert gamma == pytest.approx(coeff_gamma_quadrature(cfg, t), rel=1e-6, abs=1e-12)
+        assert delta == pytest.approx(coeff_delta_quadrature(cfg, t), rel=1e-5, abs=1e-12)
+        assert pi_ == pytest.approx(coeff_pi_quadrature(cfg, t), rel=1e-5, abs=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
@@ -98,6 +157,18 @@ def test_config_domain_bounds():
         with pytest.raises(ValueError, match=f"theta must be at least {floor:.3g} at x {x:g}"):
             QbmConfig(alpha=0.03, x=x, theta=floor * (1 - 1e-12), regime="low")
         QbmConfig(alpha=0.03, x=x, theta=floor * (1 - 1e-12), regime="high")
+    # high regime: 2/x <= 700, the smallest allowed x runs
+    x_min = 2.0 / qbm.LOW_T_EXPONENT_MAX
+    assert 2.0 / x_min == qbm.LOW_T_EXPONENT_MAX
+    traj = imaginarity_trajectory(QbmConfig(alpha=0.03, x=x_min, theta=100.0), 60.0)
+    assert traj.cross_check_error <= qbm.CROSS_CHECK_TOL
+    for x in (x_min * (1 - 1e-12), 1e-3, 1e-300):
+        with pytest.raises(ValueError, match=f"x must be at least {x_min:.3g} in the high"):
+            QbmConfig(alpha=0.03, x=x, theta=100.0)
+    # low regime at x <= 1/700: no theta is large enough, so x is named
+    for x in (1.0 / qbm.LOW_T_EXPONENT_MAX, 1e-3):
+        with pytest.raises(ValueError, match=f"x must exceed {1 / 700:.3g} in the low"):
+            QbmConfig(alpha=0.03, x=x, theta=1e5, regime="low")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -51,6 +52,73 @@ def test_ei_negative_axis_principal_value_is_real():
     assert above.imag == pytest.approx(np.pi, abs=1e-6)
     assert below.imag == pytest.approx(-np.pi, abs=1e-6)
     assert above.real == pytest.approx(v.real, abs=1e-6)
+
+
+#: The real zero of Ei, where its relative error is unbounded.
+EI_REAL_ZERO = 0.37250741078136663
+
+
+def mp_ei(w: complex) -> complex:
+    """Ei(w) at 40 digits; the real principal value on the real axis."""
+    with mp.workdps(40):
+        if w.imag == 0:
+            return complex(mp.ei(mp.mpf(w.real)))
+        return complex(mp.ei(mp.mpc(w.real, w.imag)))
+
+
+def trajectory_line_points() -> np.ndarray:
+    # Re w = +-b/x as on the closed forms' lines, |Im w| up to 4e5
+    re = np.geomspace(0.002, 700.0, 12)
+    im = np.geomspace(1e-3, 4e5, 25)
+    return (np.concatenate([re, -re])[:, None] + 1j * im[None, :]).ravel()
+
+
+def seam_points() -> np.ndarray:
+    # both sides of every region seam: |w| = 5, 40, 80, 200, the wedge edge
+    # Re w = 2|Im w| and the left edge Re w = -2 of the small-|w| series
+    angles = np.linspace(0.0, np.pi, 25)
+    circles = [r * (1.0 + s) * np.exp(1j * angles)
+               for r in (5.0, 40.0, 80.0, 200.0) for s in (-1e-12, 0.0, 1e-12)]
+    edge = np.arctan(0.5)
+    wedge = [r * np.exp(1j * (edge + s))
+             for r in (0.5, 4.0, 5.5, 10.0, 39.9) for s in (-1e-9, 0.0, 1e-9, 1e-2)]
+    left = [complex(-2.0 + s, y) for s in (-1e-12, 0.0, 1e-12) for y in (1e-6, 0.5, 1.5, 4.5)]
+    return np.concatenate(circles + [np.array(wedge + left)])
+
+
+def real_axis_points() -> np.ndarray:
+    r = np.geomspace(1e-3, 700.0, 40)
+    near_zero = EI_REAL_ZERO * (1.0 + np.array([-1e-3, -1e-9, 0.0, 1e-9, 1e-3]))
+    return np.concatenate([r, -r, [-2.0, -5.0, 5.0, 40.0, -40.0, -80.0, -200.0], near_zero])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "points", [trajectory_line_points, seam_points, real_axis_points],
+    ids=["trajectory-lines", "seams", "real-axis"],
+)
+def test_ei_matches_mpmath(points):
+    # the points lie on or above the real axis; their conjugates cover the
+    # lower half-plane
+    w = points().astype(complex)
+    assert np.all(w.imag >= 0)
+    want = np.array([mp_ei(v) for v in w])
+    for z, ref in ((w, want), (np.conj(w), np.conj(want))):
+        got = expint_ei(z)
+        assert np.array_equal(got, np.conj(expint_ei(np.conj(z))))
+        near_zero = np.abs(z - EI_REAL_ZERO) < 1e-2
+        error = np.abs(got - ref)
+        assert np.all(error[near_zero] <= 1e-15)
+        assert np.all(error[~near_zero] <= 1e-14 * np.abs(ref[~near_zero]))
+    on_axis = w.imag == 0
+    assert np.all(expint_ei(w[on_axis]).imag == 0.0)
+
+
+def test_ei_scalar_in_scalar_out():
+    assert isinstance(expint_ei(2.5), complex)
+    assert expint_ei(2.5) == expint_ei(np.array([2.5]))[0]
+    with pytest.raises(ValueError, match="non-finite"):
+        expint_ei(np.array([1.0, np.inf]))
 
 
 def test_poles_rejected():
