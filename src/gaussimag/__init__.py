@@ -56,8 +56,8 @@ from .measures import (
     state_measure_ign,
 )
 from .qbm import (
-    GammaAccumulator,
     QbmConfig,
+    QbmSolution,
     Trajectory,
     coeff_delta_closed,
     coeff_delta_quadrature,
@@ -65,11 +65,11 @@ from .qbm import (
     coeff_gamma_quadrature,
     coeff_pi_closed,
     coeff_pi_quadrature,
-    gamma_capital,
     imaginarity_trajectory,
     noise_wbar,
     qbm_channel,
     rotation_r,
+    solve_qbm,
     steady_state_n12,
 )
 from .specfun import (

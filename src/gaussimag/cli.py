@@ -263,6 +263,7 @@ def cmd_qbm(args) -> int:
         "rows": len(traj.tau),
         "out": str(args.out),
         "cross_check_error": traj.cross_check_error,
+        "wbar_asymmetry": traj.wbar_asymmetry,
     }
     if args.horizon > window:
         win_start = args.horizon - window

@@ -29,7 +29,7 @@ Temperature enters through the thermal weight 2 P(omega) + 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,24 +155,31 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(tau == 0.0, 0.0, values)
 
 
-def _delta_pi_high(cfg: QbmConfig, pairs):
+def _ei_constants(cfg: QbmConfig) -> tuple:
+    """(Ei(b/x), Ei(-b/x)) of the Pi closed forms for b = 1 and, at low
+    temperature, b = 1 + 1/theta: evaluated once per trajectory."""
+    cutoffs = (1.0,) if cfg.regime == "high" else (1.0, cfg.cutoff_shift)
+    return tuple((expint_ei(b / cfg.x), expint_ei(-b / cfg.x)) for b in cutoffs)
+
+
+def _delta_pi_high(cfg: QbmConfig, pairs, scalars):
     x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
     e_p, e_m, f_p, f_m = pairs
     pref = a2 * theta * np.exp(-1.0 / x) / 2.0
     b1 = 1j * (e_m - e_p)
     b2 = 2.0 * np.pi + 1j * f_p - 1j * f_m
     delta = pref * (b1 + np.exp(2.0 / x) * b2)
-    ei_pos = expint_ei(1.0 / x)
-    ei_neg = expint_ei(-1.0 / x)
+    ei_pos, ei_neg = scalars
     c1 = -e_m - e_p + 2.0 * ei_pos
     c2 = -2.0 * ei_neg + f_p + f_m
     pi_ = pref * (c1 + np.exp(2.0 / x) * c2)
     return delta, pi_
 
 
-def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pairs):
+def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pairs,
+                      scalars):
     """(Delta, Pi) of one bath copy with cutoff b and thermal weight ``weight``,
-    from the ``_ei_pairs(t, x, b)`` batches.
+    from the ``_ei_pairs(t, x, b)`` batches and ``scalars`` = (Ei(b/x), Ei(-b/x)).
 
     The low-T weight 1 + 2 e^{-u/theta} makes the coefficients the sum of
     the copy (b, weight) = (1, 1) and the cutoff-shifted copy
@@ -189,8 +196,7 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
             + np.exp(b / x) * (h - h_c - 2j * np.pi)
         )
     )
-    ei_b = expint_ei(b / x)
-    ei_mb = expint_ei(-b / x)
+    ei_b, ei_mb = scalars
     pi_ = weight * a2 * (
         np.sin(t / x) * boundary
         - (1.0 / (4.0 * x))
@@ -202,21 +208,23 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
     return delta, pi_
 
 
-def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
+def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs, consts):
     b = cfg.cutoff_shift
-    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs)
-    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b))
+    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs, consts[0])
+    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b), consts[1])
     return delta_1 + delta_b, pi_1 + pi_b
 
 
-def _coefficients(cfg: QbmConfig, t: np.ndarray):
+def _coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
     """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
 
     The two ``_ei_pairs`` batches (and, at low temperature, the two
     cutoff-shifted ones) are evaluated once and shared by all three
     coefficients; each coefficient's imaginary residue is checked.
+    ``consts`` is ``_ei_constants(cfg)``, evaluated here when omitted.
     """
     x, a2 = cfg.x, cfg.alpha**2
+    consts = consts or _ei_constants(cfg)
     pairs = _ei_pairs(t, x)
     e_p, e_m, f_p, f_m = pairs
     gamma = (a2 / (4.0 * x)) * (
@@ -225,9 +233,9 @@ def _coefficients(cfg: QbmConfig, t: np.ndarray):
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
     if cfg.regime == "high":
-        delta, pi_ = _delta_pi_high(cfg, pairs)
+        delta, pi_ = _delta_pi_high(cfg, pairs, consts[0])
     else:
-        delta, pi_ = _delta_pi_low(cfg, t, pairs)
+        delta, pi_ = _delta_pi_low(cfg, t, pairs, consts)
     return tuple(
         _zero_at_origin(t, _real_checked(values, name))
         for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"))
@@ -315,34 +323,8 @@ def coeff_pi_quadrature(cfg: QbmConfig, tau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# accumulated damping and noise
+# the solution: Gamma and the noise integral at the grid nodes
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GammaAccumulator:
-    """Gamma(tau) = 2 * integral of gamma on a fixed grid, with caches.
-
-    Coefficient evaluations are cached on the grid (they are the
-    expensive part); values between nodes are linearly interpolated.
-    ``_fine`` holds (refined grid, gamma, Delta, Pi, node indices) on the
-    ``NOISE_REFINEMENT``-fold refined grid, shared by Gamma and the noise
-    integral, which fills ``_wbar``.
-    """
-
-    cfg: QbmConfig
-    grid: np.ndarray
-    values: np.ndarray
-    _fine: tuple | None = None
-    _wbar: np.ndarray | None = None
-
-    def value_at(self, tau: float) -> float:
-        self._check_covered(tau)
-        return float(np.interp(tau, self.grid, self.values))
-
-    def _check_covered(self, tau: float):
-        if tau < 0 or tau > self.grid[-1] + 1e-12:
-            raise ValueError(f"tau={tau} outside accumulator range [0, {self.grid[-1]}]")
-
 
 def _make_grid(horizon: float, step: float) -> np.ndarray:
     if not (0 < horizon < np.inf and 0 < step < np.inf):
@@ -363,6 +345,11 @@ def _make_grid(horizon: float, step: float) -> np.ndarray:
 #: O(step^4) negativity in the physicality form at the first node.
 NOISE_REFINEMENT = 4
 
+#: Grid intervals per chunk of the solver, the trajectory and the CSV
+#: writer.  Even, so that every chunk starts at an even node and no Simpson
+#: panel (2j, 2j+1, 2j+2) straddles a seam.
+_CHUNK = 4096
+
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     base = grid[:-1]
@@ -370,17 +357,6 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     offsets = np.arange(factor) / factor
     fine = (base[:, None] + widths[:, None] * offsets[None, :]).ravel()
     return np.append(fine, grid[-1])
-
-
-def _fine_coefficients(cfg: QbmConfig, grid: np.ndarray) -> tuple:
-    """(fine grid, gamma, Delta, Pi, node indices) on the refined grid.
-
-    The refined grid holds every node of ``grid`` exactly, so
-    ``gamma[nodes]`` equals the coefficient evaluated on ``grid`` itself.
-    """
-    fine = _refine_grid(grid, NOISE_REFINEMENT)
-    nodes = np.append(np.arange(len(grid) - 1) * NOISE_REFINEMENT, len(fine) - 1)
-    return (fine, *_coefficients(cfg, fine), nodes)
 
 
 def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
@@ -401,54 +377,113 @@ def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` over the 1-d grid ``x`` along
-    the last axis, starting from 0.
+def _simpson_parts(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Simpson integral of ``y`` over each interval of the 1-d grid ``x``,
+    along the last axis.
 
-    The arithmetic is that of ``scipy.integrate.cumulative_simpson(y,
-    x=x, initial=0.0)`` on unequal intervals, so the results are
-    bit-identical: each interval takes its first-half integral from the
-    panel to its right and, for odd intervals and the last one, its
-    second-half integral from the panel to its left.  Fewer than three
-    points fall back to the trapezoid rule, as SciPy does.
+    The arithmetic is that of ``scipy.integrate.cumulative_simpson`` on
+    unequal intervals: each interval takes its first-half integral from
+    the panel to its right and, for odd intervals and the last one, its
+    second-half integral from the panel to its left.  A part reads only its
+    own panel, so the parts of the points 2j..k equal those of the whole
+    grid.  Fewer than three points fall back to the trapezoid rule, as
+    SciPy does.
     """
     dx = np.diff(x)
     if y.shape[-1] < 3:
-        parts = dx * (y[..., 1:] + y[..., :-1]) / 2.0
-    else:
-        h1 = _simpson_first_halves(y, dx)
-        h2 = _simpson_first_halves(y[..., ::-1], dx[::-1])[..., ::-1]
-        parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-        parts[..., :-1:2] = h1[..., ::2]
-        parts[..., 1::2] = h2[..., ::2]
-        parts[..., -1] = h2[..., -1]
-    out = np.zeros(y.shape)
-    np.cumsum(parts, axis=-1, out=out[..., 1:])
-    return out
+        return dx * (y[..., 1:] + y[..., :-1]) / 2.0
+    h1 = _simpson_first_halves(y, dx)
+    h2 = _simpson_first_halves(y[..., ::-1], dx[::-1])[..., ::-1]
+    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    parts[..., :-1:2] = h1[..., ::2]
+    parts[..., 1::2] = h2[..., ::2]
+    parts[..., -1] = h2[..., -1]
+    return parts
 
 
-def gamma_capital(
-    cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP, gamma_fn=None
-) -> GammaAccumulator:
-    """Cumulative damping exponent Gamma on a fresh grid.
+def _running_sum(start, parts: np.ndarray) -> np.ndarray:
+    """``start`` followed by its running sums with ``parts`` (last axis).
 
-    ``gamma_fn(cfg, taus)`` may replace the closed-form coefficient
-    (used by synthetic probes); integration is cumulative Simpson, exact
-    for polynomials up to degree 2 and refinement-stable.  Without
-    ``gamma_fn`` the closed-form coefficients are evaluated once, on the
-    refined grid of the noise integral, and Gamma integrates their
-    values at the grid nodes.
+    np.cumsum adds in sequence, so seeding it with the total carried from
+    the previous chunk continues the whole-grid sum bit for bit.
+    """
+    out = np.concatenate([np.expand_dims(start, -1), parts], axis=-1)
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` over the 1-d grid ``x`` along
+    the last axis, starting from 0: bit-identical to
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``."""
+    return _running_sum(np.zeros(y.shape[:-1]), _simpson_parts(y, x))
+
+
+def _rotations(tau: np.ndarray, x: float) -> np.ndarray:
+    """R(tau) for every tau, shape (2, 2, len(tau))."""
+    c, s = np.cos(tau / x), np.sin(tau / x)
+    return np.array([[c, s], [-s, c]])
+
+
+@dataclass(frozen=True)
+class QbmSolution:
+    """Gamma and the noise integral Wbar of the QBM channel at the nodes
+    of a tau-grid; the arrays are read-only.
+
+    ``gamma_capital`` integrates gamma's node values by cumulative Simpson
+    on ``grid``; ``wbar`` (shape (2, 2, m)) is integrated on the
+    ``NOISE_REFINEMENT``-fold refined grid.
+    """
+
+    cfg: QbmConfig
+    grid: np.ndarray
+    gamma_capital: np.ndarray
+    wbar: np.ndarray
+
+    def _nodes(self, part: slice) -> "QbmSolution":
+        return replace(self, grid=self.grid[part], gamma_capital=self.gamma_capital[part],
+                       wbar=self.wbar[..., part])
+
+
+def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> QbmSolution:
+    """Gamma and Wbar on the grid 0, step, ..., horizon.
+
+    The grid is walked ``_CHUNK`` intervals at a time.  Per chunk the
+    closed-form coefficients are evaluated on the refined points, the
+    fine-grid Gamma weights the co-rotating noise integrand R^T M R, and
+    both running integrals carry their totals into the next chunk; only
+    gamma, Gamma and Wbar at the nodes are kept.  Gamma at the nodes
+    integrates gamma's node values, re-reading the two nodes before each
+    seam.  The result equals that of one whole-grid pass bit for bit.
     """
     grid = _make_grid(horizon, step)
-    fine = None
-    if gamma_fn is None:
-        fine = _fine_coefficients(cfg, grid)
-        _, gamma_f, _, _, nodes = fine
-        g = gamma_f[nodes]
-    else:
-        g = np.asarray(gamma_fn(cfg, grid), dtype=float)
-    values = 2.0 * _cumulative_simpson(g, grid)
-    return GammaAccumulator(cfg=cfg, grid=grid, values=values, _fine=fine)
+    consts = _ei_constants(cfg)
+    m, x = len(grid), cfg.x
+    gamma_n, big_gamma, wbar = np.empty(m), np.empty(m), np.empty((2, 2, m))
+    node_total, fine_total, noise_total = 0.0, 0.0, np.zeros((2, 2))
+    nodes = slice(None, None, NOISE_REFINEMENT)
+    for lo in range(0, m - 1, _CHUNK):
+        hi = min(lo + _CHUNK, m - 1)
+        fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
+        gamma_f, delta_f, pi_f = _coefficients(cfg, fine, consts)
+        gamma_n[lo:hi + 1] = gamma_f[nodes]
+        first = max(lo - 2, 0)
+        run = _running_sum(node_total, _simpson_parts(
+            gamma_n[first:hi + 1], grid[first:hi + 1])[lo - first:])
+        big_gamma[lo:hi + 1], node_total = 2.0 * run, run[-1]
+        run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
+        big_gamma_f, fine_total = 2.0 * run, run[-1]
+        rot = _rotations(fine, x)
+        m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
+        # co-rotating integrand R^T M R, damped accumulation, rotated back
+        integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot) * np.exp(big_gamma_f)
+        cum = _running_sum(noise_total, _simpson_parts(integrand, fine))
+        noise_total = cum[..., -1].copy()
+        wbar[:, :, lo:hi + 1] = np.einsum(
+            "ija,jka,lka->ila", _rotations(fine[nodes], x),
+            cum[..., nodes] * np.exp(-big_gamma_f[nodes]), _rotations(fine[nodes], x))
+    for array in (grid, big_gamma, wbar):
+        array.flags.writeable = False
+    return QbmSolution(cfg=cfg, grid=grid, gamma_capital=big_gamma, wbar=wbar)
 
 
 def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
@@ -459,48 +494,43 @@ def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def _ensure_noise_cache(acc: GammaAccumulator):
-    if acc._wbar is not None:
-        return
-    cfg = acc.cfg
-    if acc._fine is None:
-        acc._fine = _fine_coefficients(cfg, acc.grid)
-    fine, gamma_f, delta_f, pi_f, nodes = acc._fine
-    big_gamma_f = 2.0 * _cumulative_simpson(gamma_f, fine)
-    c, s = np.cos(fine / cfg.x), np.sin(fine / cfg.x)
-    zero = np.zeros_like(fine)
-    rot = np.array([[c, s], [-s, c]])  # (2, 2, m)
-    m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, zero]])
-    # co-rotating integrand R^T M R, damped accumulation, rotated back
-    integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot) * np.exp(big_gamma_f)
-    cum = _cumulative_simpson(integrand, fine)
-    wbar_f = np.einsum("ija,jka,lka->ila", rot, cum * np.exp(-big_gamma_f), rot)
-    acc._wbar = wbar_f[:, :, nodes]
+#: Largest relative asymmetry |W01 - W10| / max(1, max|W|) of the noise integral.
+ASYMMETRY_TOL = 1e-8
 
 
-def noise_wbar(cfg: QbmConfig, tau: float, acc: GammaAccumulator) -> np.ndarray:
-    """The noise integral Wbar(tau) on the accumulator grid."""
-    acc._check_covered(tau)
-    _ensure_noise_cache(acc)
-    w = np.array(
-        [
-            [np.interp(tau, acc.grid, acc._wbar[i, j]) for j in range(2)]
-            for i in range(2)
-        ]
-    )
-    asym = np.max(np.abs(w - w.T)) / max(1.0, np.max(np.abs(w)))
-    if asym > 1e-8:
+def _asymmetry(sol: QbmSolution) -> float:
+    """Worst relative asymmetry of Wbar over the solution's nodes.
+
+    Raises :class:`IntegrationResolutionError` when a node (NaN included)
+    misses ``ASYMMETRY_TOL``.
+    """
+    w = sol.wbar
+    rel = np.abs(w[0, 1] - w[1, 0]) / np.maximum(1.0, np.max(np.abs(w), axis=(0, 1)))
+    if not np.all(rel <= ASYMMETRY_TOL):
+        i = int(np.argmax(~(rel <= ASYMMETRY_TOL)))
         raise IntegrationResolutionError(
-            f"noise matrix asymmetry {asym:.3e} exceeds 1e-8"
+            f"noise matrix asymmetry {rel[i]:.3e} exceeds {ASYMMETRY_TOL:g} "
+            f"at tau={sol.grid[i]:g}"
         )
+    return float(np.max(rel))
+
+
+def noise_wbar(sol: QbmSolution, tau: float) -> np.ndarray:
+    """The noise integral Wbar(tau), interpolated between the nodes and
+    symmetrized once its asymmetry is checked."""
+    if tau < 0 or tau > sol.grid[-1] + 1e-12:
+        raise ValueError(f"tau={tau} outside the solution's range [0, {sol.grid[-1]}]")
+    w = np.array([[np.interp(tau, sol.grid, sol.wbar[i, j]) for j in range(2)]
+                  for i in range(2)])
+    _asymmetry(replace(sol, grid=np.array([tau]), wbar=w[..., None]))
     return 0.5 * (w + w.T)
 
 
-def qbm_channel(cfg: QbmConfig, tau: float, acc: GammaAccumulator) -> GaussianChannel:
+def qbm_channel(sol: QbmSolution, tau: float) -> GaussianChannel:
     """The one-mode channel (e^{-Gamma/2} R, 2 Wbar, 0) at time tau."""
-    big_gamma = acc.value_at(tau)
-    t_mat = np.exp(-big_gamma / 2.0) * rotation_r(cfg, tau)
-    n_mat = 2.0 * noise_wbar(cfg, tau, acc)
+    n_mat = 2.0 * noise_wbar(sol, tau)
+    big_gamma = float(np.interp(tau, sol.grid, sol.gamma_capital))
+    t_mat = np.exp(-big_gamma / 2.0) * rotation_r(sol.cfg, tau)
     return GaussianChannel(1, t_mat, n_mat, np.zeros(2))
 
 
@@ -521,6 +551,8 @@ class Trajectory:
     term_t12t22: np.ndarray
     #: Worst |generic I_c - formula I_c| over the grid (bounded by 1e-8).
     cross_check_error: float
+    #: Worst relative asymmetry of Wbar over the grid (bounded by 1e-8).
+    wbar_asymmetry: float
 
     def window_mean(self, start: float, width: float) -> float:
         """Mean of I_c over the window [start, start + width]."""
@@ -530,13 +562,13 @@ class Trajectory:
         return float(np.mean(self.ic[mask]))
 
     def write_csv(self, path):
-        rows = np.column_stack([
-            self.tau, self.ic, self.gamma_capital, self.n12,
-            self.term_t21, self.term_t12t22,
-        ]).tolist()
+        columns = (self.tau, self.ic, self.gamma_capital, self.n12,
+                   self.term_t21, self.term_t12t22)
         with open(path, "w", newline="\n") as fh:
             fh.write("tau,Ic,Gamma,N12,term_T21,term_T12T22\n")
-            fh.writelines(_csv_lines(rows))
+            for lo in range(0, len(self.tau), _CHUNK):
+                rows = np.column_stack([c[lo:lo + _CHUNK] for c in columns]).tolist()
+                fh.writelines(_csv_lines(rows))
 
 
 _CSV_ROW = ",".join(["%.12g"] * 6) + "\n"
@@ -564,19 +596,17 @@ def _fmt(v: float) -> str:
 CROSS_CHECK_TOL = 1e-8
 
 
-def _cross_check(cfg: QbmConfig, acc: GammaAccumulator, direct: np.ndarray) -> float:
-    """Worst |generic I_c - direct| over the grid, one batched measure call.
+def _cross_check(sol: QbmSolution, direct: np.ndarray) -> float:
+    """Worst |generic I_c - direct| over the solution's nodes, one batched
+    measure call.
 
     Raises :class:`FormulaInconsistencyError` when a channel matrix is
     non-finite or any point (NaN included) misses ``CROSS_CHECK_TOL``.
     """
-    grid, x = acc.grid, cfg.x
-    half = np.exp(-acc.values / 2.0)
-    cos_, sin_ = np.cos(grid / x), np.sin(grid / x)
-    t_mats = half[:, None, None] * np.stack(
-        [np.stack([cos_, sin_], axis=-1), np.stack([-sin_, cos_], axis=-1)], axis=-2
-    )
-    n_mats = 2.0 * np.moveaxis(acc._wbar, -1, 0)
+    grid = sol.grid
+    t_mats = np.exp(-sol.gamma_capital / 2.0)[:, None, None] * np.moveaxis(
+        _rotations(grid, sol.cfg.x), -1, 0)
+    n_mats = 2.0 * np.moveaxis(sol.wbar, -1, 0)
     n_mats = 0.5 * (n_mats + np.swapaxes(n_mats, -1, -2))
     finite = np.all(np.isfinite(t_mats), axis=(1, 2)) & np.all(np.isfinite(n_mats), axis=(1, 2))
     if not np.all(finite):
@@ -604,25 +634,34 @@ def imaginarity_trajectory(
 
         |e^{-Gamma/2} sin(tau/x)| + (1/2)|e^{-Gamma} sin(2 tau/x)| + |N12|;
 
-    the two must agree within ``CROSS_CHECK_TOL`` at every point.
+    the two must agree within ``CROSS_CHECK_TOL`` at every point, and
+    Wbar must be symmetric within ``ASYMMETRY_TOL``.  Both checks run
+    ``_CHUNK`` nodes at a time.
     """
-    acc = gamma_capital(cfg, horizon, step)
-    _ensure_noise_cache(acc)
-    grid, big_gamma = acc.grid, acc.values
-    x = cfg.x
-    n12 = 2.0 * acc._wbar[0, 1]
-    term1 = np.abs(np.exp(-big_gamma / 2.0) * np.sin(grid / x))
-    term2 = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * grid / x))
-    direct = term1 + term2 + np.abs(n12)
+    sol = solve_qbm(cfg, horizon, step)
+    m, x = len(sol.grid), cfg.x
+    n12, term1, term2, direct = (np.empty(m) for _ in range(4))
+    error = asymmetry = 0.0
+    for lo in range(0, m, _CHUNK):
+        nodes = slice(lo, lo + _CHUNK)
+        part = sol._nodes(nodes)
+        tau, big_gamma = part.grid, part.gamma_capital
+        n12[nodes] = 2.0 * part.wbar[0, 1]
+        term1[nodes] = np.abs(np.exp(-big_gamma / 2.0) * np.sin(tau / x))
+        term2[nodes] = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * tau / x))
+        direct[nodes] = term1[nodes] + term2[nodes] + np.abs(n12[nodes])
+        error = max(error, _cross_check(part, direct[nodes]))
+        asymmetry = max(asymmetry, _asymmetry(part))
     return Trajectory(
         cfg=cfg,
-        tau=grid,
+        tau=sol.grid,
         ic=direct,
-        gamma_capital=big_gamma,
+        gamma_capital=sol.gamma_capital,
         n12=n12,
         term_t21=term1,
         term_t12t22=term2,
-        cross_check_error=_cross_check(cfg, acc, direct),
+        cross_check_error=error,
+        wbar_asymmetry=asymmetry,
     )
 
 
@@ -630,19 +669,20 @@ def imaginarity_trajectory(
 # asymptotics and oracles
 # ---------------------------------------------------------------------------
 
-def n12_scalar_oracle(acc: GammaAccumulator) -> np.ndarray:
-    """N12 on the grid via the scalar co-rotating integral.
+def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
+    """N12 at the solution's nodes via the scalar co-rotating integral.
 
-    Independent algebraic route (trig-expanded cumulative integrals)
-    used to cross-check the matrix Wbar path:
+    Independent algebraic route (trig-expanded cumulative integrals on
+    its own whole-grid evaluation of the refined coefficients) used to
+    cross-check the matrix Wbar path:
 
       N12(tau) = e^{-Gamma} * integral of
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
     """
-    _ensure_noise_cache(acc)
-    fine, gamma, delta, pi_, nodes = acc._fine
+    fine = _refine_grid(sol.grid, NOISE_REFINEMENT)
+    gamma, delta, pi_ = _coefficients(sol.cfg, fine)
     big_gamma = 2.0 * _cumulative_simpson(gamma, fine)
-    x = acc.cfg.x
+    x = sol.cfg.x
     weight = np.exp(big_gamma)
     sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)
     a1 = _cumulative_simpson(weight * delta * sin2, fine)
@@ -650,7 +690,7 @@ def n12_scalar_oracle(acc: GammaAccumulator) -> np.ndarray:
     b1 = _cumulative_simpson(weight * pi_ * sin2, fine)
     b2 = _cumulative_simpson(weight * pi_ * cos2, fine)
     n12 = np.exp(-big_gamma) * (cos2 * (a1 - b2) - sin2 * (a2 + b1))
-    return n12[nodes]
+    return n12[::NOISE_REFINEMENT]
 
 
 def steady_state_n12(cfg: QbmConfig) -> float:

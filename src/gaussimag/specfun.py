@@ -116,16 +116,22 @@ def expint_ei(z):
     series = near & ((w.real > 2.0 * np.abs(w.imag))
                      | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
     out = np.empty(w.shape, dtype=complex)
-    out[series] = _series(w[series])
-    out[near & ~series] = -_e1_continued_fraction(-w[near & ~series])
+    # each expansion runs only where it has elements: its loop costs the
+    # same on an empty array
+    if np.any(series):
+        out[series] = _series(w[series])
+    if np.any(cf := near & ~series):
+        out[cf] = -_e1_continued_fraction(-w[cf])
     upper = np.inf
     for lower, terms in _ASYMPTOTIC_BANDS:
         band = (r >= lower) & (r < upper)
+        upper = lower
+        if not np.any(band):
+            continue
         u, s = 1.0 / w[band], 1.0
         for k in range(terms - 1, 0, -1):
             s = 1.0 + k * u * s
         out[band] = np.exp(w[band]) * u * s
-        upper = lower
     # the i pi sgn(Im w) term moves the cut of -E1(-w) to the negative axis
     out[~series] += 1j * np.pi * np.sign(w.imag[~series])
     on_axis = w.imag == 0

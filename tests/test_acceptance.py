@@ -35,7 +35,7 @@ from gaussimag.qbm import (
     coeff_gamma_quadrature,
     coeff_pi_closed,
     coeff_pi_quadrature,
-    gamma_capital,
+    solve_qbm,
 )
 
 FIGURE_CONFIGS = [
@@ -71,12 +71,12 @@ def _verdict(criterion: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def _ic_series(acc) -> np.ndarray:
+def _ic_series(sol) -> np.ndarray:
     """The damped-oscillation I_c formula evaluated on the whole grid."""
-    grid, big_gamma, x = acc.grid, acc.values, acc.cfg.x
+    grid, big_gamma, x = sol.grid, sol.gamma_capital, sol.cfg.x
     term1 = np.abs(np.exp(-big_gamma / 2.0) * np.sin(grid / x))
     term2 = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * grid / x))
-    return term1 + term2 + np.abs(2.0 * acc._wbar[0, 1])
+    return term1 + term2 + np.abs(2.0 * sol.wbar[0, 1])
 
 
 def _window_width(cfg: QbmConfig) -> float:
@@ -96,8 +96,8 @@ def _settled_start(cfg: QbmConfig, level: float) -> float:
     return float(np.log(2.0 / (np.pi * level)) / gamma_inf)
 
 
-def _window_report(acc, start: float) -> str:
-    big_gamma = acc.value_at(start)
+def _window_report(sol, start: float) -> str:
+    big_gamma = float(np.interp(start, sol.grid, sol.gamma_capital))
     envelope = 2.0 / np.pi * np.exp(-big_gamma / 2.0)
     return f"window from tau={start:.0f} (Gamma {big_gamma:.2f}, envelope {envelope:.2g})"
 
@@ -111,9 +111,7 @@ class _Grids:
     def get(self, cfg: QbmConfig, horizon: float, step: float = qbm.DEFAULT_STEP):
         key = (cfg, horizon, step)
         if key not in self.built:
-            acc = gamma_capital(cfg, horizon, step)
-            qbm._ensure_noise_cache(acc)
-            self.built[key] = acc
+            self.built[key] = solve_qbm(cfg, horizon, step)
         return self.built[key]
 
     def figure(self, cfg: QbmConfig):
@@ -301,13 +299,13 @@ def test_criterion_5_trajectory_formula_consistency(grids):
     start = time.perf_counter()
     worst = 0.0
     for cfg in FIGURE_CONFIGS:
-        acc = grids.figure(cfg)
-        direct = _ic_series(acc)
-        half = np.exp(-acc.values / 2.0)
-        cos_, sin_ = np.cos(acc.grid / cfg.x), np.sin(acc.grid / cfg.x)
-        for i in range(len(acc.grid)):
+        sol = grids.figure(cfg)
+        direct = _ic_series(sol)
+        half = np.exp(-sol.gamma_capital / 2.0)
+        cos_, sin_ = np.cos(sol.grid / cfg.x), np.sin(sol.grid / cfg.x)
+        for i in range(len(sol.grid)):
             t_mat = half[i] * np.array([[cos_[i], sin_[i]], [-sin_[i], cos_[i]]])
-            chan = GaussianChannel(1, t_mat, 2.0 * acc._wbar[:, :, i], np.zeros(2))
+            chan = GaussianChannel(1, t_mat, 2.0 * sol.wbar[:, :, i], np.zeros(2))
             worst = max(worst, abs(channel_measure_ic(chan).value - direct[i]))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8
@@ -325,14 +323,14 @@ def test_criterion_6_high_temperature_steady_values(grids):
     for panel, entries in STEADY_PANELS.items():
         panel_start = time.perf_counter()
         for cfg, quoted in entries:
-            acc, start = grids.steady(cfg, quoted)
-            mean = float(np.mean(_ic_series(acc)[acc.grid >= start]))
+            sol, start = grids.steady(cfg, quoted)
+            mean = float(np.mean(_ic_series(sol)[sol.grid >= start]))
             within = abs(mean - quoted) <= 0.25 * quoted
             ok &= within
             details.append(
                 f"{panel} alpha={cfg.alpha} x={cfg.x}: mean {mean:.4g} vs "
                 f"quoted {quoted} ({'ok' if within else 'off'}), "
-                f"{_window_report(acc, start)}"
+                f"{_window_report(sol, start)}"
             )
         panel_elapsed = time.perf_counter() - panel_start
         ok &= panel_elapsed < 300.0
@@ -341,14 +339,14 @@ def test_criterion_6_high_temperature_steady_values(grids):
 
 
 def test_criterion_7_low_temperature_decay(grids):
-    acc, start, peak = grids.decay()
-    late = float(np.mean(_ic_series(acc)[acc.grid >= start]))
+    sol, start, peak = grids.decay()
+    late = float(np.mean(_ic_series(sol)[sol.grid >= start]))
     ratio = late / peak
     _verdict(
         7,
         ratio < 0.1,
         f"late-window mean {late:.4g} vs first-period peak {peak:.4g}, "
-        f"ratio {ratio:.3f} (required < 0.1), {_window_report(acc, start)}",
+        f"ratio {ratio:.3f} (required < 0.1), {_window_report(sol, start)}",
     )
 
 
@@ -356,10 +354,10 @@ def test_criterion_8_oscillation_period(grids):
     worst_offset = 0.0
     count = 0
     for cfg in FIGURE_CONFIGS:
-        acc = grids.figure(cfg)
-        grid = acc.grid
+        sol = grids.figure(cfg)
+        grid = sol.grid
         step = grid[1] - grid[0]
-        term1 = np.abs(np.exp(-acc.values / 2.0) * np.sin(grid / cfg.x))
+        term1 = np.abs(np.exp(-sol.gamma_capital / 2.0) * np.sin(grid / cfg.x))
         # zero crossings of the T21 oscillation, located by sign change
         sine = np.sin(grid / cfg.x)
         crossings = grid[:-1][np.diff(np.sign(sine)) != 0]
@@ -387,10 +385,10 @@ def test_criterion_9_full_physicality_sweep(grids):
     worst_rel = 0.0
     swept = 0
     channels = 0
-    for key, acc in grids.every().items():
+    for key, sol in grids.every().items():
         swept += 1
-        big_gamma = acc.values
-        n_mats = 2.0 * acc._wbar  # (2, 2, m)
+        big_gamma = sol.gamma_capital
+        n_mats = 2.0 * sol.wbar  # (2, 2, m)
         # T Delta T^T = e^{-Gamma} Delta for T = e^{-Gamma/2} R, so the
         # physicality form is N + i (1 - e^{-Gamma}) Delta: closed-form
         # eigenvalues for the whole grid at once
@@ -402,10 +400,9 @@ def test_criterion_9_full_physicality_sweep(grids):
         scale = np.maximum(1.0, np.abs(mean) + radius)
         worst_rel = max(worst_rel, float(np.max(-min_eig / scale)))
         # independent spot checks through the generic validator
-        cfg = acc.cfg
-        for i in np.sort(rng.choice(len(acc.grid), size=200, replace=False)):
-            tau = float(acc.grid[i])
-            chan = qbm.qbm_channel(cfg, tau, acc)
+        for i in np.sort(rng.choice(len(sol.grid), size=200, replace=False)):
+            tau = float(sol.grid[i])
+            chan = qbm.qbm_channel(sol, tau)
             assert validate_channel(chan), f"{key} invalid at tau={tau}"
             channels += 1
     ok = swept >= 9 and worst_rel <= 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -213,6 +214,9 @@ def test_qbm_writes_csv(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["rows"] == 501
     assert 0.0 <= report["results"]["cross_check_error"] <= 1e-8
+    assert 0.0 <= report["results"]["wbar_asymmetry"] <= 1e-8
+    keys = list(report["results"])
+    assert keys.index("wbar_asymmetry") == keys.index("cross_check_error") + 1
     lines = out.read_text().splitlines()
     assert lines[0] == "tau,Ic,Gamma,N12,term_T21,term_T12T22"
     assert len(lines) == 502
@@ -286,13 +290,15 @@ def test_audit_bad_parameters_are_usage_errors(capsys, argv):
 def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
     from gaussimag import qbm
 
-    original = qbm._ensure_noise_cache
+    original = qbm.solve_qbm
 
-    def corrupted(acc):
-        original(acc)
-        acc._wbar[1, 1, 3] = np.nan
+    def corrupted(*args):
+        sol = original(*args)
+        wbar = sol.wbar.copy()
+        wbar[1, 1, 3] = np.nan
+        return dataclasses.replace(sol, wbar=wbar)
 
-    monkeypatch.setattr(qbm, "_ensure_noise_cache", corrupted)
+    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
     code = cli.main([
         "qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
         "--horizon", "5", "--out", str(tmp_path / "t.csv"),
@@ -301,6 +307,26 @@ def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("computation failed: non-finite")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_qbm_asymmetric_noise_is_compute_error(tmp_path, capsys, monkeypatch):
+    # Wbar[1, 0] = -3 Wbar[0, 1] passes the cross-check (|N12| is unchanged)
+    from gaussimag import qbm
+
+    original = qbm.solve_qbm
+
+    def corrupted(*args):
+        sol = original(*args)
+        wbar = sol.wbar.copy()
+        wbar[1, 0, 250] = -3.0 * wbar[0, 1, 250]
+        return dataclasses.replace(sol, wbar=wbar)
+
+    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
+    code = cli.main(QBM_BASE + ["--out", str(tmp_path / "t.csv")])
+    assert code == cli.EXIT_COMPUTE
+    assert_one_line(capsys.readouterr().err,
+                    "computation failed: noise matrix asymmetry")
+    assert not (tmp_path / "t.csv").exists()
 
 
 QBM_BASE = ["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100", "--horizon", "5"]

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import gaussimag.qbm as qbm
 from gaussimag.gaussian import validate_channel
 from gaussimag.qbm import (
     FormulaInconsistencyError,
-    GammaAccumulator,
+    IntegrationResolutionError,
     QbmConfig,
     coeff_delta_closed,
     coeff_delta_quadrature,
@@ -14,12 +17,12 @@ from gaussimag.qbm import (
     coeff_gamma_quadrature,
     coeff_pi_closed,
     coeff_pi_quadrature,
-    gamma_capital,
     imaginarity_trajectory,
     n12_scalar_oracle,
     noise_wbar,
     qbm_channel,
     rotation_r,
+    solve_qbm,
     steady_state_n12,
 )
 
@@ -175,37 +178,53 @@ def test_config_domain_bounds():
 # accumulated damping
 # ---------------------------------------------------------------------------
 
-def test_gamma_capital_zero_coefficient():
-    acc = gamma_capital(HIGH, 10.0, gamma_fn=lambda cfg, t: np.zeros_like(t))
-    assert np.max(np.abs(acc.values)) == 0.0
+def _fixed_gamma(monkeypatch, value):
+    """Replace the closed-form gamma by the constant ``value``."""
+    shared = qbm._coefficients
+
+    def fixed(cfg, t, *consts):
+        gamma, delta, pi_ = shared(cfg, t, *consts)
+        return np.full_like(gamma, value), delta, pi_
+
+    monkeypatch.setattr(qbm, "_coefficients", fixed)
 
 
-def test_gamma_capital_constant_coefficient():
-    acc = gamma_capital(HIGH, 10.0, gamma_fn=lambda cfg, t: np.full_like(t, 0.37))
+def _gamma_at(sol, tau):
+    return float(np.interp(tau, sol.grid, sol.gamma_capital))
+
+
+def test_gamma_capital_zero_coefficient(monkeypatch):
+    _fixed_gamma(monkeypatch, 0.0)
+    assert np.max(np.abs(solve_qbm(HIGH, 10.0).gamma_capital)) == 0.0
+
+
+def test_gamma_capital_constant_coefficient(monkeypatch):
+    _fixed_gamma(monkeypatch, 0.37)
+    sol = solve_qbm(HIGH, 10.0)
     for tau in (0.0, 1.0, 4.2, 10.0):
-        assert acc.value_at(tau) == pytest.approx(2.0 * 0.37 * tau, abs=1e-12)
+        assert _gamma_at(sol, tau) == pytest.approx(2.0 * 0.37 * tau, abs=1e-12)
 
 
 def test_gamma_capital_step_halving():
-    a = gamma_capital(HIGH, 10.0, step=0.01).value_at(10.0)
-    b = gamma_capital(HIGH, 10.0, step=0.005).value_at(10.0)
+    a = solve_qbm(HIGH, 10.0, step=0.01).gamma_capital[-1]
+    b = solve_qbm(HIGH, 10.0, step=0.005).gamma_capital[-1]
     assert abs(a - b) < 1e-6
 
 
 def test_gamma_capital_eventually_monotone():
-    acc = gamma_capital(HIGH, 50.0)
-    assert acc.value_at(50.0) > 0
+    sol = solve_qbm(HIGH, 50.0)
+    assert _gamma_at(sol, 50.0) > 0
     # damping accumulates monotonically once transients pass
-    tail = acc.values[acc.grid > 5.0]
+    tail = sol.gamma_capital[sol.grid > 5.0]
     assert np.all(np.diff(tail) > -1e-12)
 
 
 def test_gamma_capital_range_errors():
-    acc = gamma_capital(HIGH, 5.0)
+    sol = solve_qbm(HIGH, 5.0)
     with pytest.raises(ValueError):
-        acc.value_at(6.0)
+        qbm_channel(sol, 6.0)
     with pytest.raises(ValueError):
-        gamma_capital(HIGH, -1.0)
+        solve_qbm(HIGH, -1.0)
 
 
 def _scipy_cumulative_simpson(y, x):
@@ -274,27 +293,27 @@ def test_rotation_group_law():
 
 
 def test_noise_zero_at_origin():
-    acc = gamma_capital(HIGH, 5.0)
-    assert np.max(np.abs(noise_wbar(HIGH, 0.0, acc))) == 0.0
+    sol = solve_qbm(HIGH, 5.0)
+    assert np.max(np.abs(noise_wbar(sol, 0.0))) == 0.0
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
     shared = qbm._coefficients
 
-    def no_diffusion(cfg, t):
-        gamma, delta, pi_ = shared(cfg, t)
+    def no_diffusion(cfg, t, *consts):
+        gamma, delta, pi_ = shared(cfg, t, *consts)
         return gamma, np.zeros_like(delta), np.zeros_like(pi_)
 
     monkeypatch.setattr(qbm, "_coefficients", no_diffusion)
-    acc = gamma_capital(HIGH, 5.0)
+    sol = solve_qbm(HIGH, 5.0)
     for tau in (1.0, 3.0, 5.0):
-        assert np.max(np.abs(noise_wbar(HIGH, tau, acc))) == 0.0
+        assert np.max(np.abs(noise_wbar(sol, tau))) == 0.0
 
 
 def test_noise_is_symmetric():
-    acc = gamma_capital(HIGH, 20.0)
+    sol = solve_qbm(HIGH, 20.0)
     for tau in (0.5, 7.0, 20.0):
-        w = noise_wbar(HIGH, tau, acc)
+        w = noise_wbar(sol, tau)
         assert np.array_equal(w, w.T)
 
 
@@ -303,27 +322,26 @@ def test_noise_is_symmetric():
 # ---------------------------------------------------------------------------
 
 def test_qbm_channel_at_origin_is_identity():
-    acc = gamma_capital(HIGH, 5.0)
-    c = qbm_channel(HIGH, 0.0, acc)
+    c = qbm_channel(solve_qbm(HIGH, 5.0), 0.0)
     assert np.allclose(c.T, np.eye(2))
     assert np.max(np.abs(c.N)) == 0.0
     assert np.max(np.abs(c.d)) == 0.0
 
 
 def test_qbm_channel_t_gram_is_damping():
-    acc = gamma_capital(HIGH, 20.0)
+    sol = solve_qbm(HIGH, 20.0)
     for tau in (1.0, 5.0, 20.0):
-        c = qbm_channel(HIGH, tau, acc)
+        c = qbm_channel(sol, tau)
         assert np.allclose(
-            c.T.T @ c.T, np.exp(-acc.value_at(tau)) * np.eye(2), atol=1e-12
+            c.T.T @ c.T, np.exp(-_gamma_at(sol, tau)) * np.eye(2), atol=1e-12
         )
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 def test_qbm_channel_is_physical(cfg):
-    acc = gamma_capital(cfg, 20.0)
+    sol = solve_qbm(cfg, 20.0)
     for tau in (1.0, 5.0, 20.0):
-        assert validate_channel(qbm_channel(cfg, tau, acc))
+        assert validate_channel(qbm_channel(sol, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +379,13 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
     assert 0.0 <= short_trajectory.cross_check_error <= qbm.CROSS_CHECK_TOL
 
 
+@pytest.mark.parametrize("horizon", [5.0, 100.0], ids=["one-chunk", "three-chunks"])
 @pytest.mark.parametrize("cfg,batches", [(HIGH, 2), (LOW, 4)], ids=["high", "low"])
-def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
-    # one batch per conjugate pair of Ei argument families over the
-    # refined grid (8 points a row at high T, 16 at low T), plus the
-    # scalar constants Ei(+/-1/x) and, at low T, Ei(+/-b/x)
+def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches, horizon):
+    # one batch per conjugate pair of Ei argument families over each
+    # chunk's refined points (8 points a row at high T, 16 at low T, plus
+    # the point each seam shares), and the scalar constants Ei(+/-1/x)
+    # and, at low T, Ei(+/-b/x) once per trajectory
     array_points, scalar_calls = [], []
     original = qbm.expint_ei
 
@@ -377,9 +397,12 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
         return original(z)
 
     monkeypatch.setattr(qbm, "expint_ei", counting)
-    traj = imaginarity_trajectory(cfg, 5.0)
-    fine = qbm.NOISE_REFINEMENT * (len(traj.tau) - 1) + 1
-    assert array_points == [fine] * batches
+    traj = imaginarity_trajectory(cfg, horizon)
+    intervals = len(traj.tau) - 1
+    chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
+    assert len(chunks) == (1 if horizon == 5.0 else 3)
+    assert array_points == [qbm.NOISE_REFINEMENT * n + 1 for n in chunks for _ in range(batches)]
+    assert sum(array_points) == batches * (qbm.NOISE_REFINEMENT * intervals + len(chunks))
     assert len(scalar_calls) == batches
 
 
@@ -425,42 +448,116 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     for got, want in zip(pairs, direct):
         assert np.array_equal(got, want)
     b = cfg.cutoff_shift
-    for got, want in zip(qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b)),
-                         _low_t_shifted_terms_direct(cfg, t)):
+    terms = qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b),
+                                  qbm._ei_constants(cfg)[1])
+    for got, want in zip(terms, _low_t_shifted_terms_direct(cfg, t)):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
     "value", [lambda w: w + 1e-6, lambda w: np.nan], ids=["off-by-1e-6", "nan"]
 )
+def _corrupt_solution(monkeypatch, entry, value):
+    """Make the trajectory read a solution whose Wbar ``entry`` at the middle
+    node is ``value(Wbar)``."""
+    original = qbm.solve_qbm
+
+    def corrupted(*args):
+        sol = original(*args)
+        wbar = sol.wbar.copy()
+        mid = len(sol.grid) // 2
+        wbar[entry + (mid,)] = value(wbar[..., mid])
+        return dataclasses.replace(sol, wbar=wbar)
+
+    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
+
+
+@pytest.mark.parametrize(
+    "value", [lambda w: w[0, 1] + 1e-6, lambda w: np.nan], ids=["off-by-1e-6", "nan"]
+)
 def test_corrupted_wbar_entry_fails_cross_check(monkeypatch, value):
     # one off-diagonal entry: the formula reads N12 = 2 Wbar[0, 1], the
     # generic measure the symmetrized N
-    original = qbm._ensure_noise_cache
-
-    def corrupted(acc):
-        original(acc)
-        mid = len(acc.grid) // 2
-        acc._wbar[0, 1, mid] = value(acc._wbar[0, 1, mid])
-
-    monkeypatch.setattr(qbm, "_ensure_noise_cache", corrupted)
+    _corrupt_solution(monkeypatch, (0, 1), value)
     with pytest.raises(FormulaInconsistencyError):
         imaginarity_trajectory(HIGH, 5.0)
 
 
+def test_trajectory_reports_wbar_asymmetry(short_trajectory):
+    assert 0.0 <= short_trajectory.wbar_asymmetry <= qbm.ASYMMETRY_TOL
+
+
+def test_asymmetric_wbar_entry_fails_the_asymmetry_check(monkeypatch):
+    # Wbar[1, 0] = -3 Wbar[0, 1] leaves |N12| of the symmetrized N equal to
+    # the formula's |2 Wbar[0, 1]|, so only the asymmetry check can see it
+    _corrupt_solution(monkeypatch, (1, 0), lambda w: -3.0 * w[0, 1])
+    with pytest.raises(IntegrationResolutionError, match="asymmetry .* at tau=2.5"):
+        imaginarity_trajectory(HIGH, 5.0)
+
+
 def test_cross_check_fails_on_nan_formula_value():
-    acc = gamma_capital(HIGH, 5.0)
-    qbm._ensure_noise_cache(acc)
+    sol = solve_qbm(HIGH, 5.0)
     x = HIGH.x
     direct = (
-        np.abs(np.exp(-acc.values / 2.0) * np.sin(acc.grid / x))
-        + 0.5 * np.abs(np.exp(-acc.values) * np.sin(2.0 * acc.grid / x))
-        + np.abs(2.0 * acc._wbar[0, 1])
+        np.abs(np.exp(-sol.gamma_capital / 2.0) * np.sin(sol.grid / x))
+        + 0.5 * np.abs(np.exp(-sol.gamma_capital) * np.sin(2.0 * sol.grid / x))
+        + np.abs(2.0 * sol.wbar[0, 1])
     )
-    assert qbm._cross_check(HIGH, acc, direct) <= qbm.CROSS_CHECK_TOL
+    assert qbm._cross_check(sol, direct) <= qbm.CROSS_CHECK_TOL
     direct[7] = np.nan
     with pytest.raises(FormulaInconsistencyError):
-        qbm._cross_check(HIGH, acc, direct)
+        qbm._cross_check(sol, direct)
+
+
+def test_solution_is_immutable():
+    sol = solve_qbm(HIGH, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.wbar = np.zeros_like(sol.wbar)
+    for array in (sol.grid, sol.gamma_capital, sol.wbar):
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 1.0
+
+
+TRAJECTORY_COLUMNS = ("tau", "ic", "gamma_capital", "n12", "term_t21", "term_t12t22",
+                      "cross_check_error", "wbar_asymmetry")
+
+
+#: 0.01 and 0.02 are grids of 2 and 3 nodes (the trapezoid fallback of the
+#: node-grid Gamma); 0.61-0.63 end 1, 2 and 3 intervals after a seam of
+#: chunk length 6; 0.604 and 60.004 end on a short interval, and 60.004
+#: spans two chunks of the default length.
+@pytest.mark.parametrize("horizon", [0.01, 0.02, 0.61, 0.62, 0.63, 0.604, 60.004])
+@pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
+def test_chunk_length_does_not_change_the_trajectory(monkeypatch, tmp_path, cfg, horizon):
+    default = qbm._CHUNK
+    monkeypatch.setattr(qbm, "_CHUNK", 1 << 20)  # the whole grid in one chunk
+    whole = imaginarity_trajectory(cfg, horizon)
+    whole.write_csv(tmp_path / "whole.csv")
+    for chunk in (2, 6, default) if horizon < 1.0 else (default,):
+        monkeypatch.setattr(qbm, "_CHUNK", chunk)
+        got = imaginarity_trajectory(cfg, horizon)
+        for name in TRAJECTORY_COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), (chunk, name)
+        got.write_csv(tmp_path / "chunked.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
+    # the per-node output (Trajectory columns, Gamma and Wbar) is about
+    # 90 bytes a node; every other array is one chunk long
+    peaks, nodes = [], []
+    for horizon in (61.57, 615.7):
+        tracemalloc.start()
+        try:
+            traj = imaginarity_trajectory(HIGH, horizon)
+            traj.write_csv(tmp_path / "t.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        nodes.append(len(traj.tau))
+        del traj
+    per_node = (peaks[1] - peaks[0]) / (nodes[1] - nodes[0])
+    assert per_node <= 200.0, f"{per_node:.0f} bytes a node"
 
 
 @pytest.mark.parametrize(
@@ -486,10 +583,9 @@ def test_real_checked_passes_small_residue_and_rejects_large():
 
 
 def test_n12_matrix_route_matches_scalar_oracle():
-    acc = gamma_capital(HIGH, 30.0)
-    qbm._ensure_noise_cache(acc)
-    oracle = n12_scalar_oracle(acc)
-    assert np.max(np.abs(2.0 * acc._wbar[0, 1] - oracle)) <= 1e-9
+    sol = solve_qbm(HIGH, 30.0)
+    oracle = n12_scalar_oracle(sol)
+    assert np.max(np.abs(2.0 * sol.wbar[0, 1] - oracle)) <= 1e-9
 
 
 def _per_value_line(row):
