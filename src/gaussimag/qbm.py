@@ -47,7 +47,7 @@ ALPHA_MAX = 1.0
 #: The absolute cross-check error grows with it: at alpha 0.03, x 0.5 it is
 #: 2.2e-11 at theta 1e8 and 1.49e-8 (failing) at theta 1e12; at the bound it
 #: stays below 6e-9 for x 0.5-0.9 and horizons up to 615.7 (alpha 1 at x 0.9
-#: first meets the exp(Gamma) overflow of the noise integral near tau 607).
+#: included: Gamma passes 700 there, and the rescaled noise integral stays finite).
 NOISE_SCALE_MAX = 1e5
 
 #: Largest exponent of the closed forms: exp(2/x) at high T and exp(b/x),
@@ -350,6 +350,10 @@ NOISE_REFINEMENT = 4
 #: panel (2j, 2j+1, 2j+2) straddles a seam.
 _CHUNK = 4096
 
+#: Growth of Gamma after which the noise integral's reference moves, so
+#: that its weights e^{Gamma - ref} stay near e^64 at most.
+_REBASE = 64.0
+
 
 def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     base = grid[:-1]
@@ -453,13 +457,16 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
     both running integrals carry their totals into the next chunk; only
     gamma, Gamma and Wbar at the nodes are kept.  Gamma at the nodes
     integrates gamma's node values, re-reading the two nodes before each
-    seam.  The result equals that of one whole-grid pass bit for bit.
+    seam.  The noise integral is held relative to e^{ref}, and rescaled by
+    e^{-(new ref - old ref)} when its reference moves, so it stays finite
+    at every horizon.  Where the reference moves depends on Gamma alone,
+    so the result equals that of one whole-grid pass bit for bit.
     """
     grid = _make_grid(horizon, step)
     consts = _ei_constants(cfg)
     m, x = len(grid), cfg.x
     gamma_n, big_gamma, wbar = np.empty(m), np.empty(m), np.empty((2, 2, m))
-    node_total, fine_total, noise_total = 0.0, 0.0, np.zeros((2, 2))
+    node_total, fine_total, noise_total, ref = 0.0, 0.0, np.zeros((2, 2)), 0.0
     nodes = slice(None, None, NOISE_REFINEMENT)
     for lo in range(0, m - 1, _CHUNK):
         hi = min(lo + _CHUNK, m - 1)
@@ -472,15 +479,28 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
         big_gamma[lo:hi + 1], node_total = 2.0 * run, run[-1]
         run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
         big_gamma_f, fine_total = 2.0 * run, run[-1]
-        rot = _rotations(fine, x)
+        rot, rot_n = _rotations(fine, x), _rotations(fine[nodes], x)
         m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
-        # co-rotating integrand R^T M R, damped accumulation, rotated back
-        integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot) * np.exp(big_gamma_f)
-        cum = _running_sum(noise_total, _simpson_parts(integrand, fine))
-        noise_total = cum[..., -1].copy()
-        wbar[:, :, lo:hi + 1] = np.einsum(
-            "ija,jka,lka->ila", _rotations(fine[nodes], x),
-            cum[..., nodes] * np.exp(-big_gamma_f[nodes]), _rotations(fine[nodes], x))
+        # co-rotating integrand R^T M R weighted by e^{Gamma - ref}, its
+        # running integral, damped and rotated back at the nodes; the
+        # reference moves to the first node whose Gamma passes ref + _REBASE
+        integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot)
+        g_n, start = big_gamma_f[nodes], 0
+        while start < hi - lo:
+            past = np.flatnonzero(g_n[start + 1:] > ref + _REBASE)
+            end = start + 1 + past[0] if past.size else hi - lo
+            seg = slice(NOISE_REFINEMENT * start, NOISE_REFINEMENT * end + 1)
+            weighted = integrand[..., seg] * np.exp(big_gamma_f[seg] - ref)
+            cum = _running_sum(noise_total, _simpson_parts(weighted, fine[seg]))
+            node_seg = slice(start, end + 1)
+            wbar[:, :, lo + start:lo + end + 1] = np.einsum(
+                "ija,jka,lka->ila", rot_n[..., node_seg],
+                cum[..., nodes] * np.exp(-(g_n[node_seg] - ref)), rot_n[..., node_seg])
+            noise_total = cum[..., -1].copy()
+            if past.size:
+                noise_total *= np.exp(-(g_n[end] - ref))
+                ref = g_n[end]
+            start = end
     for array in (grid, big_gamma, wbar):
         array.flags.writeable = False
     return QbmSolution(cfg=cfg, grid=grid, gamma_capital=big_gamma, wbar=wbar)

@@ -329,6 +329,24 @@ def test_qbm_asymmetric_noise_is_compute_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--alpha", "0.3", "--x", "0.5", "--horizon", "1e5", "--step", "0.5"],
+    ["--alpha", "1", "--x", "0.5", "--horizon", "1e5", "--step", "0.5"],
+    ["--alpha", "1", "--x", "0.9", "--horizon", "615.7"],
+], ids=["alpha-0.3", "alpha-1-x-0.5", "alpha-1-x-0.9"])
+def test_qbm_past_the_exp_gamma_overflow(tmp_path, capsys, argv):
+    # e^Gamma times the noise integrand overflows once Gamma nears 700, which
+    # these grids pass (at tau ~ 9.1e3, 820 and 610)
+    out = tmp_path / "t.csv"
+    code = cli.main(["--json", "qbm", "--theta", "100", *argv, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["cross_check_error"] <= 1e-8
+    assert report["results"]["wbar_asymmetry"] <= 1e-8
+    last = np.array(out.read_text().splitlines()[-1].split(","), dtype=float)
+    assert last[2] > 700.0 and np.all(np.isfinite(last))
+
+
 QBM_BASE = ["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100", "--horizon", "5"]
 
 

@@ -542,6 +542,43 @@ def test_chunk_length_does_not_change_the_trajectory(monkeypatch, tmp_path, cfg,
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+STRONG = QbmConfig(alpha=1.0, x=0.9, theta=100.0)
+
+
+def test_rebasing_does_not_depend_on_chunk_length(monkeypatch):
+    # Gamma passes 4 * _REBASE: the noise integral's reference moves at the
+    # same nodes whatever the chunk length
+    monkeypatch.setattr(qbm, "_CHUNK", 1 << 20)
+    whole = imaginarity_trajectory(STRONG, 300.0, step=0.5)
+    assert whole.gamma_capital[-1] > 4 * qbm._REBASE
+    for chunk in (2, 6, 100):
+        monkeypatch.setattr(qbm, "_CHUNK", chunk)
+        got = imaginarity_trajectory(STRONG, 300.0, step=0.5)
+        for name in TRAJECTORY_COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(whole, name)), (chunk, name)
+
+
+def test_rebasing_changes_only_rounding(monkeypatch):
+    # below Gamma ~ 700 the unscaled weights e^Gamma are still finite
+    rebased = solve_qbm(STRONG, 300.0, step=0.5)
+    monkeypatch.setattr(qbm, "_REBASE", np.inf)
+    plain = solve_qbm(STRONG, 300.0, step=0.5)
+    assert np.array_equal(rebased.gamma_capital, plain.gamma_capital)
+    scale = np.maximum(1.0, np.max(np.abs(plain.wbar), axis=(0, 1)))
+    assert np.max(np.abs(rebased.wbar - plain.wbar) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("x", [0.5, 0.9])
+def test_strong_coupling_reaches_the_steady_state(x):
+    # Gamma reaches ~1e3 by tau = 1.2e4, beyond the e^Gamma overflow at 709
+    cfg = QbmConfig(alpha=0.3, x=x, theta=100.0)
+    traj = imaginarity_trajectory(cfg, 1.2e4, step=0.1)
+    assert traj.gamma_capital[-1] > 900.0
+    late = traj.n12[traj.tau >= traj.tau[-1] - 100.0]
+    steady = steady_state_n12(cfg)
+    assert np.max(np.abs(late - steady)) <= 1e-5 * abs(steady)
+
+
 def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
     # the per-node output (Trajectory columns, Gamma and Wbar) is about
     # 90 bytes a node; every other array is one chunk long
