@@ -76,6 +76,7 @@ from .specfun import (
     ConvergenceError,
     PoleError,
     QuadratureSpec,
+    expint_e1,
     expint_ei,
     integrate_adaptive,
 )

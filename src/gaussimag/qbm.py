@@ -35,7 +35,7 @@ import numpy as np
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
-from .specfun import QuadratureSpec, expint_ei, integrate_adaptive
+from .specfun import QuadratureSpec, expint_e1, expint_ei, integrate_adaptive
 
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
@@ -138,20 +138,20 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
-    """Ei at the four recurring arguments (b +/- i tau)/x, (-b +/- i tau)/x.
+    """Ei((b +/- i tau)/x) and k = E1((b - i tau)/x), from two batches.
 
-    Only the +i tau batches are evaluated; Ei(conj z) == conj(Ei(z))
-    gives the -i tau ones.
+    Ei(conj z) == conj(Ei(z)) gives the -i tau value.  The other pair is
+    Ei((-b +/- i tau)/x) = -k (conjugated) +/- i pi for tau > 0, so the
+    closed forms read Re k and Im k: Im Ei((-b + i tau)/x) is pi minus a
+    part of size e^{-b/x}, which pi + Im would lose at small x.
     """
     e_plus = np.asarray(expint_ei((b + 1j * tau) / x))
-    f_plus = np.asarray(expint_ei((-b + 1j * tau) / x))
-    return e_plus, np.conj(e_plus), f_plus, np.conj(f_plus)
+    return e_plus, np.conj(e_plus), np.asarray(expint_e1((b - 1j * tau) / x))
 
 
 def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # At tau = 0 the (-1 +/- i tau)/x arguments collapse onto the branch
-    # cut and the pair of +/- i pi jumps that cancels the constant 2 pi
-    # term degenerates; the tau -> 0+ limit of every coefficient is 0.
+    # At tau = 0 every closed form is a difference of equal terms; the
+    # tau -> 0+ limit of every coefficient is 0.
     return np.where(tau == 0.0, 0.0, values)
 
 
@@ -164,14 +164,14 @@ def _ei_constants(cfg: QbmConfig) -> tuple:
 
 def _delta_pi_high(cfg: QbmConfig, pairs, scalars):
     x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
-    e_p, e_m, f_p, f_m = pairs
+    e_p, e_m, k = pairs
     pref = a2 * theta * np.exp(-1.0 / x) / 2.0
     b1 = 1j * (e_m - e_p)
-    b2 = 2.0 * np.pi + 1j * f_p - 1j * f_m
+    b2 = 2.0 * k.imag
     delta = pref * (b1 + np.exp(2.0 / x) * b2)
     ei_pos, ei_neg = scalars
     c1 = -e_m - e_p + 2.0 * ei_pos
-    c2 = -2.0 * ei_neg + f_p + f_m
+    c2 = -2.0 * ei_neg - 2.0 * k.real
     pi_ = pref * (c1 + np.exp(2.0 / x) * c2)
     return delta, pi_
 
@@ -186,14 +186,14 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
     (1 + 1/theta, 2).
     """
     x, a2 = cfg.x, cfg.alpha**2
-    g, g_c, h, h_c = pairs
+    g, g_c, k = pairs
     boundary = t / (b * b + t * t)
     delta = weight * a2 * (
         np.cos(t / x) * boundary
         + (1.0 / (4j * x))
         * (
             np.exp(-b / x) * (g - g_c)
-            + np.exp(b / x) * (h - h_c - 2j * np.pi)
+            - np.exp(b / x) * 2j * k.imag
         )
     )
     ei_b, ei_mb = scalars
@@ -202,7 +202,7 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
         - (1.0 / (4.0 * x))
         * (
             np.exp(-b / x) * (g + g_c - 2.0 * ei_b)
-            + np.exp(b / x) * (h + h_c - 2.0 * ei_mb)
+            - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)
         )
     )
     return delta, pi_
@@ -226,10 +226,10 @@ def _coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
     x, a2 = cfg.x, cfg.alpha**2
     consts = consts or _ei_constants(cfg)
     pairs = _ei_pairs(t, x)
-    e_p, e_m, f_p, f_m = pairs
+    e_p, e_m, k = pairs
     gamma = (a2 / (4.0 * x)) * (
         np.exp(-1.0 / x) * 1j * (e_m - e_p)
-        + np.exp(1.0 / x) * (2.0 * np.pi + 1j * f_p - 1j * f_m)
+        + np.exp(1.0 / x) * 2.0 * k.imag
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
     if cfg.regime == "high":

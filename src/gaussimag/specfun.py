@@ -1,11 +1,12 @@
 """Special functions with complex arguments, plus adaptive quadrature.
 
-The quantum-Brownian-motion closed forms need the exponential integral
-Ei at complex arguments.  ``expint_ei`` evaluates it in numpy, choosing
-per element (DLMF 6.6, 6.9, 6.12): the asymptotic series
-i pi sgn(Im w) + (e^w/w) sum k!/w^k for |w| >= 40; the power series
-gamma + log w + sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the
-wedge Re w > 2|Im w|; and the continued fraction of E1(-w) elsewhere.
+The quantum-Brownian-motion closed forms need the exponential integrals
+Ei and E1 at complex arguments.  ``expint_e1`` evaluates E1(z) in numpy,
+choosing per element of w = -z (DLMF 6.6, 6.9, 6.12): the asymptotic
+series -(e^w/w) sum k!/w^k for |w| >= 40; the power series
+-gamma - log z - sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the
+wedge Re w > 2|Im w|; and the continued fraction of E1(z) elsewhere.
+``expint_ei`` is -E1(-w) + i pi sgn(Im w).
 ``integrate_adaptive`` wraps scipy's Gauss-Kronrod integrator, imported
 inside the call, and converts non-convergence into a typed error
 carrying the best estimate.
@@ -82,11 +83,12 @@ _CF_DEPTH = 300
 _ASYMPTOTIC_BANDS = ((200.0, 12), (80.0, 25), (40.0, 45))
 
 
-def _series(w):
+def _e1_series(z, w):
+    # E1(z) = -gamma - log z - sum w^k/(k k!), w = -z
     s = np.zeros_like(w)
     for c in _SERIES_COEFFS[::-1]:
         s = (s + c) * w
-    return np.euler_gamma + np.log(w) + s
+    return -(np.euler_gamma + np.log(z) + s)
 
 
 def _e1_continued_fraction(z):
@@ -95,6 +97,49 @@ def _e1_continued_fraction(z):
     for k in range(_CF_DEPTH, 0, -1):
         t = k * k / (z + (2 * k + 1) - t)
     return np.exp(-z) / (z + 1.0 - t)
+
+
+def _checked(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("argument contains non-finite entries")
+    if np.any(z == 0):
+        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
+    return z
+
+
+def expint_e1(z):
+    """Exponential integral E1 at real or complex argument, principal branch.
+
+    Accepts scalars or arrays.  The cut runs along the negative real
+    axis, where the sign of a zero imaginary part picks the side, so
+    ``E1(conj z) == conj(E1(z))`` everywhere.  Each expansion is chosen
+    on w = -z, the argument of Ei(w) = -E1(-w) + i pi sgn(Im w).
+    """
+    z = _checked(z)
+    w = -z
+    r = np.abs(w)
+    near = r < _ASYMPTOTIC_BANDS[-1][0]
+    series = near & ((w.real > 2.0 * np.abs(w.imag))
+                     | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
+    out = np.empty(w.shape, dtype=complex)
+    # each expansion runs only where it has elements: its loop costs the
+    # same on an empty array
+    if np.any(series):
+        out[series] = _e1_series(z[series], w[series])
+    if np.any(cf := near & ~series):
+        out[cf] = _e1_continued_fraction(z[cf])
+    upper = np.inf
+    for lower, terms in _ASYMPTOTIC_BANDS:
+        band = (r >= lower) & (r < upper)
+        upper = lower
+        if not np.any(band):
+            continue
+        u, s = 1.0 / w[band], 1.0
+        for k in range(terms - 1, 0, -1):
+            s = 1.0 + k * u * s
+        out[band] = -(np.exp(w[band]) * u * s)
+    return out if out.ndim else complex(out)
 
 
 def expint_ei(z):
@@ -106,36 +151,10 @@ def expint_ei(z):
     from each half-plane onto the negative real axis with a +/- i pi
     jump across it.
     """
-    w = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("argument contains non-finite entries")
-    if np.any(w == 0):
-        raise PoleError("Ei has a logarithmic singularity at 0")
-    r = np.abs(w)
-    near = r < _ASYMPTOTIC_BANDS[-1][0]
-    series = near & ((w.real > 2.0 * np.abs(w.imag))
-                     | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
-    out = np.empty(w.shape, dtype=complex)
-    # each expansion runs only where it has elements: its loop costs the
-    # same on an empty array
-    if np.any(series):
-        out[series] = _series(w[series])
-    if np.any(cf := near & ~series):
-        out[cf] = -_e1_continued_fraction(-w[cf])
-    upper = np.inf
-    for lower, terms in _ASYMPTOTIC_BANDS:
-        band = (r >= lower) & (r < upper)
-        upper = lower
-        if not np.any(band):
-            continue
-        u, s = 1.0 / w[band], 1.0
-        for k in range(terms - 1, 0, -1):
-            s = 1.0 + k * u * s
-        out[band] = np.exp(w[band]) * u * s
+    w = _checked(z)
     # the i pi sgn(Im w) term moves the cut of -E1(-w) to the negative axis
-    out[~series] += 1j * np.pi * np.sign(w.imag[~series])
-    on_axis = w.imag == 0
-    out[on_axis] = out[on_axis].real
+    out = -np.asarray(expint_e1(-w)) + 1j * np.pi * np.sign(w.imag)
+    out = np.where(w.imag == 0, out.real, out)
     return out if out.ndim else complex(out)
 
 

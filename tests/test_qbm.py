@@ -106,6 +106,25 @@ def test_closed_forms_match_40_digit_evaluation(cfg):
         assert pi_ == pytest.approx(coeff_pi_quadrature(cfg, t), rel=1e-5, abs=1e-12)
 
 
+@pytest.mark.parametrize("regime, theta", [("high", 100.0), ("low", 10.0)])
+@pytest.mark.parametrize("x", [0.1, 0.05, 0.03, 0.01])
+def test_closed_forms_match_quadrature_at_small_x(regime, theta, x):
+    # gamma and Delta read Im E1((b - i tau)/x): as 2 pi - 2 Im Ei((-b + i tau)/x)
+    # they lost all digits at x 0.03 (gamma 67 times too large)
+    cfg = QbmConfig(alpha=0.03, x=x, theta=theta, regime=regime)
+    routes = ((coeff_gamma_closed, coeff_gamma_quadrature),
+              (coeff_delta_closed, coeff_delta_quadrature),
+              (coeff_pi_closed, coeff_pi_quadrature))
+    for closed, quadrature in routes:
+        # low-T Delta at x 0.01 is 1e3-fold smaller than its boundary and Ei
+        # terms, which the rounding of tau/x and b/x moves by ~1e-15: it
+        # measures 1.3e-11 at tau 1
+        tol = 2e-11 if (regime, x, closed) == ("low", 0.01, coeff_delta_closed) else 1e-11
+        for tau in (0.5, 1.0, 3.0):
+            want = quadrature(cfg, tau)
+            assert abs(closed(cfg, tau) - want) <= tol * abs(want), (closed.__name__, tau)
+
+
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 def test_coefficients_vanish_at_origin(cfg):
     for fn in (coeff_gamma_closed, coeff_delta_closed, coeff_pi_closed):
@@ -382,21 +401,23 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
 @pytest.mark.parametrize("horizon", [5.0, 100.0], ids=["one-chunk", "three-chunks"])
 @pytest.mark.parametrize("cfg,batches", [(HIGH, 2), (LOW, 4)], ids=["high", "low"])
 def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches, horizon):
-    # one batch per conjugate pair of Ei argument families over each
-    # chunk's refined points (8 points a row at high T, 16 at low T, plus
-    # the point each seam shares), and the scalar constants Ei(+/-1/x)
-    # and, at low T, Ei(+/-b/x) once per trajectory
+    # one Ei and one E1 batch per cutoff over each chunk's refined points
+    # (8 points a row at high T, 16 at low T, plus the point each seam
+    # shares), and the scalar constants Ei(+/-1/x) and, at low T,
+    # Ei(+/-b/x) once per trajectory
     array_points, scalar_calls = [], []
-    original = qbm.expint_ei
 
-    def counting(z):
-        if np.ndim(z):
-            array_points.append(np.size(z))
-        else:
-            scalar_calls.append(z)
-        return original(z)
+    def counting(original):
+        def count(z):
+            if np.ndim(z):
+                array_points.append(np.size(z))
+            else:
+                scalar_calls.append(z)
+            return original(z)
+        return count
 
-    monkeypatch.setattr(qbm, "expint_ei", counting)
+    monkeypatch.setattr(qbm, "expint_ei", counting(qbm.expint_ei))
+    monkeypatch.setattr(qbm, "expint_e1", counting(qbm.expint_e1))
     traj = imaginarity_trajectory(cfg, horizon)
     intervals = len(traj.tau) - 1
     chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
@@ -407,19 +428,18 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches, hori
 
 
 def _low_t_shifted_terms_direct(cfg, t):
-    """The cutoff-shifted low-T terms with all four Ei batches evaluated."""
+    """The cutoff-shifted low-T terms with both Ei batches evaluated."""
     x, a2, b = cfg.x, cfg.alpha**2, cfg.cutoff_shift
     g_b = qbm.expint_ei((b + 1j * t) / x)
     g_bc = qbm.expint_ei((b - 1j * t) / x)
-    h_b = qbm.expint_ei((-b + 1j * t) / x)
-    h_bc = qbm.expint_ei((-b - 1j * t) / x)
+    k_b = qbm.expint_e1((b - 1j * t) / x)
     boundary = t / (b * b + t * t)
     delta_b = 2.0 * a2 * (
         np.cos(t / x) * boundary
         + (1.0 / (4j * x))
         * (
             np.exp(-b / x) * (g_b - g_bc)
-            + np.exp(b / x) * (h_b - h_bc - 2j * np.pi)
+            - np.exp(b / x) * 2j * k_b.imag
         )
     )
     ei_b, ei_mb = qbm.expint_ei(b / x), qbm.expint_ei(-b / x)
@@ -428,7 +448,7 @@ def _low_t_shifted_terms_direct(cfg, t):
         - (1.0 / (4.0 * x))
         * (
             np.exp(-b / x) * (g_b + g_bc - 2.0 * ei_b)
-            + np.exp(b / x) * (h_b + h_bc - 2.0 * ei_mb)
+            - np.exp(b / x) * (2.0 * k_b.real + 2.0 * ei_mb)
         )
     )
     return delta_b, pi_b
@@ -436,17 +456,20 @@ def _low_t_shifted_terms_direct(cfg, t):
 
 @pytest.mark.parametrize("x", [0.5, 0.7, 0.9])
 def test_conjugate_ei_batches_equal_direct_evaluation(x):
-    # Ei(conj z) == conj(Ei(z)) stands in for the -i tau batches; evaluating
-    # all four arguments directly stays here as the reference
+    # Ei(conj z) == conj(Ei(z)) stands in for the -i tau batch, and
+    # i pi - E1((1 - i tau)/x) for Ei((-1 + i tau)/x); evaluating all four
+    # Ei arguments directly stays here as the reference
     cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
     t = qbm._refine_grid(qbm._make_grid(60.0, 0.01), qbm.NOISE_REFINEMENT)
     assert t[0] == 0.0
     direct = [qbm.expint_ei((s + 1j * sign * t) / x)
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
-    pairs = qbm._ei_pairs(t, x)
-    assert len(pairs) == 4
-    for got, want in zip(pairs, direct):
-        assert np.array_equal(got, want)
+    e_p, e_m, k = qbm._ei_pairs(t, x)
+    assert np.array_equal(e_p, direct[0]) and np.array_equal(e_m, direct[1])
+    assert np.array_equal(k, qbm.expint_e1((1.0 - 1j * t) / x))
+    off = t > 0
+    assert np.array_equal(1j * np.pi - k[off], direct[2][off])
+    assert np.array_equal(np.conj(1j * np.pi - k[off]), direct[3][off])
     b = cfg.cutoff_shift
     terms = qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b),
                                   qbm._ei_constants(cfg)[1])
@@ -454,9 +477,6 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "value", [lambda w: w + 1e-6, lambda w: np.nan], ids=["off-by-1e-6", "nan"]
-)
 def _corrupt_solution(monkeypatch, entry, value):
     """Make the trajectory read a solution whose Wbar ``entry`` at the middle
     node is ``value(Wbar)``."""

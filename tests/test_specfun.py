@@ -7,6 +7,7 @@ from gaussimag.specfun import (
     ConvergenceError,
     PoleError,
     QuadratureSpec,
+    expint_e1,
     expint_ei,
     integrate_adaptive,
 )
@@ -114,6 +115,27 @@ def test_ei_matches_mpmath(points):
     assert np.all(expint_ei(w[on_axis]).imag == 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "points", [trajectory_line_points, seam_points, real_axis_points],
+    ids=["trajectory-lines", "seams", "real-axis"],
+)
+def test_e1_matches_mpmath(points):
+    # E1 at z = -w; a +0 imaginary part takes the upper side of the cut, as
+    # mpmath does.  The power series serves |z| < 5 left of Re z = 2, where
+    # |E1| falls to ~0.03 while its terms reach ~30: up to 5e-14 relative
+    # there, 5e-15 elsewhere
+    z = -points().astype(complex)
+    z = np.where(z.imag == 0, z.real + 0j, z)
+    with mp.workdps(40):
+        want = np.array([complex(mp.e1(mp.mpc(v.real, v.imag))) for v in z])
+    got = expint_e1(z)
+    assert np.array_equal(expint_e1(np.conj(z)), np.conj(got))
+    normal = np.abs(want) > 1e-300  # below it E1 is subnormal
+    assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want)[normal])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-310)
+
+
 def test_ei_scalar_in_scalar_out():
     assert isinstance(expint_ei(2.5), complex)
     assert expint_ei(2.5) == expint_ei(np.array([2.5]))[0]
@@ -124,6 +146,9 @@ def test_ei_scalar_in_scalar_out():
 def test_poles_rejected():
     with pytest.raises(PoleError):
         expint_ei(0.0)
+    with pytest.raises(PoleError):
+        expint_e1(0.0)
+    assert isinstance(expint_e1(2.5), complex)
 
 
 def test_ei_ci_si_interrelation():
