@@ -112,10 +112,7 @@ def cmd_validate(args) -> int:
     results = {"kind": type(obj).__name__, "valid": not constraint}
     if constraint:
         results["violated_constraint"] = constraint
-    _emit(
-        _report("validate", args.path, results, time.perf_counter() - start),
-        args.json,
-    )
+    _emit(_report("validate", args.path, results, time.perf_counter() - start), args.json)
     return EXIT_INVALID if constraint else EXIT_OK
 
 
@@ -181,10 +178,7 @@ def cmd_measure(args) -> int:
             "seed": args.seed,
             **rep.diagnostics,
         }
-    _emit(
-        _report("measure", args.path, results, time.perf_counter() - start),
-        args.json,
-    )
+    _emit(_report("measure", args.path, results, time.perf_counter() - start), args.json)
     return EXIT_OK
 
 
@@ -209,10 +203,7 @@ def cmd_check_super(args) -> int:
         "inFO1": in_fo1(obj),
         "diagnostics": {**dataclasses.asdict(patterns), "spectral_norm_A": spectral_norm(obj.A)},
     }
-    _emit(
-        _report("check-super", args.path, results, time.perf_counter() - start),
-        args.json,
-    )
+    _emit(_report("check-super", args.path, results, time.perf_counter() - start), args.json)
     return EXIT_OK
 
 
@@ -269,15 +260,7 @@ def cmd_qbm(args) -> int:
         win_start = args.horizon - window
         results["window_start"] = win_start
         results["window_mean_Ic"] = traj.window_mean(win_start, window)
-    _emit(
-        _report(
-            "qbm",
-            None,
-            results,
-            time.perf_counter() - start,
-        ),
-        args.json,
-    )
+    _emit(_report("qbm", None, results, time.perf_counter() - start), args.json)
     return EXIT_OK
 
 

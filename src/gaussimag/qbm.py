@@ -131,9 +131,7 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
     residue = np.abs(values.imag) / scale
     worst = float(np.max(residue)) if residue.size else 0.0
     if worst > 1e-8:
-        raise ClosedFormError(
-            f"{name}: imaginary residue {worst:.3e} exceeds 1e-8 relative"
-        )
+        raise ClosedFormError(f"{name}: imaginary residue {worst:.3e} exceeds 1e-8 relative")
     return values.real
 
 
@@ -187,24 +185,12 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
     """
     x, a2 = cfg.x, cfg.alpha**2
     g, g_c, k = pairs
-    boundary = t / (b * b + t * t)
-    delta = weight * a2 * (
-        np.cos(t / x) * boundary
-        + (1.0 / (4j * x))
-        * (
-            np.exp(-b / x) * (g - g_c)
-            - np.exp(b / x) * 2j * k.imag
-        )
-    )
     ei_b, ei_mb = scalars
-    pi_ = weight * a2 * (
-        np.sin(t / x) * boundary
-        - (1.0 / (4.0 * x))
-        * (
-            np.exp(-b / x) * (g + g_c - 2.0 * ei_b)
-            - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)
-        )
-    )
+    boundary = t / (b * b + t * t)
+    delta = weight * a2 * (np.cos(t / x) * boundary + (1.0 / (4j * x)) * (
+        np.exp(-b / x) * (g - g_c) - np.exp(b / x) * 2j * k.imag))
+    pi_ = weight * a2 * (np.sin(t / x) * boundary - (1.0 / (4.0 * x)) * (
+        np.exp(-b / x) * (g + g_c - 2.0 * ei_b) - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)))
     return delta, pi_
 
 
@@ -286,40 +272,25 @@ def bath_cos_moment(cfg: QbmConfig, s: float) -> float:
     ) ** 2
 
 
-def coeff_gamma_quadrature(cfg: QbmConfig, tau: float) -> float:
-    """gamma(tau) by adaptive quadrature of the defining integral."""
+def _quadrature(cfg: QbmConfig, tau: float, integrand) -> float:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return 0.0
-    a2, x = cfg.alpha**2, cfg.x
-    return a2 * integrate_adaptive(
-        lambda s: np.sin(s / x) * bath_sin_moment(s), 0.0, tau, cfg.quad
-    )
+    return 0.0 if tau == 0 else cfg.alpha**2 * integrate_adaptive(integrand, 0.0, tau, cfg.quad)
+
+
+def coeff_gamma_quadrature(cfg: QbmConfig, tau: float) -> float:
+    """gamma(tau) by adaptive quadrature of the defining integral."""
+    return _quadrature(cfg, tau, lambda s: np.sin(s / cfg.x) * bath_sin_moment(s))
 
 
 def coeff_delta_quadrature(cfg: QbmConfig, tau: float) -> float:
     """Delta(tau) by adaptive quadrature with the regime's thermal weight."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return 0.0
-    a2, x = cfg.alpha**2, cfg.x
-    return a2 * integrate_adaptive(
-        lambda s: np.cos(s / x) * bath_cos_moment(cfg, s), 0.0, tau, cfg.quad
-    )
+    return _quadrature(cfg, tau, lambda s: np.cos(s / cfg.x) * bath_cos_moment(cfg, s))
 
 
 def coeff_pi_quadrature(cfg: QbmConfig, tau: float) -> float:
     """Pi(tau) by adaptive quadrature with the regime's thermal weight."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if tau == 0:
-        return 0.0
-    a2, x = cfg.alpha**2, cfg.x
-    return a2 * integrate_adaptive(
-        lambda s: np.sin(s / x) * bath_cos_moment(cfg, s), 0.0, tau, cfg.quad
-    )
+    return _quadrature(cfg, tau, lambda s: np.sin(s / cfg.x) * bath_cos_moment(cfg, s))
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +303,7 @@ def _make_grid(horizon: float, step: float) -> np.ndarray:
     try:
         grid = np.arange(0.0, horizon + 0.5 * step, step)
     except ValueError as exc:  # more points than an array can index
-        raise ValueError(
-            f"step {step:g} is too small for horizon {horizon:g}: {exc}"
-        ) from None
+        raise ValueError(f"step {step:g} is too small for horizon {horizon:g}: {exc}") from None
     if grid[-1] < horizon - 1e-12:
         grid = np.append(grid, horizon)
     return grid
@@ -370,15 +339,10 @@ def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     Reversing ``y`` and ``dx`` gives the integrals over the second halves.
     """
     x21, x32 = dx[:-1], dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
+    x21_x31, x21_x32 = x21 / (x21 + x32), x21 / x32
+    ratio = x21_x31 * x21_x32
     f1, f2, f3 = y[..., :-2], y[..., 1:-1], y[..., 2:]
-    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + ratio + x21_x31) * f2 + -ratio * f3)
 
 
 def _simpson_parts(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -430,13 +394,9 @@ def _rotations(tau: np.ndarray, x: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QbmSolution:
-    """Gamma and the noise integral Wbar of the QBM channel at the nodes
-    of a tau-grid; the arrays are read-only.
-
-    ``gamma_capital`` integrates gamma's node values by cumulative Simpson
-    on ``grid``; ``wbar`` (shape (2, 2, m)) is integrated on the
-    ``NOISE_REFINEMENT``-fold refined grid.
-    """
+    """Gamma (Simpson on ``grid`` of gamma's node values) and the noise
+    integral Wbar (shape (2, 2, m), integrated on the refined grid) of the
+    QBM channel at the nodes of a tau-grid, in read-only arrays."""
 
     cfg: QbmConfig
     grid: np.ndarray
@@ -492,10 +452,10 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
             seg = slice(NOISE_REFINEMENT * start, NOISE_REFINEMENT * end + 1)
             weighted = integrand[..., seg] * np.exp(big_gamma_f[seg] - ref)
             cum = _running_sum(noise_total, _simpson_parts(weighted, fine[seg]))
-            node_seg = slice(start, end + 1)
-            wbar[:, :, lo + start:lo + end + 1] = np.einsum(
-                "ija,jka,lka->ila", rot_n[..., node_seg],
-                cum[..., nodes] * np.exp(-(g_n[node_seg] - ref)), rot_n[..., node_seg])
+            at = slice(start, end + 1)
+            wbar[..., lo:hi + 1][..., at] = np.einsum("ija,jka,lka->ila", rot_n[..., at],
+                                                      cum[..., nodes] * np.exp(-(g_n[at] - ref)),
+                                                      rot_n[..., at])
             noise_total = cum[..., -1].copy()
             if past.size:
                 noise_total *= np.exp(-(g_n[end] - ref))
@@ -510,8 +470,7 @@ def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
     """Free rotation R(tau) by angle tau/x (orthogonal, det 1)."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    c, s = np.cos(tau / cfg.x), np.sin(tau / cfg.x)
-    return np.array([[c, s], [-s, c]])
+    return _rotations(tau, cfg.x)
 
 
 #: Largest relative asymmetry |W01 - W10| / max(1, max|W|) of the noise integral.
@@ -528,10 +487,8 @@ def _asymmetry(sol: QbmSolution) -> float:
     rel = np.abs(w[0, 1] - w[1, 0]) / np.maximum(1.0, np.max(np.abs(w), axis=(0, 1)))
     if not np.all(rel <= ASYMMETRY_TOL):
         i = int(np.argmax(~(rel <= ASYMMETRY_TOL)))
-        raise IntegrationResolutionError(
-            f"noise matrix asymmetry {rel[i]:.3e} exceeds {ASYMMETRY_TOL:g} "
-            f"at tau={sol.grid[i]:g}"
-        )
+        raise IntegrationResolutionError(f"noise matrix asymmetry {rel[i]:.3e} exceeds "
+                                         f"{ASYMMETRY_TOL:g} at tau={sol.grid[i]:g}")
     return float(np.max(rel))
 
 
@@ -636,10 +593,8 @@ def _cross_check(sol: QbmSolution, direct: np.ndarray) -> float:
     error = np.abs(generic - direct)
     if not np.all(error <= CROSS_CHECK_TOL):
         i = int(np.argmax(~(error <= CROSS_CHECK_TOL)))
-        raise FormulaInconsistencyError(
-            f"generic measure and trajectory formula disagree by {error[i]:.3e} "
-            f"at tau={grid[i]:g}"
-        )
+        raise FormulaInconsistencyError(f"generic measure and trajectory formula disagree "
+                                        f"by {error[i]:.3e} at tau={grid[i]:g}")
     return float(np.max(error))
 
 
@@ -672,17 +627,8 @@ def imaginarity_trajectory(
         direct[nodes] = term1[nodes] + term2[nodes] + np.abs(n12[nodes])
         error = max(error, _cross_check(part, direct[nodes]))
         asymmetry = max(asymmetry, _asymmetry(part))
-    return Trajectory(
-        cfg=cfg,
-        tau=sol.grid,
-        ic=direct,
-        gamma_capital=sol.gamma_capital,
-        n12=n12,
-        term_t21=term1,
-        term_t12t22=term2,
-        cross_check_error=error,
-        wbar_asymmetry=asymmetry,
-    )
+    return Trajectory(cfg, sol.grid, direct, sol.gamma_capital, n12, term1, term2,
+                      cross_check_error=error, wbar_asymmetry=asymmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +651,8 @@ def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
     x = sol.cfg.x
     weight = np.exp(big_gamma)
     sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)
-    a1 = _cumulative_simpson(weight * delta * sin2, fine)
-    a2 = _cumulative_simpson(weight * delta * cos2, fine)
-    b1 = _cumulative_simpson(weight * pi_ * sin2, fine)
-    b2 = _cumulative_simpson(weight * pi_ * cos2, fine)
+    a1, a2, b1, b2 = _cumulative_simpson(np.array([weight * delta * sin2, weight * delta * cos2,
+                                                   weight * pi_ * sin2, weight * pi_ * cos2]), fine)
     n12 = np.exp(-big_gamma) * (cos2 * (a1 - b2) - sin2 * (a2 + b1))
     return n12[::NOISE_REFINEMENT]
 

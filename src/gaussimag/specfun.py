@@ -99,15 +99,6 @@ def _e1_continued_fraction(z):
     return np.exp(-z) / (z + 1.0 - t)
 
 
-def _checked(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("argument contains non-finite entries")
-    if np.any(z == 0):
-        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
-    return z
-
-
 def expint_e1(z):
     """Exponential integral E1 at real or complex argument, principal branch.
 
@@ -116,7 +107,11 @@ def expint_e1(z):
     ``E1(conj z) == conj(E1(z))`` everywhere.  Each expansion is chosen
     on w = -z, the argument of Ei(w) = -E1(-w) + i pi sgn(Im w).
     """
-    z = _checked(z)
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("argument contains non-finite entries")
+    if np.any(z == 0):
+        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
     w = -z
     r = np.abs(w)
     near = r < _ASYMPTOTIC_BANDS[-1][0]
@@ -151,7 +146,7 @@ def expint_ei(z):
     from each half-plane onto the negative real axis with a +/- i pi
     jump across it.
     """
-    w = _checked(z)
+    w = np.asarray(z, dtype=complex)
     # the i pi sgn(Im w) term moves the cut of -E1(-w) to the negative axis
     out = -np.asarray(expint_e1(-w)) + 1j * np.pi * np.sign(w.imag)
     out = np.where(w.imag == 0, out.real, out)
@@ -169,28 +164,18 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec = QuadratureS
 
     if not a < b:
         raise ValueError(f"integration interval is empty: [{a}, {b}]")
+
+    def quad():
+        return scipy.integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                                    limit=spec.max_subdivisions)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            value, err = scipy.integrate.quad(
-                f,
-                a,
-                b,
-                epsabs=spec.abs_tol,
-                epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
-            )
+            value, err = quad()
         except scipy.integrate.IntegrationWarning as warn:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-                value, err = scipy.integrate.quad(
-                    f,
-                    a,
-                    b,
-                    epsabs=spec.abs_tol,
-                    epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions,
-                )
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            value, err = quad()
             raise ConvergenceError(str(warn), value, err) from None
     if err > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10:
         raise ConvergenceError(
