@@ -639,8 +639,8 @@ def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
     """N12 at the solution's nodes via the scalar co-rotating integral.
 
     Independent algebraic route (trig-expanded cumulative integrals on
-    its own whole-grid evaluation of the refined coefficients) used to
-    cross-check the matrix Wbar path:
+    its own whole-grid evaluation of the refined coefficients, unscaled,
+    so for Gamma below ~700) used to cross-check the matrix Wbar path:
 
       N12(tau) = e^{-Gamma} * integral of
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
