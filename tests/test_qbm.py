@@ -398,9 +398,8 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
     assert 0.0 <= short_trajectory.cross_check_error <= qbm.CROSS_CHECK_TOL
 
 
-@pytest.mark.parametrize("horizon", [5.0, 100.0], ids=["one-chunk", "three-chunks"])
 @pytest.mark.parametrize("cfg,batches", [(HIGH, 2), (LOW, 4)], ids=["high", "low"])
-def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches, horizon):
+def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
     # one Ei and one E1 batch per cutoff over each chunk's refined points
     # (8 points a row at high T, 16 at low T, plus the point each seam
     # shares), and the scalar constants Ei(+/-1/x) and, at low T,
@@ -418,10 +417,10 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches, hori
 
     monkeypatch.setattr(qbm, "expint_ei", counting(qbm.expint_ei))
     monkeypatch.setattr(qbm, "expint_e1", counting(qbm.expint_e1))
-    traj = imaginarity_trajectory(cfg, horizon)
+    traj = imaginarity_trajectory(cfg, 100.0)
     intervals = len(traj.tau) - 1
     chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
-    assert len(chunks) == (1 if horizon == 5.0 else 3)
+    assert len(chunks) == 3
     assert array_points == [qbm.NOISE_REFINEMENT * n + 1 for n in chunks for _ in range(batches)]
     assert sum(array_points) == batches * (qbm.NOISE_REFINEMENT * intervals + len(chunks))
     assert len(scalar_calls) == batches
