@@ -44,8 +44,8 @@ from .linalg import (
     trace_norms,
 )
 from .measures import (
+    STEP_EPSILON,
     MeasureReport,
-    StepThreshold,
     SupSearchConfig,
     channel_measure_ic,
     channel_measure_ic_stack,
@@ -54,6 +54,7 @@ from .measures import (
     in_fo,
     in_fo1,
     state_measure_ign,
+    step_function,
 )
 from .qbm import (
     QbmConfig,

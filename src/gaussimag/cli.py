@@ -42,7 +42,6 @@ from .gaussian import (
 )
 from .linalg import MAX_MODES, spectral_norm
 from .measures import (
-    StepThreshold,
     SupSearchConfig,
     channel_measure_ic,
     channel_measure_id,
@@ -135,7 +134,6 @@ def cmd_measure(args) -> int:
         print(f"measure '{which}' requires a channel document", file=sys.stderr)
         return EXIT_USAGE
 
-    h = StepThreshold()
     if which == "is":
         try:
             cfg = SupSearchConfig(
@@ -150,13 +148,13 @@ def cmd_measure(args) -> int:
         # The value is checked below, so numpy's overflow warnings add nothing.
         with np.errstate(all="ignore"):
             if which == "ign":
-                rep = state_measure_ign(obj, h)
+                rep = state_measure_ign(obj)
             elif which == "ic":
                 rep = channel_measure_ic(obj)
             elif which == "id":
-                rep = channel_measure_id(obj, h)
+                rep = channel_measure_id(obj)
             else:
-                rep = channel_measure_is(obj, cfg, h)
+                rep = channel_measure_is(obj, cfg)
     except ValidationError as exc:
         print(f"computation failed: measure '{which}': {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -289,13 +287,12 @@ def _audit_suites(modes: int, trials: int, seed: int):
 
     # I_d monotonicity under real superchannels.
     rng = streams[2]
-    h = StepThreshold()
     for _ in range(trials):
         flag = "real-eq8" if rng.uniform() < 0.5 else "real-eq9"
         sup = sample_random_superchannel(modes, rng, flag)
         chan = sample_random_channel(modes, rng, "any")
-        before = channel_measure_id(chan, h).value
-        after = channel_measure_id(apply_superchannel(sup, chan), h).value
+        before = channel_measure_id(chan).value
+        after = channel_measure_id(apply_superchannel(sup, chan)).value
         if after > before + 1e-9:
             yield ("id_monotonicity", sup, chan)
 

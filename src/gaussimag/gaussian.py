@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     DimensionError,
     HermitianForm,
+    check_modes,
     is_psd,
     max_abs,
     sigma_blocks,
@@ -66,8 +67,7 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise DimensionError("modes must be >= 1")
+        self.modes = check_modes(self.modes)
         dim = 2 * self.modes
         self.displacement = _as_array(self.displacement, (dim,), "displacement")
         self.covariance = _as_array(self.covariance, (dim, dim), "covariance")
@@ -87,8 +87,7 @@ class GaussianChannel:
     d: np.ndarray
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise DimensionError("modes must be >= 1")
+        self.modes = check_modes(self.modes)
         dim = 2 * self.modes
         self.T = _as_array(self.T, (dim, dim), "T")
         self.N = _as_array(self.N, (dim, dim), "N")
@@ -126,8 +125,7 @@ class GaussianSuperchannel:
     dbar: np.ndarray
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise DimensionError("modes must be >= 1")
+        self.modes = check_modes(self.modes)
         dim = 2 * self.modes
         self.A = _as_array(self.A, (dim, dim), "A")
         self.O = _as_array(self.O, (dim, dim), "O")
@@ -300,12 +298,12 @@ _PATTERNS = {
 }
 
 
-def _violations(m: np.ndarray, name: str, pattern: str, tol: float) -> list:
+def _violations(m: np.ndarray, name: str, pattern: str) -> list:
     """(f"{name}_{pattern}", (i, j), |m_ij|) for each entry of the blocks of
-    ``pattern`` above tol * max(1, max |m|), block by block in row-major
-    order; a vector's entry i is reported at (i, i)."""
+    ``pattern`` above DEFAULT_PATTERN_TOL * max(1, max |m|), block by block
+    in row-major order; a vector's entry i is reported at (i, i)."""
     a = np.abs(m)
-    above = a > tol * max(1.0, max_abs(m))
+    above = a > DEFAULT_PATTERN_TOL * max(1.0, max_abs(m))
     index = np.arange(len(m))
     out = []
     for rows, cols in _PATTERNS[pattern]:
@@ -321,11 +319,11 @@ def _violations(m: np.ndarray, name: str, pattern: str, tol: float) -> list:
     return out
 
 
-def channel_realness(c: GaussianChannel, tol: float = DEFAULT_PATTERN_TOL) -> RealnessReport:
+def channel_realness(c: GaussianChannel) -> RealnessReport:
     """Classify a channel as completely real, covariant real, or neither."""
-    common = _violations(c.d, "d", "momentum", tol) + _violations(c.N, "N", "qp", tol)
-    erase = _violations(c.T, "T", "momentum_rows", tol)
-    mix = _violations(c.T, "T", "mixing", tol)
+    common = _violations(c.d, "d", "momentum") + _violations(c.N, "N", "qp")
+    erase = _violations(c.T, "T", "momentum_rows")
+    mix = _violations(c.T, "T", "mixing")
 
     completely = not common and not erase
     covariant = not common and not mix
@@ -341,11 +339,11 @@ def channel_realness(c: GaussianChannel, tol: float = DEFAULT_PATTERN_TOL) -> Re
     return report
 
 
-def state_realness(s: GaussianState, tol: float = DEFAULT_PATTERN_TOL) -> bool:
+def state_realness(s: GaussianState) -> bool:
     """Whether the state has no momentum displacement and a covariance
     that does not couple the position and momentum sectors."""
-    return not (_violations(s.displacement, "d0", "momentum", tol)
-                or _violations(s.covariance, "nu", "qp", tol))
+    return not (_violations(s.displacement, "d0", "momentum")
+                or _violations(s.covariance, "nu", "qp"))
 
 
 @dataclass(frozen=True)
@@ -374,29 +372,25 @@ class SuperchannelPatterns:
         return self.momentum_pattern_dbar_Y and self.A_erases_momentum
 
 
-def superchannel_patterns(
-    s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL
-) -> SuperchannelPatterns:
+def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
     """The realness patterns of ``s``; see :class:`SuperchannelPatterns`."""
     return SuperchannelPatterns(
-        momentum_pattern_dbar_Y=not (_violations(s.dbar, "dbar", "momentum", tol)
-                                     or _violations(s.Y, "Y", "qp", tol)),
-        A_erases_momentum=not _violations(s.A, "A", "momentum_rows", tol),
-        A_O_sector_preserving=not (_violations(s.A, "A", "mixing", tol)
-                                   or _violations(s.O, "O", "mixing", tol)),
+        momentum_pattern_dbar_Y=not (_violations(s.dbar, "dbar", "momentum")
+                                     or _violations(s.Y, "Y", "qp")),
+        A_erases_momentum=not _violations(s.A, "A", "momentum_rows"),
+        A_O_sector_preserving=not (_violations(s.A, "A", "mixing")
+                                   or _violations(s.O, "O", "mixing")),
     )
 
 
-def superchannel_is_real(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
+def superchannel_is_real(s: GaussianSuperchannel) -> bool:
     """Whether the superchannel maps every real channel to a real channel."""
-    return superchannel_patterns(s, tol).is_real
+    return superchannel_patterns(s).is_real
 
 
-def superchannel_is_imaginarity_breaking(
-    s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL
-) -> bool:
+def superchannel_is_imaginarity_breaking(s: GaussianSuperchannel) -> bool:
     """Whether the output channel is real for *every* input channel."""
-    return superchannel_patterns(s, tol).is_imaginarity_breaking
+    return superchannel_patterns(s).is_imaginarity_breaking
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +599,7 @@ def from_document(doc: dict):
         raise ValidationError("document must be a JSON object")
     kind = doc.get("kind")
     try:
-        modes = int(doc["modes"])
+        modes = doc["modes"]
         if kind == "state":
             return GaussianState(modes, doc["displacement"], doc["covariance"])
         if kind == "channel":

@@ -28,8 +28,9 @@ class DimensionError(ValueError):
     """Raised for non-positive or over-cap mode counts and shape mismatches."""
 
 
-def _check_modes(n: int) -> int:
-    if not isinstance(n, (int, np.integer)):
+def check_modes(n: int) -> int:
+    """``n`` as an int, or :class:`DimensionError` unless 1 <= n <= MAX_MODES."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DimensionError(f"mode count must be an integer, got {n!r}")
     n = int(n)
     if n < 1:
@@ -54,7 +55,7 @@ def symplectic_form(n: int) -> np.ndarray:
     Block-diagonal with 2x2 blocks [[0, 1], [-1, 0]]; antisymmetric and
     squares to -I.
     """
-    n = _check_modes(n)
+    n = check_modes(n)
     delta = np.zeros((2 * n, 2 * n))
     for k in range(n):
         delta[2 * k, 2 * k + 1] = 1.0
@@ -64,7 +65,7 @@ def symplectic_form(n: int) -> np.ndarray:
 
 def sigma_blocks(n: int) -> np.ndarray:
     """Return Sigma_n = diag(1, -1, 1, -1, ...), the per-mode momentum flip."""
-    n = _check_modes(n)
+    n = check_modes(n)
     return np.diag(np.tile([1.0, -1.0], n))
 
 
@@ -77,8 +78,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of singular values of ``m``."""
-    m = _as_matrix(m)
-    return float(np.sum(_singular_values(m)))
+    return float(trace_norms(_as_matrix(m)))
 
 
 def trace_norms(stack) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
-    DEFAULT_PATTERN_TOL,
     GaussianChannel,
     GaussianState,
     GaussianSuperchannel,
@@ -34,51 +33,39 @@ from .gaussian import (
 from .linalg import spectral_norm, trace_norms
 
 
-@dataclass(frozen=True)
-class StepThreshold:
-    """Relative threshold for the step function h (0 at zero, else 1).
+#: Relative threshold of the step function h (0 at zero, else 1): a value t
+#: counts as zero when |t| <= STEP_EPSILON * max(1, scale of the containing
+#: matrix/vector).  Exact zero tests are meaningless in floating point, and
+#: a tiny relative threshold keeps the {0, 1} values of the discrete measure.
+STEP_EPSILON = 1e-12
 
-    A value t counts as zero when |t| <= epsilon * max(1, scale of the
-    containing matrix/vector); exact zero tests are meaningless in
-    floating point, and a tiny relative threshold preserves the {0, 1}
-    discreteness of the discrete measure.
-    """
+#: The compact domain of the ``channel_measure_is`` search: real-pattern
+#: displacements bounded by DISPLACEMENT_BOUND and sector-block covariance
+#: eigenvalues in [1, CM_EIGENVALUE_BOUND].
+CM_EIGENVALUE_BOUND = 50.0
+DISPLACEMENT_BOUND = 10.0
 
-    epsilon: float = 1e-12
 
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-
-    def step(self, value, scale=1.0) -> np.ndarray:
-        """h(value) elementwise: 0 where |value| <= epsilon * max(1, scale), else 1."""
-        return np.where(np.abs(value) <= self.epsilon * np.maximum(1.0, scale), 0.0, 1.0)
+def step_function(value, scale=1.0) -> np.ndarray:
+    """h(value) elementwise: 0 where |value| <= STEP_EPSILON * max(1, scale), else 1."""
+    return np.where(np.abs(value) <= STEP_EPSILON * np.maximum(1.0, scale), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class SupSearchConfig:
     """Search budget for the ``channel_measure_is`` lower bound.
 
-    The search domain is compact: real-pattern displacements bounded by
-    ``displacement_bound`` and sector-block covariance eigenvalues in
-    [1, ``cm_eigenvalue_bound``].  Restarts use independent substreams
-    derived from ``seed``, so results are identical for a fixed seed
-    regardless of evaluation order.
+    Restarts use independent substreams derived from ``seed``, so results
+    are identical for a fixed seed regardless of evaluation order.
     """
 
     restarts: int = 32
     iterations_per_restart: int = 200
-    cm_eigenvalue_bound: float = 50.0
-    displacement_bound: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations_per_restart < 1:
             raise ValueError("search budget must be positive")
-        if not (self.cm_eigenvalue_bound > 1.0):
-            raise ValueError("cm_eigenvalue_bound must exceed 1")
-        if self.displacement_bound < 0:
-            raise ValueError("displacement_bound must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -103,7 +90,7 @@ class MeasureReport:
 # state measure
 # ---------------------------------------------------------------------------
 
-def _ign_terms(cov: np.ndarray, disp: np.ndarray, h: StepThreshold) -> np.ndarray:
+def _ign_terms(cov: np.ndarray, disp: np.ndarray) -> np.ndarray:
     """The (covariance, displacement) summands of I_Gn as (m, 2), for stacks
     ``cov`` (m, 2n, 2n) and ``disp`` (m, 2n) in the interleaved ordering."""
     det_qq = np.linalg.det(cov[..., 0::2, 0::2])
@@ -111,7 +98,8 @@ def _ign_terms(cov: np.ndarray, disp: np.ndarray, h: StepThreshold) -> np.ndarra
     if np.any(det_qq <= 0) or np.any(det_pp <= 0):
         raise ValidationError("covariance sector block has non-positive determinant")
     cov_term = 1.0 - np.linalg.det(cov) / (det_qq * det_pp)
-    disp_term = h.step(np.sum(np.abs(disp[..., 1::2]), axis=-1), np.max(np.abs(disp), axis=-1))
+    disp_term = step_function(np.sum(np.abs(disp[..., 1::2]), axis=-1),
+                              np.max(np.abs(disp), axis=-1))
     return np.stack([cov_term, disp_term], axis=-1)
 
 
@@ -125,7 +113,7 @@ def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
     )
 
 
-def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> MeasureReport:
+def state_measure_ign(s: GaussianState) -> MeasureReport:
     """Determinant-based state imaginarity measure.
 
     1 - det(nu) / (det(V_qq) det(V_pp)) + h(||momentum displacement||_1),
@@ -134,7 +122,7 @@ def state_measure_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> M
     determinant ratio is 1 by block-diagonality) and the ratio term is
     in [0, 1) by the Fischer inequality.
     """
-    return _ign_report(_ign_terms(s.covariance[None], s.displacement[None], h)[0], "I_Gn")
+    return _ign_report(_ign_terms(s.covariance[None], s.displacement[None])[0], "I_Gn")
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +184,10 @@ def channel_measure_ic_stack(t, n, d) -> np.ndarray:
     return t21 + t12t22 + n12 + disp
 
 
-def channel_measure_id(
-    c: GaussianChannel, h: StepThreshold = StepThreshold()
-) -> MeasureReport:
+def channel_measure_id(c: GaussianChannel) -> MeasureReport:
     """Discrete channel imaginarity measure: step of each I_c summand."""
     t21, t12t22, n12, disp, scales = _single_channel_terms(c)
-    steps = h.step(np.array([t21, t12t22, n12, disp]), np.array(scales))
+    steps = step_function(np.array([t21, t12t22, n12, disp]), np.array(scales))
     terms = [
         (name, float(v)) for name, v in zip(("T21", "T12*T22", "N12", "displacement"), steps)
     ]
@@ -232,15 +218,13 @@ def _random_syms(rngs: list, n: int, scale: float) -> np.ndarray:
 
 
 def channel_measure_is(
-    c: GaussianChannel,
-    cfg: SupSearchConfig = SupSearchConfig(),
-    h: StepThreshold = StepThreshold(),
+    c: GaussianChannel, cfg: SupSearchConfig = SupSearchConfig()
 ) -> MeasureReport:
     """Certified lower bound on sup over real states of I_Gn(channel(state)).
 
     Random restarts (vacuum-seeded) plus coordinate-wise hill climbing
-    over the compact family of real states described in
-    :class:`SupSearchConfig`.  Deterministic for a fixed seed; the
+    over the compact family of real states bounded by
+    ``DISPLACEMENT_BOUND`` and ``CM_EIGENVALUE_BOUND``.  Deterministic for a fixed seed; the
     reported value never decreases when the restart budget grows.
 
     The restarts advance in lockstep as one stack, each drawing from its
@@ -249,7 +233,7 @@ def channel_measure_is(
     moves, and objective evaluations, 1 + restarts * (1 + iterations).
     """
     n = c.modes
-    bound, d_bound = cfg.cm_eigenvalue_bound, cfg.displacement_bound
+    bound, d_bound = CM_EIGENVALUE_BOUND, DISPLACEMENT_BOUND
     evaluations = 0
 
     def objective(d_pos, v1, v2):
@@ -265,7 +249,7 @@ def channel_measure_is(
         disp = (c.T @ d0[..., None])[..., 0] + c.d
         if not all(np.all(np.isfinite(a)) for a in (d0, nu, disp, cov)):
             raise ValidationError("search iterate or channel output has non-finite entries")
-        return _ign_terms(cov, disp, h)
+        return _ign_terms(cov, disp)
 
     eye = np.eye(n)[None]
     vacuum = objective(np.zeros((1, n)), eye, eye)[0]
@@ -318,13 +302,13 @@ def channel_measure_is(
 # free-operation membership
 # ---------------------------------------------------------------------------
 
-def in_fo(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
-    """Real superchannel with spectral norm of A equal to 1."""
-    if not superchannel_is_real(s, tol):
+def in_fo(s: GaussianSuperchannel) -> bool:
+    """Real superchannel with spectral norm of A equal to 1 (within 1e-9)."""
+    if not superchannel_is_real(s):
         return False
-    return abs(spectral_norm(s.A) - 1.0) <= max(tol, 1e-9)
+    return abs(spectral_norm(s.A) - 1.0) <= 1e-9
 
 
-def in_fo1(s: GaussianSuperchannel, tol: float = DEFAULT_PATTERN_TOL) -> bool:
+def in_fo1(s: GaussianSuperchannel) -> bool:
     """FO member whose A and O both preserve the position/momentum split."""
-    return in_fo(s, tol) and superchannel_patterns(s, tol).A_O_sector_preserving
+    return in_fo(s) and superchannel_patterns(s).A_O_sector_preserving

@@ -29,13 +29,13 @@ Temperature enters through the thermal weight 2 P(omega) + 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
-from .specfun import QuadratureSpec, expint_e1, expint_ei, integrate_adaptive
+from .specfun import expint_e1, expint_ei, integrate_adaptive
 
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
@@ -79,14 +79,12 @@ class QbmConfig:
     x      -- non-Markovianity parameter omega_c / omega_0
     theta  -- dimensionless temperature k_B T / hbar omega_c
     regime -- 'high' or 'low' temperature approximation of 2P+1
-    quad   -- quadrature budget for the integral-route oracles
     """
 
     alpha: float
     x: float
     theta: float
     regime: str = "high"
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if not all(0 < v < np.inf for v in (self.alpha, self.x, self.theta)):
@@ -275,7 +273,7 @@ def bath_cos_moment(cfg: QbmConfig, s: float) -> float:
 def _quadrature(cfg: QbmConfig, tau: float, integrand) -> float:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return 0.0 if tau == 0 else cfg.alpha**2 * integrate_adaptive(integrand, 0.0, tau, cfg.quad)
+    return 0.0 if tau == 0 else cfg.alpha**2 * integrate_adaptive(integrand, 0.0, tau)
 
 
 def coeff_gamma_quadrature(cfg: QbmConfig, tau: float) -> float:
@@ -394,9 +392,9 @@ def _rotations(tau: np.ndarray, x: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QbmSolution:
-    """Gamma (Simpson on ``grid`` of gamma's node values) and the noise
-    integral Wbar (shape (2, 2, m), integrated on the refined grid) of the
-    QBM channel at the nodes of a tau-grid, in read-only arrays."""
+    """Gamma and the noise integral Wbar (shape (2, 2, m)), both integrated
+    on the refined grid, of the QBM channel at the nodes of a tau-grid, in
+    read-only arrays."""
 
     cfg: QbmConfig
     grid: np.ndarray
@@ -415,9 +413,8 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
     closed-form coefficients are evaluated on the refined points, the
     fine-grid Gamma weights the co-rotating noise integrand R^T M R, and
     both running integrals carry their totals into the next chunk; only
-    gamma, Gamma and Wbar at the nodes are kept.  Gamma at the nodes
-    integrates gamma's node values, re-reading the two nodes before each
-    seam.  The noise integral is held relative to e^{ref}, and rescaled by
+    Gamma and Wbar at the nodes are kept, so T and N read one Gamma.  The
+    noise integral is held relative to e^{ref}, and rescaled by
     e^{-(new ref - old ref)} when its reference moves, so it stays finite
     at every horizon.  Where the reference moves depends on Gamma alone,
     so the result equals that of one whole-grid pass bit for bit.
@@ -425,27 +422,23 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
     grid = _make_grid(horizon, step)
     consts = _ei_constants(cfg)
     m, x = len(grid), cfg.x
-    gamma_n, big_gamma, wbar = np.empty(m), np.empty(m), np.empty((2, 2, m))
-    node_total, fine_total, noise_total, ref = 0.0, 0.0, np.zeros((2, 2)), 0.0
+    big_gamma, wbar = np.empty(m), np.empty((2, 2, m))
+    fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
     nodes = slice(None, None, NOISE_REFINEMENT)
     for lo in range(0, m - 1, _CHUNK):
         hi = min(lo + _CHUNK, m - 1)
         fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
         gamma_f, delta_f, pi_f = _coefficients(cfg, fine, consts)
-        gamma_n[lo:hi + 1] = gamma_f[nodes]
-        first = max(lo - 2, 0)
-        run = _running_sum(node_total, _simpson_parts(
-            gamma_n[first:hi + 1], grid[first:hi + 1])[lo - first:])
-        big_gamma[lo:hi + 1], node_total = 2.0 * run, run[-1]
         run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
         big_gamma_f, fine_total = 2.0 * run, run[-1]
+        g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]
         rot, rot_n = _rotations(fine, x), _rotations(fine[nodes], x)
         m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
         # co-rotating integrand R^T M R weighted by e^{Gamma - ref}, its
         # running integral, damped and rotated back at the nodes; the
         # reference moves to the first node whose Gamma passes ref + _REBASE
         integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot)
-        g_n, start = big_gamma_f[nodes], 0
+        start = 0
         while start < hi - lo:
             past = np.flatnonzero(g_n[start + 1:] > ref + _REBASE)
             end = start + 1 + past[0] if past.size else hi - lo
@@ -477,18 +470,18 @@ def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
 ASYMMETRY_TOL = 1e-8
 
 
-def _asymmetry(sol: QbmSolution) -> float:
-    """Worst relative asymmetry of Wbar over the solution's nodes.
+def _asymmetry(grid: np.ndarray, w: np.ndarray) -> float:
+    """Worst relative asymmetry of the noise integrals ``w`` (2, 2, m) at
+    the nodes ``grid``.
 
     Raises :class:`IntegrationResolutionError` when a node (NaN included)
     misses ``ASYMMETRY_TOL``.
     """
-    w = sol.wbar
     rel = np.abs(w[0, 1] - w[1, 0]) / np.maximum(1.0, np.max(np.abs(w), axis=(0, 1)))
     if not np.all(rel <= ASYMMETRY_TOL):
         i = int(np.argmax(~(rel <= ASYMMETRY_TOL)))
         raise IntegrationResolutionError(f"noise matrix asymmetry {rel[i]:.3e} exceeds "
-                                         f"{ASYMMETRY_TOL:g} at tau={sol.grid[i]:g}")
+                                         f"{ASYMMETRY_TOL:g} at tau={grid[i]:g}")
     return float(np.max(rel))
 
 
@@ -499,7 +492,7 @@ def noise_wbar(sol: QbmSolution, tau: float) -> np.ndarray:
         raise ValueError(f"tau={tau} outside the solution's range [0, {sol.grid[-1]}]")
     w = np.array([[np.interp(tau, sol.grid, sol.wbar[i, j]) for j in range(2)]
                   for i in range(2)])
-    _asymmetry(replace(sol, grid=np.array([tau]), wbar=w[..., None]))
+    _asymmetry(np.array([tau]), w[..., None])
     return 0.5 * (w + w.T)
 
 
@@ -626,7 +619,7 @@ def imaginarity_trajectory(
         term2[nodes] = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * tau / x))
         direct[nodes] = term1[nodes] + term2[nodes] + np.abs(n12[nodes])
         error = max(error, _cross_check(part, direct[nodes]))
-        asymmetry = max(asymmetry, _asymmetry(part))
+        asymmetry = max(asymmetry, _asymmetry(tau, part.wbar))
     return Trajectory(cfg, sol.grid, direct, sol.gamma_capital, n12, term1, term2,
                       cross_check_error=error, wbar_asymmetry=asymmetry)
 

@@ -50,26 +50,17 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for adaptive quadrature.
-
-    ``tail_cut`` is the finite surrogate for semi-infinite upper limits,
-    in units of the bath cutoff frequency: the Ohmic weight e^{-u}
-    bounds the truncated mass of every integrand used here below
-    ~e^{-tail_cut}.
-    """
+    """Tolerances and budget for adaptive quadrature."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-11
     max_subdivisions: int = 200
-    tail_cut: float = 40.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be positive")
-        if self.tail_cut < 10:
-            raise ValueError("tail_cut must be >= 10")
 
 
 #: The power series serves |w| < 5 right of Re w = -2; further left it cancels

@@ -57,6 +57,10 @@ def test_validate_malformed(tmp_path, capsys):
     path.write_text('{"kind": "nonsense"}')
     assert cli.main(["validate", str(path)]) == cli.EXIT_USAGE
     assert cli.main(["validate", str(tmp_path / "missing.json")]) == cli.EXIT_USAGE
+    for modes in (1.7, "1", True):  # not truncated or converted to an int
+        path.write_text(json.dumps({"kind": "channel", "modes": modes, "T": np.eye(2).tolist(),
+                                    "N": np.eye(2).tolist(), "d": [0.0, 0.0]}))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_USAGE
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -154,6 +158,23 @@ def test_physicality_form_overflow_is_compute_error(tmp_path, capsys, argv, doc)
     assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_COMPUTE
     assert_one_line(capsys.readouterr().err,
                     "computation failed: physicality form overflows")
+
+
+@pytest.mark.parametrize("modes", [0, 65])
+@pytest.mark.parametrize("argv,kind", [
+    (["validate"], "channel"),
+    (["measure", "--which", "ic"], "channel"),
+    (["check-super"], "superchannel"),
+], ids=["validate", "measure", "check-super"])
+def test_mode_count_out_of_range_is_parse_error(tmp_path, capsys, argv, kind, modes):
+    # matrices of the stated size, so only the mode count is out of range
+    eye, zeros = np.eye(2 * modes).tolist(), [0.0] * (2 * modes)
+    doc = {"kind": kind, "modes": modes, "d": zeros}
+    doc.update({"T": eye, "N": eye} if kind == "channel" else {"A": eye, "O": eye, "Y": eye})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, f"parse error: malformed {kind} document: mode count")
 
 
 # ---------------------------------------------------------------------------

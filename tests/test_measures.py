@@ -17,8 +17,10 @@ from gaussimag.gaussian import (
 )
 from gaussimag.linalg import trace_norm
 from gaussimag.measures import (
+    CM_EIGENVALUE_BOUND,
+    DISPLACEMENT_BOUND,
+    STEP_EPSILON,
     MeasureReport,
-    StepThreshold,
     SupSearchConfig,
     _channel_terms,
     channel_measure_ic,
@@ -28,6 +30,7 @@ from gaussimag.measures import (
     in_fo,
     in_fo1,
     state_measure_ign,
+    step_function,
 )
 
 
@@ -84,7 +87,7 @@ def test_state_measure_range():
         assert -1e-12 <= v <= 2.0 + 1e-12
 
 
-def scalar_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> tuple:
+def scalar_ign(s: GaussianState) -> tuple:
     """Reference I_Gn of one state: (value, covariance term, displacement term)."""
     det_qq = np.linalg.det(s.covariance[0::2, 0::2])
     det_pp = np.linalg.det(s.covariance[1::2, 1::2])
@@ -93,7 +96,7 @@ def scalar_ign(s: GaussianState, h: StepThreshold = StepThreshold()) -> tuple:
     cov_term = 1.0 - np.linalg.det(s.covariance) / (det_qq * det_pp)
     mom = float(np.sum(np.abs(s.displacement[1::2])))
     scale = float(np.max(np.abs(s.displacement)))
-    disp_term = 0.0 if abs(mom) <= h.epsilon * max(1.0, scale) else 1.0
+    disp_term = 0.0 if abs(mom) <= STEP_EPSILON * max(1.0, scale) else 1.0
     return float(cov_term + disp_term), float(cov_term), disp_term
 
 
@@ -111,9 +114,7 @@ def test_state_measure_equals_scalar_reference(n):
 
 def test_state_measure_rejects_singular_blocks():
     with pytest.raises(ValidationError):
-        state_measure_ign(
-            GaussianState(1, np.zeros(2), np.diag([0.0, 1.0])), StepThreshold()
-        )
+        state_measure_ign(GaussianState(1, np.zeros(2), np.diag([0.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,6 @@ def test_ic_amplifying_counts_momentum_displacement():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_terms_match_per_channel_measures(n):
     rng = np.random.default_rng(100 + n)
-    h = StepThreshold()
     chans = [
         sample_random_channel(n, rng, rng.choice(["any", "completely-real", "covariant-real"]))
         for _ in range(200)
@@ -180,8 +180,8 @@ def test_batched_terms_match_per_channel_measures(n):
             + float(np.linalg.norm(c.d[1::2]))
         )
         assert batched[i] == pytest.approx(oracle, abs=1e-12)
-        steps = [h.step(v, scales[k][i]) for k, v in enumerate(terms)]
-        assert steps == [v for _, v in channel_measure_id(c, h).breakdown]
+        steps = [step_function(v, scales[k][i]) for k, v in enumerate(terms)]
+        assert steps == [v for _, v in channel_measure_id(c).breakdown]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -306,27 +306,27 @@ def _real_state(n, d_pos, v1, v2):
     return GaussianState(n, d0, nu)
 
 
-def scalar_is_search(c, cfg, h=StepThreshold()):
+def scalar_is_search(c, cfg):
     """Reference I_s search: one restart after another, one state at a time.
 
     Returns (value, breakdown, final value of each restart, accepted moves).
     """
     n = c.modes
-    bound = cfg.cm_eigenvalue_bound
+    bound, d_bound = CM_EIGENVALUE_BOUND, DISPLACEMENT_BOUND
 
     def objective(state):
-        value, cov_term, disp_term = scalar_ign(apply_channel(c, state), h)
+        value, cov_term, disp_term = scalar_ign(apply_channel(c, state))
         return value, [("covariance", cov_term), ("displacement", disp_term)]
 
     best, best_breakdown = objective(GaussianState.vacuum(n))
     finals, accepted = [], 0
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        d_pos = rng.uniform(-cfg.displacement_bound, cfg.displacement_bound, n)
+        d_pos = rng.uniform(-d_bound, d_bound, n)
         v1 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
         v2 = _clip_spd(_random_sym(n, rng, bound), 1.0, bound)
         value, breakdown = objective(_real_state(n, d_pos, v1, v2))
-        step_disp = 0.5 * max(cfg.displacement_bound, 1.0)
+        step_disp = 0.5 * max(d_bound, 1.0)
         step_cm = 0.25 * (bound - 1.0)
         for it in range(cfg.iterations_per_restart):
             move = it % 3
@@ -334,7 +334,7 @@ def scalar_is_search(c, cfg, h=StepThreshold()):
             if move == 0:
                 d_new = d_pos.copy()
                 d_new[rng.integers(n)] += rng.uniform(-step_disp, step_disp)
-                np.clip(d_new, -cfg.displacement_bound, cfg.displacement_bound, out=d_new)
+                np.clip(d_new, -d_bound, d_bound, out=d_new)
             elif move == 1:
                 v1_new = _clip_spd(v1 + _random_sym(n, rng, step_cm), 1.0, bound)
             else:

@@ -230,6 +230,16 @@ def test_gamma_capital_step_halving():
     assert abs(a - b) < 1e-6
 
 
+def test_coarse_grid_gamma_reads_the_refined_integral():
+    # Gamma is the one refined-grid integral that also weights Wbar, read at
+    # the nodes; a Simpson pass over gamma's node values alone is 1.2e-3 off
+    cfg = QbmConfig(alpha=0.3, x=0.5, theta=100.0)
+    coarse = solve_qbm(cfg, 500.0, step=0.5)
+    fine = solve_qbm(cfg, 500.0, step=0.005)
+    reference = np.interp(coarse.grid, fine.grid, fine.gamma_capital)
+    assert np.max(np.abs(coarse.gamma_capital - reference)) <= 1e-5
+
+
 def test_gamma_capital_eventually_monotone():
     sol = solve_qbm(HIGH, 50.0)
     assert _gamma_at(sol, 50.0) > 0
