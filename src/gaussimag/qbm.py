@@ -548,12 +548,15 @@ def _csv_lines(rows):
     """One CSV line per 6-value row: 12 significant digits, plain decimal.
 
     ``%.12g`` matches ``_fmt`` digit for digit wherever it picks
-    positional notation; a line in which it picked an exponent is
-    formatted again value by value.
+    positional notation; only the fields in which it picked an exponent
+    are formatted again.
     """
     for row in rows:
         line = _CSV_ROW % tuple(row)
-        yield line if "e" not in line else ",".join(map(_fmt, row)) + "\n"
+        if "e" in line:
+            line = ",".join(_fmt(v) if "e" in f else f
+                            for f, v in zip(line[:-1].split(","), row)) + "\n"
+        yield line
 
 
 def _fmt(v: float) -> str:
@@ -659,9 +662,7 @@ def steady_state_n12(cfg: QbmConfig) -> float:
                    / ((2 gamma_inf)^2 + (2/x)^2).
     """
     probes = np.array([2000.0, 2000.0 + np.pi * cfg.x / 2, 2000.0 + np.pi * cfg.x])
-    g_inf = float(np.mean(coeff_gamma_closed(cfg, probes)))
-    d_inf = float(np.mean(coeff_delta_closed(cfg, probes)))
-    p_inf = float(np.mean(coeff_pi_closed(cfg, probes)))
+    g_inf, d_inf, p_inf = (float(np.mean(c)) for c in _coefficients(cfg, probes))
     two_over_x = 2.0 / cfg.x
     return -(d_inf * two_over_x + p_inf * 2.0 * g_inf) / (
         (2.0 * g_inf) ** 2 + two_over_x**2

@@ -5,7 +5,8 @@ Ei and E1 at complex arguments.  ``expint_e1`` evaluates E1(z) in numpy,
 choosing per element of w = -z (DLMF 6.6, 6.9, 6.12): the asymptotic
 series -(e^w/w) sum k!/w^k for |w| >= 40; the power series
 -gamma - log z - sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the
-wedge Re w > 2|Im w|; and the continued fraction of E1(z) elsewhere.
+wedge Re w > 2|Im w|; and the continued fraction of E1(z) elsewhere, each
+point only as deep as its convergence rate needs (at most 300 terms).
 ``expint_ei`` is -E1(-w) + i pi sgn(Im w).
 ``integrate_adaptive`` wraps scipy's Gauss-Kronrod integrator, imported
 inside the call, and converts non-convergence into a typed error
@@ -68,8 +69,10 @@ class QuadratureSpec:
 _SERIES_RADIUS, _SERIES_LEFT = 5.0, -2.0
 #: 1/(k k!) for k = 1..120, enough for the wedge Re w > 2|Im w| up to |w| = 40.
 _SERIES_COEFFS = 1.0 / (np.arange(1, 121) * np.cumprod(np.arange(1.0, 121)))
-#: Continued-fraction depth: 5e-15 relative at |w| = 5 on the wedge edge.
-_CF_DEPTH = 300
+#: Continued-fraction depth per point: the tail past depth n weighs about
+#: exp(-4 sqrt(n) Re sqrt(z)), so depth (_CF_RATE / Re sqrt(z))^2, capped, holds
+#: 5e-15 relative over the region; |w| = 5 on the wedge edge needs 250 of the cap.
+_CF_RATE, _CF_DEPTH_CAP = 18.0, 300
 #: (lowest |w|, term count) of each band of the asymptotic series, highest first.
 _ASYMPTOTIC_BANDS = ((200.0, 12), (80.0, 25), (40.0, 45))
 
@@ -83,11 +86,19 @@ def _e1_series(z, w):
 
 
 def _e1_continued_fraction(z):
-    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/...)))
+    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/...))), evaluated
+    # backwards from each point's own depth: sorted deepest first, step k
+    # updates the prefix of points whose depth reaches k
+    depth = np.minimum(_CF_DEPTH_CAP, np.ceil((_CF_RATE / np.sqrt(z).real) ** 2))
+    order = np.argsort(-depth)
+    z = z[order]
+    reach = np.searchsorted(-depth[order], -np.arange(_CF_DEPTH_CAP + 1), side="right")
     t = np.zeros_like(z)
-    for k in range(_CF_DEPTH, 0, -1):
-        t = k * k / (z + (2 * k + 1) - t)
-    return np.exp(-z) / (z + 1.0 - t)
+    for k in range(int(depth.max()), 0, -1):
+        t[:reach[k]] = k * k / (z[:reach[k]] + (2 * k + 1) - t[:reach[k]])
+    out = np.empty_like(z)
+    out[order] = np.exp(-z) / (z + 1.0 - t)
+    return out
 
 
 def expint_e1(z):

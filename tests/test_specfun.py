@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from gaussimag import qbm
 from gaussimag.specfun import (
     ConvergenceError,
     PoleError,
@@ -134,6 +135,70 @@ def test_e1_matches_mpmath(points):
     normal = np.abs(want) > 1e-300  # below it E1 is subnormal
     assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want)[normal])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-310)
+
+
+def in_continued_fraction_region(w: np.ndarray) -> np.ndarray:
+    # |w| < 40 outside the power series' wedge Re w > 2|Im w| and its disc
+    # |w| < 5 right of Re w = -2
+    r = np.abs(w)
+    series = (w.real > 2.0 * np.abs(w.imag)) | ((r < 5.0) & (w.real > -2.0))
+    return (r < 40.0) & ~series
+
+
+def continued_fraction_points(seed: int = 20261018, k: int = 150) -> np.ndarray:
+    """About 1,500 seeded points w of the continued-fraction region, in both
+    half-planes: an area-uniform bulk plus its edges."""
+    rng = np.random.default_rng(seed)
+    edge = np.arctan(0.5)  # the wedge edge Re w = 2|Im w|
+    eps = np.geomspace(1e-15, 1e-3, k)
+
+    def polar(r, lowest_angle):
+        return r * np.exp(1j * rng.uniform(lowest_angle, np.pi, r.size))
+
+    w = np.concatenate([
+        polar(40.0 * np.sqrt(rng.uniform(size=5 * k)), edge),
+        rng.uniform(5.0, 40.0, k) * np.exp(1j * (edge + eps)),  # just outside the wedge
+        polar(40.0 * (1.0 - eps), edge),  # just under |w| = 40
+        polar(5.0 * (1.0 + eps), edge),  # just over |w| = 5
+        polar(5.0 * (1.0 - eps), np.arccos(-0.4)),  # just under |w| = 5, Re w <= -2
+        -2.0 - rng.choice([0.0, 1.0], k) * eps + 1j * rng.uniform(0.0, np.sqrt(21.0), k),
+    ])
+    w = w[in_continued_fraction_region(w)]
+    return np.where(rng.uniform(size=w.size) < 0.5, w, np.conj(w))
+
+
+def test_e1_continued_fraction_region_matches_mpmath():
+    # each point's depth follows the fraction's convergence rate; the rate
+    # and the cap must hold 5e-15 relative over the whole region
+    w = continued_fraction_points()
+    assert 1400 <= w.size <= 1600
+    z = -w
+    with mp.workdps(40):
+        want = np.array([complex(mp.e1(mp.mpc(v.real, v.imag))) for v in z])
+    got = expint_e1(z)
+    assert np.all(np.abs(got - want) <= 5e-15 * np.abs(want))
+
+
+def depth_300_continued_fraction(z: np.ndarray) -> np.ndarray:
+    t = np.zeros_like(z)
+    for k in range(300, 0, -1):
+        t = k * k / (z + (2 * k + 1) - t)
+    return np.exp(-z) / (z + 1.0 - t)
+
+
+@pytest.mark.parametrize("x,b", [(0.5, 1.0), (0.7, 1.0), (0.9, 1.0), (0.5, 1.1)],
+                         ids=["panel-x0.5", "panel-x0.7", "panel-x0.9", "panel-low-T-shift"])
+def test_e1_on_closed_form_lines_equals_depth_300(x, b):
+    # the figure panels' E1 arguments (+-b - i tau)/x, formed as in
+    # qbm._ei_pairs, and -(-b/x) of qbm._ei_constants: a per-point depth must
+    # give the fixed depth-300 fraction's values bit for bit, so that the
+    # coefficients and the panels' CSVs do not move
+    tau = qbm._refine_grid(qbm._make_grid(60.0, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+    z = np.concatenate([-((b + 1j * tau) / x), (b - 1j * tau) / x,
+                        [-np.asarray(-b / x, dtype=complex)]])
+    z = z[in_continued_fraction_region(-z)]
+    assert z.size > 10_000
+    assert np.array_equal(expint_e1(z), depth_300_continued_fraction(z))
 
 
 def test_ei_scalar_in_scalar_out():
