@@ -86,19 +86,20 @@ def _e1_series(z, w):
 
 
 def _e1_continued_fraction(z):
-    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/...))), backwards from
-    # each point's own depth: sorted deepest first (a radix sort of int16, which
-    # pages in less of numpy than a float sort: 0.2 MB of a panel's peak RSS),
-    # step k updates the prefix of points whose depth reaches k
-    depth = np.minimum(_CF_DEPTH_CAP, np.ceil((_CF_RATE / np.sqrt(z).real) ** 2))
-    depth = depth.astype(np.int16)
-    order = np.argsort(-depth, kind="stable")
-    z = z[order]
-    reach = np.cumsum(np.bincount(depth, minlength=_CF_DEPTH_CAP + 1)[::-1])[::-1]
-    t = np.zeros_like(z)
-    for k in range(int(depth.max()), 0, -1):
-        t[:reach[k]] = k * k / (z[:reach[k]] + (2 * k + 1) - t[:reach[k]])
-    # the sorted copy takes the values back in input order: no output array
+    # E1(z) = e^{-z} / (z + 1 - 1/(z + 3 - 4/(z + 5 - 9/...))) from each point's
+    # own depth back: deepest first, step k updates the prefix whose depth
+    # reaches k, in place.  The in-place steps and the int16 keys keep a
+    # figure panel's peak RSS where the depth-300 loop had it
+    key = np.minimum(_CF_DEPTH_CAP, np.ceil((_CF_RATE / np.sqrt(z).real) ** 2))
+    key = -key.astype(np.int16)  # minus the depth: deepest first
+    order = np.argsort(key, kind="stable")
+    steps = -np.arange(_CF_DEPTH_CAP + 1, dtype=np.int16)
+    reach = np.searchsorted(key[order], steps, side="right")
+    z, t, s = z[order], np.zeros_like(z), np.empty_like(z)
+    for k in range(-int(key.min()), 0, -1):
+        n = reach[k]
+        np.subtract(np.add(z[:n], 2 * k + 1, out=s[:n]), t[:n], out=s[:n])
+        np.divide(k * k, s[:n], out=t[:n])
     z[order] = np.exp(-z) / (z + 1.0 - t)
     return z
 
