@@ -61,11 +61,8 @@ from .qbm import (
     QbmSolution,
     Trajectory,
     coeff_delta_closed,
-    coeff_delta_quadrature,
     coeff_gamma_closed,
-    coeff_gamma_quadrature,
     coeff_pi_closed,
-    coeff_pi_quadrature,
     imaginarity_trajectory,
     noise_wbar,
     qbm_channel,
@@ -74,12 +71,9 @@ from .qbm import (
     steady_state_n12,
 )
 from .specfun import (
-    ConvergenceError,
     PoleError,
-    QuadratureSpec,
     expint_e1,
     expint_ei,
-    integrate_adaptive,
 )
 
 __version__ = "0.1.0"

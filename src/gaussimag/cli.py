@@ -65,7 +65,7 @@ def _load_document(path):
     try:
         with open(path, "r") as fh:
             obj = from_document(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValidationError, ValueError, RecursionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -12,13 +12,10 @@ where R is the free rotation by tau/x, Gamma is twice the accumulated
 damping coefficient gamma, and Wbar integrates the diffusion matrix
 M = [[Delta, -Pi/2], [-Pi/2, 0]] in the co-rotating, damped frame.
 
-The coefficient functions gamma, Delta, Pi are available in two
-independent routes: adaptive quadrature of the defining double
-integrals (with the bath-frequency integral reduced in closed form),
-and closed-form expressions built from exponential/trigonometric
-integrals at complex arguments.  The closed forms combine those
-functions in conjugate pairs, so their imaginary residue is checked and
-discarded.
+The coefficient functions gamma, Delta, Pi are closed-form expressions
+built from the exponential integrals Ei and E1 at complex arguments.
+Those enter in conjugate pairs, so each formula reads the real or the
+imaginary part of one Ei or E1 value and is evaluated in real arithmetic.
 
 Temperature enters through the thermal weight 2 P(omega) + 1:
 
@@ -35,7 +32,7 @@ import numpy as np
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
-from .specfun import expint_e1, expint_ei, integrate_adaptive
+from .specfun import expint_e1, expint_ei
 
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
@@ -58,8 +55,8 @@ LOW_T_EXPONENT_MAX = 700.0
 
 
 class ClosedFormError(RuntimeError):
-    """A closed-form coefficient produced a non-finite value or an excessive
-    imaginary residue, signalling overflow or a branch or transcription fault."""
+    """A closed-form coefficient produced a non-finite value, signalling
+    overflow or a branch or transcription fault."""
 
 
 class FormulaInconsistencyError(RuntimeError):
@@ -125,24 +122,20 @@ class QbmConfig:
 def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ClosedFormError(f"{name}: non-finite closed-form value")
-    scale = np.maximum(1.0, np.abs(values.real))
-    residue = np.abs(values.imag) / scale
-    worst = float(np.max(residue)) if residue.size else 0.0
-    if worst > 1e-8:
-        raise ClosedFormError(f"{name}: imaginary residue {worst:.3e} exceeds 1e-8 relative")
-    return values.real
+    return values
 
 
 def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
-    """Ei((b +/- i tau)/x) and k = E1((b - i tau)/x), from two batches.
+    """e_p = Ei((b + i tau)/x) and k = E1((b - i tau)/x), one batch each.
 
-    Ei(conj z) == conj(Ei(z)) gives the -i tau value.  The other pair is
+    Ei(conj z) == conj(Ei(z)) gives the -i tau value, so a conjugate pair
+    sums to 2 Re e_p and differs by 2i Im e_p.  The other pair is
     Ei((-b +/- i tau)/x) = -k (conjugated) +/- i pi for tau > 0, so the
     closed forms read Re k and Im k: Im Ei((-b + i tau)/x) is pi minus a
     part of size e^{-b/x}, which pi + Im would lose at small x.
     """
-    e_plus = np.asarray(expint_ei((b + 1j * tau) / x))
-    return e_plus, np.conj(e_plus), np.asarray(expint_e1((b - 1j * tau) / x))
+    return (np.asarray(expint_ei((b + 1j * tau) / x)),
+            np.asarray(expint_e1((b - 1j * tau) / x)))
 
 
 def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -153,20 +146,20 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _ei_constants(cfg: QbmConfig) -> tuple:
     """(Ei(b/x), Ei(-b/x)) of the Pi closed forms for b = 1 and, at low
-    temperature, b = 1 + 1/theta: evaluated once per trajectory."""
+    temperature, b = 1 + 1/theta: real, evaluated once per trajectory."""
     cutoffs = (1.0,) if cfg.regime == "high" else (1.0, cfg.cutoff_shift)
-    return tuple((expint_ei(b / cfg.x), expint_ei(-b / cfg.x)) for b in cutoffs)
+    return tuple((expint_ei(b / cfg.x).real, expint_ei(-b / cfg.x).real) for b in cutoffs)
 
 
 def _delta_pi_high(cfg: QbmConfig, pairs, scalars):
     x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
-    e_p, e_m, k = pairs
+    e_p, k = pairs
     pref = a2 * theta * np.exp(-1.0 / x) / 2.0
-    b1 = 1j * (e_m - e_p)
+    b1 = 2.0 * e_p.imag
     b2 = 2.0 * k.imag
     delta = pref * (b1 + np.exp(2.0 / x) * b2)
     ei_pos, ei_neg = scalars
-    c1 = -e_m - e_p + 2.0 * ei_pos
+    c1 = -2.0 * e_p.real + 2.0 * ei_pos
     c2 = -2.0 * ei_neg - 2.0 * k.real
     pi_ = pref * (c1 + np.exp(2.0 / x) * c2)
     return delta, pi_
@@ -182,13 +175,14 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
     (1 + 1/theta, 2).
     """
     x, a2 = cfg.x, cfg.alpha**2
-    g, g_c, k = pairs
+    g, k = pairs
     ei_b, ei_mb = scalars
     boundary = t / (b * b + t * t)
-    delta = weight * a2 * (np.cos(t / x) * boundary + (1.0 / (4j * x)) * (
-        np.exp(-b / x) * (g - g_c) - np.exp(b / x) * 2j * k.imag))
+    delta = weight * a2 * (np.cos(t / x) * boundary + (1.0 / (4.0 * x)) * (
+        np.exp(-b / x) * (2.0 * g.imag) - np.exp(b / x) * 2.0 * k.imag))
     pi_ = weight * a2 * (np.sin(t / x) * boundary - (1.0 / (4.0 * x)) * (
-        np.exp(-b / x) * (g + g_c - 2.0 * ei_b) - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)))
+        np.exp(-b / x) * (2.0 * g.real - 2.0 * ei_b)
+        - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)))
     return delta, pi_
 
 
@@ -204,15 +198,15 @@ def _coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
 
     The two ``_ei_pairs`` batches (and, at low temperature, the two
     cutoff-shifted ones) are evaluated once and shared by all three
-    coefficients; each coefficient's imaginary residue is checked.
+    coefficients; each coefficient is checked to be finite.
     ``consts`` is ``_ei_constants(cfg)``, evaluated here when omitted.
     """
     x, a2 = cfg.x, cfg.alpha**2
     consts = consts or _ei_constants(cfg)
     pairs = _ei_pairs(t, x)
-    e_p, e_m, k = pairs
+    e_p, k = pairs
     gamma = (a2 / (4.0 * x)) * (
-        np.exp(-1.0 / x) * 1j * (e_m - e_p)
+        np.exp(-1.0 / x) * (2.0 * e_p.imag)
         + np.exp(1.0 / x) * 2.0 * k.imag
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
@@ -245,50 +239,6 @@ def coeff_delta_closed(cfg: QbmConfig, tau):
 def coeff_pi_closed(cfg: QbmConfig, tau):
     """Anomalous diffusion coefficient Pi(tau), regime-consistent closed form."""
     return _coefficient_view(cfg, tau, 2)
-
-
-# ---------------------------------------------------------------------------
-# quadrature-route coefficients (oracles)
-# ---------------------------------------------------------------------------
-
-def bath_sin_moment(s: float) -> float:
-    """Inner frequency integral of J(u) sin(u s): 2 s / (1 + s^2)^2."""
-    return 2.0 * s / (1.0 + s * s) ** 2
-
-
-def bath_cos_moment(cfg: QbmConfig, s: float) -> float:
-    """Inner frequency integral of J(u) (2P+1) cos(u s) for the regime.
-
-    High temperature: 2 theta / (1 + s^2).  Low temperature (weight
-    1 + 2 e^{-u/theta}): Re[1/(1-is)^2] + 2 Re[1/(b-is)^2].
-    """
-    if cfg.regime == "high":
-        return 2.0 * cfg.theta / (1.0 + s * s)
-    b = cfg.cutoff_shift
-    return (1.0 - s * s) / (1.0 + s * s) ** 2 + 2.0 * (b * b - s * s) / (
-        b * b + s * s
-    ) ** 2
-
-
-def _quadrature(cfg: QbmConfig, tau: float, integrand) -> float:
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return 0.0 if tau == 0 else cfg.alpha**2 * integrate_adaptive(integrand, 0.0, tau)
-
-
-def coeff_gamma_quadrature(cfg: QbmConfig, tau: float) -> float:
-    """gamma(tau) by adaptive quadrature of the defining integral."""
-    return _quadrature(cfg, tau, lambda s: np.sin(s / cfg.x) * bath_sin_moment(s))
-
-
-def coeff_delta_quadrature(cfg: QbmConfig, tau: float) -> float:
-    """Delta(tau) by adaptive quadrature with the regime's thermal weight."""
-    return _quadrature(cfg, tau, lambda s: np.cos(s / cfg.x) * bath_cos_moment(cfg, s))
-
-
-def coeff_pi_quadrature(cfg: QbmConfig, tau: float) -> float:
-    """Pi(tau) by adaptive quadrature with the regime's thermal weight."""
-    return _quadrature(cfg, tau, lambda s: np.sin(s / cfg.x) * bath_cos_moment(cfg, s))
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +325,6 @@ def _running_sum(start, parts: np.ndarray) -> np.ndarray:
     """
     out = np.concatenate([np.expand_dims(start, -1), parts], axis=-1)
     return np.cumsum(out, axis=-1, out=out)
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` over the 1-d grid ``x`` along
-    the last axis, starting from 0: bit-identical to
-    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``."""
-    return _running_sum(np.zeros(y.shape[:-1]), _simpson_parts(y, x))
 
 
 def _rotations(tau: np.ndarray, x: float) -> np.ndarray:
@@ -628,30 +571,8 @@ def imaginarity_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# asymptotics and oracles
+# asymptotics
 # ---------------------------------------------------------------------------
-
-def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
-    """N12 at the solution's nodes via the scalar co-rotating integral.
-
-    Independent algebraic route (trig-expanded cumulative integrals on
-    its own whole-grid evaluation of the refined coefficients, unscaled,
-    so for Gamma below ~700) used to cross-check the matrix Wbar path:
-
-      N12(tau) = e^{-Gamma} * integral of
-                 e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
-    """
-    fine = _refine_grid(sol.grid, NOISE_REFINEMENT)
-    gamma, delta, pi_ = _coefficients(sol.cfg, fine)
-    big_gamma = 2.0 * _cumulative_simpson(gamma, fine)
-    x = sol.cfg.x
-    weight = np.exp(big_gamma)
-    sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)
-    a1, a2, b1, b2 = _cumulative_simpson(np.array([weight * delta * sin2, weight * delta * cos2,
-                                                   weight * pi_ * sin2, weight * pi_ * cos2]), fine)
-    n12 = np.exp(-big_gamma) * (cos2 * (a1 - b2) - sin2 * (a2 + b1))
-    return n12[::NOISE_REFINEMENT]
-
 
 def steady_state_n12(cfg: QbmConfig) -> float:
     """Asymptotic N12 from the long-time limits of the coefficients.

@@ -1,67 +1,30 @@
-"""Special functions with complex arguments, plus adaptive quadrature.
+"""The exponential integrals Ei and E1 at complex arguments, in numpy.
 
-The quantum-Brownian-motion closed forms need the exponential integrals
-Ei and E1 at complex arguments.  ``expint_e1`` evaluates E1(z) in numpy,
-choosing per element of w = -z (DLMF 6.6, 6.9, 6.12): the asymptotic
-series -(e^w/w) sum k!/w^k for |w| >= 40; the power series
--gamma - log z - sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the
-wedge Re w > 2|Im w|; and the continued fraction of E1(z) elsewhere, each
-point only as deep as its convergence rate needs (at most 300 terms).
-``expint_ei`` is -E1(-w) + i pi sgn(Im w).
-``integrate_adaptive`` wraps scipy's Gauss-Kronrod integrator, imported
-inside the call, and converts non-convergence into a typed error
-carrying the best estimate.
+The quantum-Brownian-motion closed forms need both.  ``expint_e1``
+evaluates E1(z), choosing per element of w = -z (DLMF 6.6, 6.9, 6.12):
+the asymptotic series -(e^w/w) sum k!/w^k for |w| >= 40; the power
+series -gamma - log z - sum w^k/(k k!) for |w| < 5 right of Re w = -2
+and in the wedge Re w > 2|Im w|; and the continued fraction of E1(z)
+elsewhere, each point only as deep as its convergence rate needs (at
+most 300 terms).  ``expint_ei`` is -E1(-w) + i pi sgn(Im w).
 
 Branch conventions
 ------------------
 Ei uses the principal branch (cut along the negative real axis).
 ``expint_ei`` returns the *real principal value* for arguments exactly
 on the negative real axis; off the axis the limit from the containing
-half-plane applies, so ``Ei(conj(z)) == conj(Ei(z))``.  The closed forms
-served here always combine Ei values in conjugate pairs with real
-prefactors, which is exactly what makes their values real.
+half-plane applies, so ``Ei(conj(z)) == conj(Ei(z))``.  The QBM closed
+forms combine Ei values in conjugate pairs with real prefactors, so
+they read the real or imaginary part of one value of each pair.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-import warnings
 
 import numpy as np
 
 
 class PoleError(ValueError):
     """Raised when a special function is evaluated at its pole."""
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to meet the requested tolerance.
-
-    Attributes
-    ----------
-    estimate : best available estimate of the integral
-    error_bound : the integrator's error estimate for it
-    """
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
 
 
 #: The power series serves |w| < 5 right of Re w = -2; further left it cancels
@@ -156,34 +119,3 @@ def expint_ei(z):
     out = -np.asarray(expint_e1(-w)) + 1j * np.pi * np.sign(w.imag)
     out = np.where(w.imag == 0, out.real, out)
     return out if out.ndim else complex(out)
-
-
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over [a, b].
-
-    Deterministic; raises :class:`ConvergenceError` (carrying the best
-    estimate and its error bound) if the requested tolerance cannot be
-    met within the subdivision budget.
-    """
-    import scipy.integrate
-
-    if not a < b:
-        raise ValueError(f"integration interval is empty: [{a}, {b}]")
-
-    def quad():
-        return scipy.integrate.quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                    limit=spec.max_subdivisions)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
-        try:
-            value, err = quad()
-        except scipy.integrate.IntegrationWarning as warn:
-            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-            value, err = quad()
-            raise ConvergenceError(str(warn), value, err) from None
-    if err > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:g} exceeds tolerance", value, err
-        )
-    return float(value)

@@ -30,13 +30,11 @@ from gaussimag.measures import (
 from gaussimag.qbm import (
     QbmConfig,
     coeff_delta_closed,
-    coeff_delta_quadrature,
     coeff_gamma_closed,
-    coeff_gamma_quadrature,
     coeff_pi_closed,
-    coeff_pi_quadrature,
     solve_qbm,
 )
+from oracles import coeff_delta_quadrature, coeff_gamma_quadrature, coeff_pi_quadrature
 
 FIGURE_CONFIGS = [
     QbmConfig(alpha=0.03, x=0.5, theta=100.0, regime="high"),

@@ -177,6 +177,16 @@ def test_mode_count_out_of_range_is_parse_error(tmp_path, capsys, argv, kind, mo
     assert_one_line(capsys.readouterr().err, f"parse error: malformed {kind} document: mode count")
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["measure", "--which", "ic"], ["check-super"]],
+                         ids=["validate", "measure", "check-super"])
+def test_document_nested_past_the_recursion_limit_is_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "channel", "modes": 1, "T": ' + "[" * 100_000 + "]" * 100_000
+                    + ', "N": [[1, 0], [0, 1]], "d": [0, 0]}')
+    assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_USAGE
+    assert_one_line(capsys.readouterr().err, "parse error: maximum recursion depth exceeded")
+
+
 # ---------------------------------------------------------------------------
 # check-super
 # ---------------------------------------------------------------------------

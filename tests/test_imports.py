@@ -1,5 +1,6 @@
-"""Importing the package and running the CLI load no scipy code;
-the package modules use only each other's public names and import nothing unused."""
+"""Importing the package and running the CLI load no scipy code, and no
+package module names scipy; the package modules use only each other's
+public names and import nothing unused."""
 
 import ast
 import json
@@ -58,6 +59,54 @@ def test_qbm_loads_no_scipy(tmp_path, regime, theta):
                          "--theta", {theta!r}, "--horizon", "1", "--out", "t.csv"]) == 0
     """
     assert scipy_modules_after(tmp_path, body) == []
+
+
+def scipy_findings(source: str) -> list[str]:
+    """Where ``source`` imports or names scipy; comments and docstrings do not count."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            texts = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            texts += [t for alias in node.names for t in (alias.name, alias.asname or "")]
+        elif isinstance(node, ast.Name):
+            texts = [node.id]
+        elif isinstance(node, ast.Attribute):
+            texts = [node.attr]
+        elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+            texts = [node.value] if isinstance(node.value, str) else []
+        else:
+            continue
+        found += [f"line {node.lineno}: {text!r}" for text in texts if "scipy" in text]
+    return found
+
+
+def test_scipy_findings_flags_imports_and_names_only():
+    source = textwrap.dedent('''
+        """A docstring naming scipy."""
+        import scipy.integrate
+        from scipy import special
+        import numpy as scipy
+        import importlib  # scipy in a comment
+
+
+        def f():
+            """scipy in a function docstring."""
+            return scipy.integrate, importlib.import_module("scipy"), special
+    ''')
+    assert [f.split(":")[0] for f in scipy_findings(source)] == [
+        "line 3", "line 4", "line 5", "line 11", "line 11"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(gaussimag.__file__).parent.glob("*.py"))
+)
+def test_modules_do_not_name_scipy(module):
+    assert scipy_findings((Path(gaussimag.__file__).parent / module).read_text()) == []
 
 
 def _private(name: str) -> bool:

@@ -12,18 +12,20 @@ from gaussimag.qbm import (
     IntegrationResolutionError,
     QbmConfig,
     coeff_delta_closed,
-    coeff_delta_quadrature,
     coeff_gamma_closed,
-    coeff_gamma_quadrature,
     coeff_pi_closed,
-    coeff_pi_quadrature,
     imaginarity_trajectory,
-    n12_scalar_oracle,
     noise_wbar,
     qbm_channel,
     rotation_r,
     solve_qbm,
     steady_state_n12,
+)
+from oracles import (
+    coeff_delta_quadrature,
+    coeff_gamma_quadrature,
+    coeff_pi_quadrature,
+    n12_scalar_oracle,
 )
 
 HIGH = QbmConfig(alpha=0.03, x=0.5, theta=100.0, regime="high")
@@ -263,7 +265,7 @@ def _scipy_cumulative_simpson(y, x):
 
 
 def _assert_simpson_matches_scipy(y, x):
-    got = qbm._cumulative_simpson(y, x)
+    got = qbm._running_sum(np.zeros(y.shape[:-1]), qbm._simpson_parts(y, x))
     assert got.shape == y.shape
     assert np.array_equal(got, _scipy_cumulative_simpson(y, x))
 
@@ -473,8 +475,8 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     assert t[0] == 0.0
     direct = [qbm.expint_ei((s + 1j * sign * t) / x)
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
-    e_p, e_m, k = qbm._ei_pairs(t, x)
-    assert np.array_equal(e_p, direct[0]) and np.array_equal(e_m, direct[1])
+    e_p, k = qbm._ei_pairs(t, x)
+    assert np.array_equal(e_p, direct[0]) and np.array_equal(np.conj(e_p), direct[1])
     assert np.array_equal(k, qbm.expint_e1((1.0 - 1j * t) / x))
     off = t > 0
     assert np.array_equal(1j * np.pi - k[off], direct[2][off])
@@ -629,23 +631,17 @@ def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
 @pytest.mark.parametrize(
     "values",
     [
-        np.array([1.0 + 0j, np.nan + 0j]),
-        np.array([1.0 + 0j, np.inf + 0j]),
-        np.array([1.0 + 0j, 1.0 + np.nan * 1j]),
-        np.array([-np.inf + 1j * np.inf]),
+        np.array([1.0, np.nan]),
+        np.array([1.0, np.inf]),
+        np.array([np.inf - np.inf]),
+        np.array([-np.inf, np.inf]),
     ],
     ids=["nan-real", "inf-real-zero-imag", "nan-residue", "inf-inf"],
 )
 def test_real_checked_rejects_non_finite(values):
     with pytest.raises(qbm.ClosedFormError, match="gamma"):
         qbm._real_checked(values, "gamma")
-
-
-def test_real_checked_passes_small_residue_and_rejects_large():
-    values = np.array([2.0 + 1e-9j, -3.0 + 0j])
-    assert np.array_equal(qbm._real_checked(values, "Pi"), [2.0, -3.0])
-    with pytest.raises(qbm.ClosedFormError, match="imaginary residue"):
-        qbm._real_checked(np.array([2.0 + 1e-6j]), "Pi")
+    assert np.array_equal(qbm._real_checked(np.array([2.0, -3.0]), "Pi"), [2.0, -3.0])
 
 
 def test_n12_matrix_route_matches_scalar_oracle():

@@ -4,14 +4,8 @@ import pytest
 import scipy.special as sp
 
 from gaussimag import qbm
-from gaussimag.specfun import (
-    ConvergenceError,
-    PoleError,
-    QuadratureSpec,
-    expint_e1,
-    expint_ei,
-    integrate_adaptive,
-)
+from gaussimag.specfun import PoleError, expint_e1, expint_ei
+from oracles import ConvergenceError, QuadratureSpec, integrate_adaptive
 
 EULER_GAMMA = 0.5772156649015328606
 
