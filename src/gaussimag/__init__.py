@@ -34,7 +34,6 @@ from .gaussian import (
 )
 from .linalg import (
     DimensionError,
-    HermitianForm,
     is_psd,
     min_eigenvalue,
     sigma_blocks,

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_PSD_TOL,
     DimensionError,
-    HermitianForm,
     check_modes,
     is_psd,
     max_abs,
@@ -157,62 +155,58 @@ class RealnessReport:
 # validity
 # ---------------------------------------------------------------------------
 
-def _symmetric(m: np.ndarray, tol: float) -> bool:
-    return max_abs(m - m.T) <= tol * max(1.0, max_abs(m))
+def _symmetric(m: np.ndarray) -> bool:
+    return max_abs(m - m.T) <= 1e-9 * max(1.0, max_abs(m))
 
 
-def _constraints(obj, tol: float):
+def _constraints(obj):
     """(name, holds) for each physicality constraint of ``obj``, in check
     order; each is evaluated only when the previous ones were consumed."""
     if isinstance(obj, GaussianState):
         nu = obj.covariance
-        yield "covariance symmetry", _symmetric(nu, 1e-9)
-        sym = 0.5 * (nu + nu.T)
-        yield "nu+iDelta", is_psd(HermitianForm(sym, symplectic_form(obj.modes)), tol)
+        yield "covariance symmetry", _symmetric(nu)
+        yield "nu+iDelta", is_psd(0.5 * (nu + nu.T), symplectic_form(obj.modes))
     elif isinstance(obj, GaussianChannel):
-        yield "N symmetry", _symmetric(obj.N, 1e-9)
+        yield "N symmetry", _symmetric(obj.N)
         sym = 0.5 * (obj.N + obj.N.T)
-        yield "N>=0", is_psd(HermitianForm(sym, np.zeros_like(sym)), tol)
+        yield "N>=0", is_psd(sym, np.zeros_like(sym))
         delta = symplectic_form(obj.modes)
-        t_form = HermitianForm(sym, delta - obj.T @ delta @ obj.T.T)
-        yield "N+iDelta-iTDeltaT^T", is_psd(t_form, tol)
+        yield "N+iDelta-iTDeltaT^T", is_psd(sym, delta - obj.T @ delta @ obj.T.T)
     elif isinstance(obj, GaussianSuperchannel):
         dim = 2 * obj.modes
         # not (> 1e-9): a NaN from overflow passes on to the checks that raise
         yield "OO^T=I", not max_abs(obj.O @ obj.O.T - np.eye(dim)) > 1e-9
-        yield "Y symmetry", _symmetric(obj.Y, 1e-9)
+        yield "Y symmetry", _symmetric(obj.Y)
         delta = symplectic_form(obj.modes)
         sym = 0.5 * (obj.Y + obj.Y.T)
-        a_form = HermitianForm(sym, delta - obj.A @ delta @ obj.A.T)
-        yield "Y+iDelta-iADeltaA^T", is_psd(a_form, tol)
+        yield "Y+iDelta-iADeltaA^T", is_psd(sym, delta - obj.A @ delta @ obj.A.T)
         # i Delta - i O Delta O^T >= 0; the left side is traceless, so PSD
         # forces it to vanish: O must preserve the symplectic form.
-        o_form = HermitianForm(np.zeros((dim, dim)), delta - obj.O @ delta @ obj.O.T)
-        yield "iDelta-iODeltaO^T", is_psd(o_form, tol)
+        yield "iDelta-iODeltaO^T", is_psd(np.zeros((dim, dim)), delta - obj.O @ delta @ obj.O.T)
     else:
         raise TypeError(f"cannot validate object of type {type(obj).__name__}")
 
 
-def violated_constraint(obj, tol: float = DEFAULT_PSD_TOL) -> str:
+def violated_constraint(obj) -> str:
     """The name of the first physicality constraint that the state, channel
     or superchannel ``obj`` violates (for example "N>=0"), or "" if none."""
-    return next((name for name, holds in _constraints(obj, tol) if not holds), "")
+    return next((name for name, holds in _constraints(obj) if not holds), "")
 
 
-def validate_state(s: GaussianState, tol: float = DEFAULT_PSD_TOL) -> bool:
+def validate_state(s: GaussianState) -> bool:
     """Whether the covariance is symmetric and nu + i Delta >= 0."""
-    return not violated_constraint(s, tol)
+    return not violated_constraint(s)
 
 
-def validate_channel(c: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> bool:
+def validate_channel(c: GaussianChannel) -> bool:
     """Whether N is symmetric PSD and N + i Delta - i T Delta T^T >= 0."""
-    return not violated_constraint(c, tol)
+    return not violated_constraint(c)
 
 
-def validate_superchannel(s: GaussianSuperchannel, tol: float = DEFAULT_PSD_TOL) -> bool:
+def validate_superchannel(s: GaussianSuperchannel) -> bool:
     """Whether O is orthogonal and symplectic, Y symmetric, and the CP
     condition Y + i Delta - i A Delta A^T >= 0 holds."""
-    return not violated_constraint(s, tol)
+    return not violated_constraint(s)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +328,6 @@ def channel_realness(c: GaussianChannel) -> RealnessReport:
     )
     if not report.is_real:
         report.violations = common + (erase if len(erase) <= len(mix) else mix)
-        if not report.violations:  # pragma: no cover - defensive
-            report.violations = erase + mix
     return report
 
 
@@ -606,7 +598,7 @@ def from_document(doc: dict):
             return GaussianChannel(modes, doc["T"], doc["N"], doc["d"])
         if kind == "superchannel":
             return GaussianSuperchannel(modes, doc["A"], doc["O"], doc["Y"], doc["d"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind or 'object'} document: {exc}") from exc
     raise ValidationError(f"unknown document kind {kind!r}")
 

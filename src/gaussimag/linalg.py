@@ -4,13 +4,11 @@ Everything in this package works with 2n x 2n real matrices in the
 "interleaved" quadrature ordering (q1, p1, q2, p2, ...).  This module
 provides the structural constant matrices (symplectic form, per-mode
 momentum flip), the matrix norms used by the imaginarity measures, and
-positive-semidefiniteness tests for Hermitian forms X + iY with real
-symmetric X and real antisymmetric Y.
+the positive-semidefiniteness test for Hermitian matrices X + iY with
+real symmetric X and real antisymmetric Y.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +18,8 @@ MAX_MODES = 64
 
 #: Relative eigenvalue floor used by :func:`is_psd`.  Covariance matrices
 #: sitting exactly on the uncertainty boundary must not be rejected by
-#: round-off, so "PSD" means min eigenvalue >= -tol * scale.
-DEFAULT_PSD_TOL = 1e-9
+#: round-off, so "PSD" means min eigenvalue >= -PSD_TOL * max(1, ||X||).
+PSD_TOL = 1e-9
 
 
 class DimensionError(ValueError):
@@ -101,64 +99,25 @@ def spectral_norm(m) -> float:
     return float(np.max(_singular_values(m)))
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """A Hermitian matrix X + iY given by its real symmetric and imaginary
-    antisymmetric parts.
+def min_eigenvalue(x, y) -> float:
+    """Minimum eigenvalue of the Hermitian matrix X + iY, from its real
+    symmetric part ``x`` and real antisymmetric part ``y``.
 
-    Parameters
-    ----------
-    real_part : (m, m) array_like, symmetric
-    imag_part : (m, m) array_like, antisymmetric
+    The real embedding [[X, -Y], [Y, X]] has the spectrum of X + iY with
+    every eigenvalue doubled, which leaves the minimum unchanged.
     """
-
-    real_part: np.ndarray
-    imag_part: np.ndarray
-
-    def __post_init__(self):
-        x = _as_matrix(self.real_part, "real_part")
-        y = _as_matrix(self.imag_part, "imag_part")
-        if x.shape != y.shape or x.shape[0] != x.shape[1]:
-            raise ValueError(
-                f"real/imag parts must be square and congruent, got {x.shape}, {y.shape}"
-            )
-        scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-        if np.max(np.abs(x - x.T)) > 1e-9 * scale:
-            raise ValueError("real_part is not symmetric within tolerance")
-        if np.max(np.abs(y + y.T)) > 1e-9 * scale:
-            raise ValueError("imag_part is not antisymmetric within tolerance")
-        object.__setattr__(self, "real_part", x)
-        object.__setattr__(self, "imag_part", y)
-
-    @property
-    def dim(self) -> int:
-        return self.real_part.shape[0]
-
-    def embedding(self) -> np.ndarray:
-        """The 2m x 2m real symmetric embedding [[X, -Y], [Y, X]].
-
-        Its spectrum is that of X + iY with every eigenvalue doubled,
-        which is harmless for minimum-eigenvalue tests.
-        """
-        x, y = self.real_part, self.imag_part
-        return np.block([[x, -y], [y, x]])
+    x = _as_matrix(x, "real_part")
+    y = _as_matrix(y, "imag_part")
+    if x.shape != y.shape or x.shape[0] != x.shape[1]:
+        raise ValueError(
+            f"real/imag parts must be square and congruent, got {x.shape}, {y.shape}"
+        )
+    return float(np.min(np.linalg.eigvalsh(np.block([[x, -y], [y, x]]))))
 
 
-def min_eigenvalue(form: HermitianForm) -> float:
-    """Minimum eigenvalue of the Hermitian matrix X + iY."""
-    return float(np.min(np.linalg.eigvalsh(form.embedding())))
-
-
-def is_psd(form: HermitianForm, tol: float = DEFAULT_PSD_TOL) -> bool:
-    """Whether X + iY >= 0 up to a relative eigenvalue floor.
-
-    True iff the minimum eigenvalue is >= -tol * scale with
-    scale = max(1, ||X||).
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    scale = max(1.0, spectral_norm(form.real_part))
-    return min_eigenvalue(form) >= -tol * scale
+def is_psd(x, y) -> bool:
+    """Whether X + iY >= 0, that is min eigenvalue >= -PSD_TOL * max(1, ||X||)."""
+    return min_eigenvalue(x, y) >= -PSD_TOL * max(1.0, spectral_norm(x))
 
 
 def max_abs(m) -> float:

@@ -11,6 +11,7 @@ from gaussimag.gaussian import (
     sample_random_superchannel,
     to_document,
 )
+from test_gaussian import squeezer
 
 
 def write_doc(tmp_path, name, obj):
@@ -158,6 +159,37 @@ def test_physicality_form_overflow_is_compute_error(tmp_path, capsys, argv, doc)
     assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_COMPUTE
     assert_one_line(capsys.readouterr().err,
                     "computation failed: physicality form overflows")
+
+
+def test_pure_squeezer_past_the_floor_is_invalid(tmp_path, capsys):
+    # round-off in T Delta T^T, not overflow: ||T|| is only 2.2e4
+    doc = write_doc(tmp_path, "squeezer.json", squeezer(10.0))
+    assert cli.main(["--json", "validate", doc]) == cli.EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"]["violated_constraint"] == "N+iDelta-iTDeltaT^T"
+    assert err == ""
+
+
+HUGE_INT = int("9" * 401)  # finite in JSON, too large for a float
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "channel", "modes": 1, "T": [[HUGE_INT, 0], [0, 1]], "N": [[1, 0], [0, 1]],
+     "d": [0, 0]},
+    {"kind": "channel", "modes": 1, "T": [[1, 0], [0, 1]], "N": [[1, 0], [0, 1]],
+     "d": [HUGE_INT, 0]},
+    {"kind": "state", "modes": 1, "displacement": [0, HUGE_INT],
+     "covariance": [[1, 0], [0, 1]]},
+], ids=["T", "d", "displacement"])
+@pytest.mark.parametrize("argv", [["validate"], ["measure", "--which", "ic"], ["check-super"]],
+                         ids=["validate", "measure", "check-super"])
+def test_integer_too_large_for_a_float_is_parse_error(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, f"parse error: malformed {doc['kind']} document: int too large")
 
 
 @pytest.mark.parametrize("modes", [0, 65])

@@ -82,13 +82,25 @@ def test_violated_constraint_names(obj, name):
     assert validator(obj) is (name == "")
 
 
-@pytest.mark.parametrize("tol,name", [(1e-9, "N>=0"), (1e-6, "")])
-def test_validate_channel_and_violated_constraint_honour_tol(tol, name):
-    # min eigenvalue -1e-8: below -tol at 1e-9, within it at 1e-6, for the
-    # N >= 0 check as for the CP condition
-    c = _channel(np.eye(2), np.diag([-1e-8, 0.0]))
-    assert violated_constraint(c, tol) == name
-    assert validate_channel(c, tol) is (name == "")
+@pytest.mark.parametrize("eig,name", [(-1e-8, "N>=0"), (-1e-10, "")])
+def test_validate_channel_at_the_psd_floor(eig, name):
+    # the floor is PSD_TOL * max(1, ||N||) = 1e-9: -1e-8 is below it, -1e-10 within
+    c = _channel(np.eye(2), np.diag([eig, 0.0]))
+    assert violated_constraint(c) == name
+    assert validate_channel(c) is (name == "")
+
+
+def squeezer(r):
+    """The pure squeezer T = S(r) along the diagonal quadratures, N = 0."""
+    t = [[np.cosh(r), np.sinh(r)], [np.sinh(r), np.cosh(r)]]
+    return _channel(t, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("r,name", [(8.0, ""), (10.0, "N+iDelta-iTDeltaT^T")])
+def test_pure_squeezer_against_the_fixed_floor(r, name):
+    # T Delta T^T = Delta exactly, but its round-off grows as ||T||^2 = e^{2r}
+    # while the floor does not: at r = 10 it sinks the CP form below -1e-9
+    assert violated_constraint(squeezer(r)) == name
 
 
 def test_state_shape_errors():

@@ -1,6 +1,7 @@
 """Importing the package and running the CLI load no scipy code, and no
 package module names scipy; the package modules use only each other's
-public names and import nothing unused."""
+public names, import nothing unused and define no private name that they
+never use."""
 
 import ast
 import json
@@ -145,3 +146,55 @@ def import_findings(path: Path) -> list[str]:
 )
 def test_modules_use_public_names_and_no_unused_imports(module):
     assert import_findings(Path(gaussimag.__file__).parent / module) == []
+
+
+def unused_private_findings(source: str) -> list[str]:
+    """The module-level private functions, classes and assignments that
+    ``source`` never reads."""
+    tree = ast.parse(source)
+    defined = {}  # name -> line
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name} is never used"
+            for name, line in defined.items() if _private(name) and name not in read]
+
+
+def test_unused_private_findings_flags_module_level_names_only():
+    source = textwrap.dedent('''
+        _USED, _UNUSED = 1, 2
+        _annotated: int = 3
+        __all__ = ["f"]
+
+
+        def _dead():
+            _local = _USED
+            return _local
+
+
+        class _Helper:
+            pass
+
+
+        def f():
+            return _Helper
+    ''')
+    assert unused_private_findings(source) == [
+        "line 2: _UNUSED is never used", "line 3: _annotated is never used",
+        "line 7: _dead is never used"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(gaussimag.__file__).parent.glob("*.py"))
+)
+def test_modules_use_every_private_name_they_define(module):
+    source = (Path(gaussimag.__file__).parent / module).read_text()
+    assert unused_private_findings(source) == []

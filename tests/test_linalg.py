@@ -3,7 +3,6 @@ import pytest
 
 from gaussimag.linalg import (
     DimensionError,
-    HermitianForm,
     is_psd,
     max_abs,
     min_eigenvalue,
@@ -149,19 +148,21 @@ def test_norms_reject_non_finite():
         spectral_norm([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_hermitian_form_validation():
-    with pytest.raises(ValueError):
-        HermitianForm([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        HermitianForm(np.eye(2), np.eye(2))
-    with pytest.raises(ValueError):
-        HermitianForm(np.eye(2), np.zeros((3, 3)))
+def test_is_psd_rejects_mismatched_or_non_finite_parts():
+    for x, y in [
+        (np.eye(2), np.zeros((3, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        ([[np.nan, 0.0], [0.0, 1.0]], np.zeros((2, 2))),
+        (np.eye(2), [[0.0, np.inf], [-np.inf, 0.0]]),
+    ]:
+        with pytest.raises(ValueError):
+            is_psd(x, y)
 
 
 def test_is_psd_examples():
     delta = symplectic_form(1)
-    assert is_psd(HermitianForm(np.eye(2), delta))
-    assert not is_psd(HermitianForm(0.5 * np.eye(2), delta))
+    assert is_psd(np.eye(2), delta)
+    assert not is_psd(0.5 * np.eye(2), delta)
 
 
 def test_is_psd_matches_complex_eigensolver():
@@ -172,11 +173,10 @@ def test_is_psd_matches_complex_eigensolver():
             x = s @ s.T + np.eye(dim)
             y = rng.standard_normal((dim, dim))
             y = y - y.T
-            form = HermitianForm(x, y)
             oracle_min = np.min(np.linalg.eigvalsh(x + 1j * y))
-            assert min_eigenvalue(form) == pytest.approx(oracle_min, abs=1e-9)
+            assert min_eigenvalue(x, y) == pytest.approx(oracle_min, abs=1e-9)
             scale = max(1.0, spectral_norm(x))
-            assert is_psd(form) == (oracle_min >= -1e-9 * scale)
+            assert is_psd(x, y) == (oracle_min >= -1e-9 * scale)
 
 
 def test_max_abs():
