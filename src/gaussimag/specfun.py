@@ -98,10 +98,11 @@ def expint_e1(z):
         upper = lower
         if not np.any(band):
             continue
-        u, s = 1.0 / w[band], 1.0
+        wb = w[band]
+        u, s = 1.0 / wb, 1.0
         for k in range(terms - 1, 0, -1):
             s = 1.0 + k * u * s
-        out[band] = -(np.exp(w[band]) * u * s)
+        out[band] = -(np.exp(wb) * u * s)
     return out if out.ndim else complex(out)
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussimag.qbm as qbm
 from gaussimag.gaussian import validate_channel
@@ -683,14 +685,84 @@ def _csv_edge_values():
     return values[: values.size // 6 * 6].reshape(-1, 6)
 
 
-def test_csv_rows_match_per_value_format():
-    rows = _csv_edge_values().tolist()
-    got = list(qbm._csv_lines(rows))
+def _blocks_text(values: np.ndarray) -> str:
+    """The CSV text of the rows ``values`` as ``write_csv`` writes it."""
+    blocks = (qbm._csv_block(values[lo:lo + qbm._CSV_ROWS])
+              for lo in range(0, len(values), qbm._CSV_ROWS))
+    return b"".join(block.tobytes() for block in blocks).decode()
+
+
+def test_csv_rows_match_per_value_format(monkeypatch):
+    rows = _csv_edge_values()
+    fallback = []
+    fmt = qbm._fmt
+    monkeypatch.setattr(qbm, "_fmt", lambda v: fallback.append(v) or fmt(v))
+    got = _blocks_text(rows).splitlines(keepends=True)
     assert len(got) == len(rows)
-    for row, line in zip(rows, got):
+    for row, line in zip(rows.tolist(), got):
         assert line == _per_value_line(row), row
-    fallback = sum("e" in qbm._CSV_ROW % tuple(row) for row in rows)
-    assert 0 < fallback < 0.8 * len(rows)
+    # the exact ties at the 13th digit go through the tie fallback, and
+    # random values only within its margin, about one in a thousand
+    assert 0 < len(fallback) < 0.03 * rows.size
+
+
+@pytest.mark.parametrize("miss", [-1, 1])
+def test_csv_block_corrects_an_exponent_estimate_off_by_one(monkeypatch, miss):
+    # log10 misses floor(log10 |v|) by one at most; a miss on every field
+    # must still give the per-value text
+    rows = _csv_edge_values()[::50]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + miss)
+    assert _blocks_text(rows) == "".join(_per_value_line(row) for row in rows.tolist())
+
+
+_LARGEST = float(np.finfo(float).max)
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _exact_ties(q: int):
+    # odd N = 5**q * j with 12-digit N // 2, so that j / 2**(q+1) = N / (2 * 10**q)
+    # is a double whose 13th significant digit is an exact final 5
+    lo, hi = -(-(2 * 10**11 + 1) // 5**q), (2 * 10**12 - 1) // 5**q
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda i: (2 * i + 1) / 2.0 ** (q + 1))
+
+
+_POWERS = st.integers(-323, 308).map(lambda k: float(f"1e{k}"))
+_CSV_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=5e-324, max_value=_SMALLEST_NORMAL),
+    _POWERS,
+    _POWERS.map(lambda v: float(np.nextafter(v, 0.0))),
+    _POWERS.map(lambda v: float(np.nextafter(v, np.inf))),
+    st.floats(min_value=1e12, max_value=_LARGEST),
+    st.integers(0, 17).flatmap(_exact_ties),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda rows: st.lists(st.tuples(_CSV_VALUE, st.booleans()),
+                          min_size=6 * rows, max_size=6 * rows)))
+def test_csv_block_matches_per_value_format(fields):
+    values = np.array([-v if negative else v for v, negative in fields]).reshape(-1, 6)
+    assert _blocks_text(values) == "".join(_per_value_line(row) for row in values.tolist())
+
+
+@pytest.mark.parametrize("cfg, horizon, step", [
+    (LOW, 60.0, 0.01),  # the low-T figure panel
+    (QbmConfig(alpha=1.0, x=0.9, theta=100.0), 300.0, 0.5),  # damped below 1e-70
+], ids=["low-T-panel", "damped"])
+def test_csv_file_matches_per_value_format(tmp_path, cfg, horizon, step):
+    traj = imaginarity_trajectory(cfg, horizon, step)
+    path = tmp_path / "t.csv"
+    traj.write_csv(path)
+    rows = np.column_stack([traj.tau, traj.ic, traj.gamma_capital, traj.n12,
+                            traj.term_t21, traj.term_t12t22])
+    if cfg.alpha == 1.0:
+        assert np.min(traj.term_t21[1:]) < 1e-70
+    expected = "tau,Ic,Gamma,N12,term_T21,term_T12T22\n" + "".join(
+        _per_value_line(row) for row in rows.tolist())
+    assert path.read_bytes() == expected.encode()
 
 
 def test_csv_round_trip(tmp_path, short_trajectory):
