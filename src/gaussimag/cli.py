@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -77,6 +76,8 @@ def _load_document(path):
 
 
 def _digest(path) -> str:
+    import hashlib  # here, so that qbm does not load OpenSSL
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -66,6 +66,8 @@ class SupSearchConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.iterations_per_restart < 1:
             raise ValueError("search budget must be positive")
+        if self.restarts > np.iinfo(np.intp).max:
+            raise ValueError(f"restarts must be at most {np.iinfo(np.intp).max}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

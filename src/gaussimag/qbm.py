@@ -281,16 +281,12 @@ def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     return np.append(fine, grid[-1])
 
 
-def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Simpson integral over [x_i, x_{i+1}] of the parabola through
-    x_i, x_{i+1}, x_{i+2}, for every i (unequal widths ``dx``).
-
-    Reversing ``y`` and ``dx`` gives the integrals over the second halves.
-    """
-    x21, x32 = dx[:-1], dx[1:]
+def _simpson_halves(f1, f2, f3, x21, x32) -> np.ndarray:
+    """Simpson integral over [x_1, x_2] of the parabola through the points
+    (x_1, f1), (x_2, f2), (x_3, f3), with widths x21 = |x_2 - x_1| and
+    x32 = |x_3 - x_2|, so the points may run backwards (a second half)."""
     x21_x31, x21_x32 = x21 / (x21 + x32), x21 / x32
     ratio = x21_x31 * x21_x32
-    f1, f2, f3 = y[..., :-2], y[..., 1:-1], y[..., 2:]
     return x21 / 6 * ((3 - x21_x31) * f1 + (3 + ratio + x21_x31) * f2 + -ratio * f3)
 
 
@@ -299,22 +295,21 @@ def _simpson_parts(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     along the last axis.
 
     The arithmetic is that of ``scipy.integrate.cumulative_simpson`` on
-    unequal intervals: each interval takes its first-half integral from
-    the panel to its right and, for odd intervals and the last one, its
-    second-half integral from the panel to its left.  A part reads only its
-    own panel, so the parts of the points 2j..k equal those of the whole
-    grid.  Fewer than three points fall back to the trapezoid rule, as
-    SciPy does.
+    unequal intervals: each even interval 2j is the first half of the
+    panel (2j, 2j+1, 2j+2), each odd interval its second half, and an even
+    last interval the second half of the panel that ends the grid.  A part
+    reads only its own panel, so the parts of the points 2j..k equal those
+    of the whole grid.  Fewer than three points fall back to the trapezoid
+    rule, as SciPy does.
     """
     dx = np.diff(x)
     if y.shape[-1] < 3:
         return dx * (y[..., 1:] + y[..., :-1]) / 2.0
-    h1 = _simpson_first_halves(y, dx)
-    h2 = _simpson_first_halves(y[..., ::-1], dx[::-1])[..., ::-1]
+    f1, f2, f3, x21, x32 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2], dx[:-1:2], dx[1::2]
     parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-    parts[..., :-1:2] = h1[..., ::2]
-    parts[..., 1::2] = h2[..., ::2]
-    parts[..., -1] = h2[..., -1]
+    parts[..., :-1:2] = _simpson_halves(f1, f2, f3, x21, x32)
+    parts[..., 1::2] = _simpson_halves(f3, f2, f1, x32, x21)
+    parts[..., -1] = _simpson_halves(y[..., -1], y[..., -2], y[..., -3], dx[-1], dx[-2])
     return parts
 
 

@@ -334,6 +334,7 @@ def test_qbm_non_finite_input_is_usage_error(tmp_path, capsys, extra):
         ["--which", "is", "--restarts", "-1"],
         ["--which", "is", "--iterations", "-3"],
         ["--which", "is", "--seed", "-1"],
+        ["--which", "is", "--restarts", "100000000000000000000"],
     ],
 )
 def test_measure_bad_search_parameters_are_usage_errors(amplifying_doc, capsys, argv):

@@ -1,5 +1,5 @@
-"""Importing the package and running the CLI load no scipy code, and no
-package module names scipy; the package modules use only each other's
+"""Importing the package and running the CLI load no scipy code, `qbm`
+loads no OpenSSL, and no package module names scipy; the package modules use only each other's
 public names, import nothing unused and define no private name that they
 never use."""
 
@@ -21,12 +21,13 @@ from gaussimag.gaussian import GaussianChannel, to_document
 PACKAGE_ROOT = str(Path(gaussimag.__file__).resolve().parent.parent)
 
 
-def scipy_modules_after(tmp_path, body: str) -> list[str]:
-    """The scipy modules in ``sys.modules`` after ``body`` runs in a fresh interpreter."""
-    script = textwrap.dedent(body) + textwrap.dedent("""
+def modules_after(tmp_path, body: str, *names: str) -> list[str]:
+    """The modules in ``sys.modules`` after ``body`` runs in a fresh
+    interpreter that are one of ``names`` or inside one of them."""
+    script = textwrap.dedent(body) + textwrap.dedent(f"""
         import json, sys
         print(json.dumps(sorted(m for m in sys.modules
-                                if m == "scipy" or m.startswith("scipy."))))
+                                if m.split(".")[0] in {names!r})))
     """)
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -37,7 +38,7 @@ def scipy_modules_after(tmp_path, body: str) -> list[str]:
 
 
 def test_importing_the_package_loads_no_scipy(tmp_path):
-    assert scipy_modules_after(tmp_path, "import gaussimag, gaussimag.cli") == []
+    assert modules_after(tmp_path, "import gaussimag, gaussimag.cli", "scipy") == []
 
 
 def test_measure_is_loads_no_scipy(tmp_path):
@@ -49,17 +50,29 @@ def test_measure_is_loads_no_scipy(tmp_path):
         assert cli.main(["--json", "measure", {str(doc)!r}, "--which", "is",
                          "--restarts", "2", "--iterations", "5"]) == 0
     """
-    assert scipy_modules_after(tmp_path, body) == []
+    assert modules_after(tmp_path, body, "scipy") == []
 
 
-@pytest.mark.parametrize("regime, theta", [("high", "100"), ("low", "10")])
-def test_qbm_loads_no_scipy(tmp_path, regime, theta):
-    body = f"""
+def qbm_run(regime: str, theta: str) -> str:
+    return f"""
         from gaussimag import cli
         assert cli.main(["qbm", "--regime", {regime!r}, "--alpha", "0.03", "--x", "0.5",
                          "--theta", {theta!r}, "--horizon", "1", "--out", "t.csv"]) == 0
     """
-    assert scipy_modules_after(tmp_path, body) == []
+
+
+@pytest.mark.parametrize("regime, theta", [("high", "100"), ("low", "10")])
+def test_qbm_loads_no_scipy(tmp_path, regime, theta):
+    assert modules_after(tmp_path, qbm_run(regime, theta), "scipy") == []
+
+
+@pytest.mark.parametrize("regime, theta", [("high", "100"), ("low", "10")])
+def test_qbm_loads_no_hashlib(tmp_path, regime, theta):
+    # only the input digest of validate, measure and check-super needs
+    # hashlib, whose _hashlib loads OpenSSL (about 3.5 MB of peak RSS)
+    names = ("hashlib", "_hashlib")
+    assert modules_after(tmp_path, "import hashlib", *names) == sorted(names)
+    assert modules_after(tmp_path, qbm_run(regime, theta), *names) == []
 
 
 def scipy_findings(source: str) -> list[str]:
