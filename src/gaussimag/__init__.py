@@ -23,13 +23,8 @@ from .gaussian import (
     sample_random_state,
     sample_random_superchannel,
     state_realness,
-    superchannel_is_imaginarity_breaking,
-    superchannel_is_real,
     superchannel_patterns,
     to_document,
-    validate_channel,
-    validate_state,
-    validate_superchannel,
     violated_constraint,
 )
 from .linalg import (
@@ -39,7 +34,6 @@ from .linalg import (
     sigma_blocks,
     spectral_norm,
     symplectic_form,
-    trace_norm,
     trace_norms,
 )
 from .measures import (
@@ -59,13 +53,9 @@ from .qbm import (
     QbmConfig,
     QbmSolution,
     Trajectory,
-    coeff_delta_closed,
-    coeff_gamma_closed,
-    coeff_pi_closed,
+    coefficients,
     imaginarity_trajectory,
-    noise_wbar,
     qbm_channel,
-    rotation_r,
     solve_qbm,
     steady_state_n12,
 )

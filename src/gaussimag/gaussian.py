@@ -193,22 +193,6 @@ def violated_constraint(obj) -> str:
     return next((name for name, holds in _constraints(obj) if not holds), "")
 
 
-def validate_state(s: GaussianState) -> bool:
-    """Whether the covariance is symmetric and nu + i Delta >= 0."""
-    return not violated_constraint(s)
-
-
-def validate_channel(c: GaussianChannel) -> bool:
-    """Whether N is symmetric PSD and N + i Delta - i T Delta T^T >= 0."""
-    return not violated_constraint(c)
-
-
-def validate_superchannel(s: GaussianSuperchannel) -> bool:
-    """Whether O is orthogonal and symplectic, Y symmetric, and the CP
-    condition Y + i Delta - i A Delta A^T >= 0 holds."""
-    return not violated_constraint(s)
-
-
 # ---------------------------------------------------------------------------
 # actions and composition
 # ---------------------------------------------------------------------------
@@ -373,16 +357,6 @@ def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
         A_O_sector_preserving=not (_violations(s.A, "A", "mixing")
                                    or _violations(s.O, "O", "mixing")),
     )
-
-
-def superchannel_is_real(s: GaussianSuperchannel) -> bool:
-    """Whether the superchannel maps every real channel to a real channel."""
-    return superchannel_patterns(s).is_real
-
-
-def superchannel_is_imaginarity_breaking(s: GaussianSuperchannel) -> bool:
-    """Whether the output channel is real for *every* input channel."""
-    return superchannel_patterns(s).is_imaginarity_breaking
 
 
 # ---------------------------------------------------------------------------

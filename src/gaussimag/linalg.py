@@ -74,11 +74,6 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values of ``m``."""
-    return float(trace_norms(_as_matrix(m)))
-
-
 def trace_norms(stack) -> np.ndarray:
     """Trace norm of every matrix in a stack of shape (..., r, c)."""
     stack = np.asarray(stack, dtype=float)

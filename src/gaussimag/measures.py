@@ -27,7 +27,6 @@ from .gaussian import (
     GaussianState,
     GaussianSuperchannel,
     ValidationError,
-    superchannel_is_real,
     superchannel_patterns,
 )
 from .linalg import spectral_norm, trace_norms
@@ -306,7 +305,7 @@ def channel_measure_is(
 
 def in_fo(s: GaussianSuperchannel) -> bool:
     """Real superchannel with spectral norm of A equal to 1 (within 1e-9)."""
-    if not superchannel_is_real(s):
+    if not superchannel_patterns(s).is_real:
         return False
     return abs(spectral_norm(s.A) - 1.0) <= 1e-9
 

@@ -194,7 +194,7 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs, consts):
     return delta_1 + delta_b, pi_1 + pi_b
 
 
-def _coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
+def coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
     """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
 
     The two ``_ei_pairs`` batches (and, at low temperature, the two
@@ -219,27 +219,6 @@ def _coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
         _zero_at_origin(t, _real_checked(values, name))
         for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"))
     )
-
-
-def _coefficient_view(cfg: QbmConfig, tau, index: int):
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    out = _coefficients(cfg, t)[index]
-    return out if np.ndim(tau) else float(out[0])
-
-
-def coeff_gamma_closed(cfg: QbmConfig, tau):
-    """Damping coefficient gamma(tau), closed form."""
-    return _coefficient_view(cfg, tau, 0)
-
-
-def coeff_delta_closed(cfg: QbmConfig, tau):
-    """Direct diffusion coefficient Delta(tau), regime-consistent closed form."""
-    return _coefficient_view(cfg, tau, 1)
-
-
-def coeff_pi_closed(cfg: QbmConfig, tau):
-    """Anomalous diffusion coefficient Pi(tau), regime-consistent closed form."""
-    return _coefficient_view(cfg, tau, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +319,7 @@ class QbmSolution:
     gamma_capital: np.ndarray
     wbar: np.ndarray
 
-    def _nodes(self, part: slice) -> "QbmSolution":
+    def _nodes(self, part: slice | list) -> "QbmSolution":
         return replace(self, grid=self.grid[part], gamma_capital=self.gamma_capital[part],
                        wbar=self.wbar[..., part])
 
@@ -361,13 +340,13 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
     grid = _make_grid(horizon, step)
     consts = _ei_constants(cfg)
     m, x = len(grid), cfg.x
-    big_gamma, wbar = np.empty(m), np.empty((2, 2, m))
+    big_gamma, wbar = np.zeros(m), np.zeros((2, 2, m))
     fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
     nodes = slice(None, None, NOISE_REFINEMENT)
     for lo in range(0, m - 1, _CHUNK):
         hi = min(lo + _CHUNK, m - 1)
         fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
-        gamma_f, delta_f, pi_f = _coefficients(cfg, fine, consts)
+        gamma_f, delta_f, pi_f = coefficients(cfg, fine, consts)
         run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
         big_gamma_f, fine_total = 2.0 * run, run[-1]
         g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]
@@ -399,13 +378,6 @@ def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> Qbm
     return QbmSolution(cfg=cfg, grid=grid, gamma_capital=big_gamma, wbar=wbar)
 
 
-def rotation_r(cfg: QbmConfig, tau: float) -> np.ndarray:
-    """Free rotation R(tau) by angle tau/x (orthogonal, det 1)."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return _rotations(tau, cfg.x)
-
-
 #: Largest relative asymmetry |W01 - W10| / max(1, max|W|) of the noise integral.
 ASYMMETRY_TOL = 1e-8
 
@@ -425,23 +397,26 @@ def _asymmetry(grid: np.ndarray, w: np.ndarray) -> float:
     return float(np.max(rel))
 
 
-def noise_wbar(sol: QbmSolution, tau: float) -> np.ndarray:
-    """The noise integral Wbar(tau), interpolated between the nodes and
-    symmetrized once its asymmetry is checked."""
-    if tau < 0 or tau > sol.grid[-1] + 1e-12:
-        raise ValueError(f"tau={tau} outside the solution's range [0, {sol.grid[-1]}]")
-    w = np.array([[np.interp(tau, sol.grid, sol.wbar[i, j]) for j in range(2)]
-                  for i in range(2)])
-    _asymmetry(np.array([tau]), w[..., None])
-    return 0.5 * (w + w.T)
+def _node_channels(sol: QbmSolution) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) at every node of ``sol``: two (m, 2, 2) stacks, T = e^{-Gamma/2} R
+    and N = 2 Wbar symmetrized."""
+    t_mats = np.exp(-sol.gamma_capital / 2.0)[:, None, None] * np.moveaxis(
+        _rotations(sol.grid, sol.cfg.x), -1, 0)
+    n_mats = 2.0 * np.moveaxis(sol.wbar, -1, 0)
+    return t_mats, 0.5 * (n_mats + np.swapaxes(n_mats, -1, -2))
 
 
-def qbm_channel(sol: QbmSolution, tau: float) -> GaussianChannel:
-    """The one-mode channel (e^{-Gamma/2} R, 2 Wbar, 0) at time tau."""
-    n_mat = 2.0 * noise_wbar(sol, tau)
-    big_gamma = float(np.interp(tau, sol.grid, sol.gamma_capital))
-    t_mat = np.exp(-big_gamma / 2.0) * rotation_r(sol.cfg, tau)
-    return GaussianChannel(1, t_mat, n_mat, np.zeros(2))
+def qbm_channel(sol: QbmSolution, i: int) -> GaussianChannel:
+    """The one-mode channel (e^{-Gamma/2} R, 2 Wbar, 0) at the node
+    ``sol.grid[i]``; a negative ``i`` counts back from the horizon.
+
+    Raises :class:`IntegrationResolutionError` when that node's Wbar misses
+    ``ASYMMETRY_TOL``.
+    """
+    node = sol._nodes([i])
+    _asymmetry(node.grid, node.wbar)
+    t_mats, n_mats = _node_channels(node)
+    return GaussianChannel(1, t_mats[0], n_mats[0], np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +582,7 @@ def _cross_check(sol: QbmSolution, direct: np.ndarray) -> float:
     non-finite or any point (NaN included) misses ``CROSS_CHECK_TOL``.
     """
     grid = sol.grid
-    t_mats = np.exp(-sol.gamma_capital / 2.0)[:, None, None] * np.moveaxis(
-        _rotations(grid, sol.cfg.x), -1, 0)
-    n_mats = 2.0 * np.moveaxis(sol.wbar, -1, 0)
-    n_mats = 0.5 * (n_mats + np.swapaxes(n_mats, -1, -2))
+    t_mats, n_mats = _node_channels(sol)
     finite = np.all(np.isfinite(t_mats), axis=(1, 2)) & np.all(np.isfinite(n_mats), axis=(1, 2))
     if not np.all(finite):
         tau = grid[int(np.argmin(finite))]
@@ -670,7 +642,7 @@ def steady_state_n12(cfg: QbmConfig) -> float:
                    / ((2 gamma_inf)^2 + (2/x)^2).
     """
     probes = np.array([2000.0, 2000.0 + np.pi * cfg.x / 2, 2000.0 + np.pi * cfg.x])
-    g_inf, d_inf, p_inf = (float(np.mean(c)) for c in _coefficients(cfg, probes))
+    g_inf, d_inf, p_inf = (float(np.mean(c)) for c in coefficients(cfg, probes))
     two_over_x = 2.0 / cfg.x
     return -(d_inf * two_over_x + p_inf * 2.0 * g_inf) / (
         (2.0 * g_inf) ** 2 + two_over_x**2

@@ -152,7 +152,7 @@ def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
     """
     fine = qbm._refine_grid(sol.grid, qbm.NOISE_REFINEMENT)
-    gamma, delta, pi_ = qbm._coefficients(sol.cfg, fine)
+    gamma, delta, pi_ = qbm.coefficients(sol.cfg, fine)
     big_gamma = 2.0 * _cumulative_simpson(gamma, fine)
     x = sol.cfg.x
     weight = np.exp(big_gamma)

@@ -17,8 +17,8 @@ from gaussimag.gaussian import (
     channel_realness,
     sample_random_channel,
     sample_random_superchannel,
-    superchannel_is_real,
-    validate_channel,
+    superchannel_patterns,
+    violated_constraint,
 )
 from gaussimag.linalg import symplectic_form
 from gaussimag.measures import (
@@ -29,9 +29,7 @@ from gaussimag.measures import (
 )
 from gaussimag.qbm import (
     QbmConfig,
-    coeff_delta_closed,
-    coeff_gamma_closed,
-    coeff_pi_closed,
+    coefficients,
     solve_qbm,
 )
 from oracles import coeff_delta_quadrature, coeff_gamma_quadrature, coeff_pi_quadrature
@@ -90,7 +88,7 @@ def _settled_start(cfg: QbmConfig, level: float) -> float:
     large tau as ``steady_state_n12`` does.
     """
     probes = np.array([2000.0, 2000.0 + np.pi * cfg.x / 2, 2000.0 + np.pi * cfg.x])
-    gamma_inf = float(np.mean(coeff_gamma_closed(cfg, probes)))
+    gamma_inf = float(np.mean(coefficients(cfg, probes)[0]))
     return float(np.log(2.0 / (np.pi * level)) / gamma_inf)
 
 
@@ -210,7 +208,7 @@ def test_criterion_2_theorem_audits():
                 violations += 1
         while converse_total < 50 * n:
             sup = sample_random_superchannel(n, rng, "any")
-            if superchannel_is_real(sup):
+            if superchannel_patterns(sup).is_real:
                 continue
             converse_total += 1
             for _ in range(200):
@@ -274,17 +272,18 @@ def test_criterion_4_closed_forms_vs_quadrature():
     high = QbmConfig(alpha=0.03, x=0.5, theta=100.0, regime="high")
     low = QbmConfig(alpha=0.03, x=0.5, theta=10.0, regime="low")
     routes = [
-        ("gamma", high, coeff_gamma_closed, coeff_gamma_quadrature, 1e-5),
-        ("Delta_high", high, coeff_delta_closed, coeff_delta_quadrature, 1e-4),
-        ("Pi_high", high, coeff_pi_closed, coeff_pi_quadrature, 1e-4),
-        ("Delta_low", low, coeff_delta_closed, coeff_delta_quadrature, 1e-4),
-        ("Pi_low", low, coeff_pi_closed, coeff_pi_quadrature, 1e-4),
+        ("gamma", high, 0, coeff_gamma_quadrature, 1e-5),
+        ("Delta_high", high, 1, coeff_delta_quadrature, 1e-4),
+        ("Pi_high", high, 2, coeff_pi_quadrature, 1e-4),
+        ("Delta_low", low, 1, coeff_delta_quadrature, 1e-4),
+        ("Pi_low", low, 2, coeff_pi_quadrature, 1e-4),
     ]
     worst = {}
-    for name, cfg, closed, quadrature, tol in routes:
+    for name, cfg, index, quadrature, tol in routes:
         rel = 0.0
         for tau in taus:
-            a, b = closed(cfg, float(tau)), quadrature(cfg, float(tau))
+            a = coefficients(cfg, np.array([tau]))[index][0]
+            b = quadrature(cfg, float(tau))
             rel = max(rel, abs(a - b) / max(abs(b), 1e-30))
         worst[name] = (rel, tol)
     elapsed = time.perf_counter() - start
@@ -400,8 +399,8 @@ def test_criterion_9_full_physicality_sweep(grids):
         # independent spot checks through the generic validator
         for i in np.sort(rng.choice(len(sol.grid), size=200, replace=False)):
             tau = float(sol.grid[i])
-            chan = qbm.qbm_channel(sol, tau)
-            assert validate_channel(chan), f"{key} invalid at tau={tau}"
+            chan = qbm.qbm_channel(sol, i)
+            assert not violated_constraint(chan), f"{key} invalid at tau={tau}"
             channels += 1
     ok = swept >= 9 and worst_rel <= 1e-9
     _verdict(

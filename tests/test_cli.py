@@ -535,6 +535,15 @@ def test_qbm_two_point_grid(tmp_path, horizon):
     assert lines[2].startswith(horizon + ",")
 
 
+def test_qbm_one_node_grid(tmp_path):
+    # a horizon below 1e-12 gives the grid [0], where the channel is the identity
+    out = tmp_path / "t.csv"
+    code = cli.main(["qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
+                     "--horizon", "1e-13", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert out.read_text().splitlines()[1:] == ["0,0,0,0,0,0"]
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

@@ -17,13 +17,8 @@ from gaussimag.gaussian import (
     sample_random_state,
     sample_random_superchannel,
     state_realness,
-    superchannel_is_imaginarity_breaking,
-    superchannel_is_real,
     superchannel_patterns,
     to_document,
-    validate_channel,
-    validate_state,
-    validate_superchannel,
     violated_constraint,
 )
 from gaussimag.linalg import DimensionError, max_abs
@@ -34,25 +29,25 @@ from gaussimag.linalg import DimensionError, max_abs
 # ---------------------------------------------------------------------------
 
 def test_validate_state_examples():
-    assert validate_state(GaussianState.vacuum())
-    assert not validate_state(GaussianState(1, np.zeros(2), 0.5 * np.eye(2)))
-    assert validate_state(GaussianState(1, np.zeros(2), 3.0 * np.eye(2)))
+    assert not violated_constraint(GaussianState.vacuum())
+    assert violated_constraint(GaussianState(1, np.zeros(2), 0.5 * np.eye(2)))
+    assert not violated_constraint(GaussianState(1, np.zeros(2), 3.0 * np.eye(2)))
 
 
 def test_validate_channel_examples():
-    assert validate_channel(GaussianChannel.identity())
-    assert validate_channel(GaussianChannel.amplifying(1, tau=2.0))
-    assert not validate_channel(
+    assert not violated_constraint(GaussianChannel.identity())
+    assert not violated_constraint(GaussianChannel.amplifying(1, tau=2.0))
+    assert violated_constraint(
         GaussianChannel(1, 2.0 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
     )
 
 
 def test_validate_superchannel_examples():
-    assert validate_superchannel(GaussianSuperchannel.identity())
+    assert not violated_constraint(GaussianSuperchannel.identity())
     # an O that is orthogonal but not symplectic must be rejected
     bad_o = np.diag([1.0, -1.0])
     bad = GaussianSuperchannel(1, np.eye(2), bad_o, 10.0 * np.eye(2), np.zeros(2))
-    assert not validate_superchannel(bad)
+    assert violated_constraint(bad)
 
 
 def _channel(t, n):
@@ -77,9 +72,6 @@ def _superchannel(a, o, y):
 ])
 def test_violated_constraint_names(obj, name):
     assert violated_constraint(obj) == name
-    validator = {GaussianState: validate_state, GaussianChannel: validate_channel,
-                 GaussianSuperchannel: validate_superchannel}[type(obj)]
-    assert validator(obj) is (name == "")
 
 
 @pytest.mark.parametrize("eig,name", [(-1e-8, "N>=0"), (-1e-10, "")])
@@ -87,7 +79,6 @@ def test_validate_channel_at_the_psd_floor(eig, name):
     # the floor is PSD_TOL * max(1, ||N||) = 1e-9: -1e-8 is below it, -1e-10 within
     c = _channel(np.eye(2), np.diag([eig, 0.0]))
     assert violated_constraint(c) == name
-    assert validate_channel(c) is (name == "")
 
 
 def squeezer(r):
@@ -130,7 +121,7 @@ def test_apply_channel_preserves_validity():
     for seed in range(30):
         c = sample_random_channel(2, seed)
         s = sample_random_state(2, seed + 1000)
-        assert validate_state(apply_channel(c, s))
+        assert not violated_constraint(apply_channel(c, s))
 
 
 def test_compose_identity_neutral():
@@ -200,7 +191,7 @@ def test_apply_superchannel_preserves_validity():
         n = int(rng.integers(1, 4))
         sup = sample_random_superchannel(n, rng)
         c = sample_random_channel(n, rng)
-        assert validate_channel(apply_superchannel(sup, c))
+        assert not violated_constraint(apply_superchannel(sup, c))
 
 
 def test_mode_mismatch_rejected():
@@ -242,11 +233,12 @@ def test_state_realness_examples():
 
 
 def test_superchannel_realness_examples():
-    assert superchannel_is_real(GaussianSuperchannel.identity())
-    assert not superchannel_is_imaginarity_breaking(GaussianSuperchannel.identity())
+    identity = superchannel_patterns(GaussianSuperchannel.identity())
+    assert identity.is_real
+    assert not identity.is_imaginarity_breaking
     bad = sample_random_superchannel(1, 0, "real-eq9")
     bad.A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert not superchannel_is_real(bad)
+    assert not superchannel_patterns(bad).is_real
 
 
 # The loops below are the reference for the realness patterns: each pattern
@@ -346,8 +338,8 @@ def test_state_and_superchannel_patterns_equal_loop_reference(n):
             patterns = superchannel_patterns(sup)
             assert (patterns.momentum_pattern_dbar_Y, patterns.A_erases_momentum,
                     patterns.A_O_sector_preserving) == expected
-            assert superchannel_is_real(sup) is (expected[0] and (expected[1] or expected[2]))
-            assert superchannel_is_imaginarity_breaking(sup) is (expected[0] and expected[1])
+            assert patterns.is_real is (expected[0] and (expected[1] or expected[2]))
+            assert patterns.is_imaginarity_breaking is (expected[0] and expected[1])
             seen.add(expected)
     assert len(seen) >= 4
 
@@ -380,7 +372,7 @@ def test_channel_generator_validity_500():
     for _ in range(500):
         n = int(rng.integers(1, 4))
         flag = rng.choice(["any", "completely-real", "covariant-real"])
-        assert validate_channel(sample_random_channel(n, rng, flag))
+        assert not violated_constraint(sample_random_channel(n, rng, flag))
 
 
 def test_superchannel_generator_validity_500():
@@ -389,11 +381,11 @@ def test_superchannel_generator_validity_500():
         n = int(rng.integers(1, 4))
         flag = rng.choice(["any", "real-eq8", "real-eq9", "breaking"])
         sup = sample_random_superchannel(n, rng, flag)
-        assert validate_superchannel(sup)
+        assert not violated_constraint(sup)
         if flag in ("real-eq8", "real-eq9"):
-            assert superchannel_is_real(sup)
+            assert superchannel_patterns(sup).is_real
         if flag == "breaking":
-            assert superchannel_is_imaginarity_breaking(sup)
+            assert superchannel_patterns(sup).is_imaginarity_breaking
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +417,7 @@ def test_theorem1_converse_spot():
     while found_violating < 40:
         n = int(rng.integers(1, 4))
         sup = sample_random_superchannel(n, rng, "any")
-        if superchannel_is_real(sup):
+        if superchannel_patterns(sup).is_real:
             continue
         found_violating += 1
         for _ in range(200):

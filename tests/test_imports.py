@@ -163,12 +163,16 @@ def test_modules_use_public_names_and_no_unused_imports(module):
 
 def unused_private_findings(source: str) -> list[str]:
     """The module-level private functions, classes and assignments that
-    ``source`` never reads."""
+    ``source`` never reads, and the private methods of its classes that it
+    never reads as an attribute."""
     tree = ast.parse(source)
-    defined = {}  # name -> line
+    defined, methods = {}, []  # name -> line; (class, method, line)
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            methods += [(node.name, item.name, item.lineno) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -177,8 +181,12 @@ def unused_private_findings(source: str) -> list[str]:
                         defined[name.id] = node.lineno
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    attributes = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [f"line {line}: {name} is never used"
-            for name, line in defined.items() if _private(name) and name not in read]
+            for name, line in defined.items() if _private(name) and name not in read] + [
+        f"line {line}: {cls}.{name} is never used"
+        for cls, name, line in methods if _private(name) and name not in attributes]
 
 
 def test_unused_private_findings_flags_module_level_names_only():
@@ -194,7 +202,17 @@ def test_unused_private_findings_flags_module_level_names_only():
 
 
         class _Helper:
-            pass
+            def __init__(self):
+                self._value = 1
+
+            def _read(self):
+                return self._value
+
+            def _unread(self):
+                pass
+
+            def public(self):
+                return self._read()
 
 
         def f():
@@ -202,7 +220,7 @@ def test_unused_private_findings_flags_module_level_names_only():
     ''')
     assert unused_private_findings(source) == [
         "line 2: _UNUSED is never used", "line 3: _annotated is never used",
-        "line 7: _dead is never used"]
+        "line 7: _dead is never used", "line 19: _Helper._unread is never used"]
 
 
 @pytest.mark.parametrize(

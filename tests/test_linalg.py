@@ -9,7 +9,6 @@ from gaussimag.linalg import (
     sigma_blocks,
     spectral_norm,
     symplectic_form,
-    trace_norm,
     trace_norms,
 )
 from test_measures import mode_permutation
@@ -69,8 +68,8 @@ def test_dimension_errors(bad):
 
 
 def test_trace_norm_examples():
-    assert trace_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-12)
-    assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
+    assert trace_norms(np.eye(2)) == pytest.approx(2.0, abs=1e-12)
+    assert trace_norms(np.diag([3.0, -4.0])) == pytest.approx(7.0, abs=1e-12)
 
 
 def test_trace_norm_matches_eigensolve_oracle():
@@ -79,7 +78,7 @@ def test_trace_norm_matches_eigensolve_oracle():
         m = rng.standard_normal((3, 3))
         # independent oracle: eigenvalues of the Gram matrix
         oracle = np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(m.T @ m), 0.0)))
-        assert trace_norm(m) == pytest.approx(oracle, rel=1e-12)
+        assert trace_norms(m) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_trace_norm_unitary_invariance():
@@ -88,7 +87,7 @@ def test_trace_norm_unitary_invariance():
         m = rng.standard_normal((4, 4))
         u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        assert trace_norm(u @ m @ v) == pytest.approx(trace_norm(m), rel=1e-9)
+        assert trace_norms(u @ m @ v) == pytest.approx(trace_norms(m), rel=1e-9)
 
 
 def test_trace_norm_keeps_tiny_singular_values():
@@ -96,7 +95,7 @@ def test_trace_norm_keeps_tiny_singular_values():
     c, s = np.cos(0.7), np.sin(0.7)
     rot = np.array([[c, -s], [s, c]])
     m = rot @ np.diag([1.0, 1e-9]) @ rot.T
-    assert abs(trace_norm(m) - (1.0 + 1e-9)) <= 1e-15
+    assert abs(trace_norms(m) - (1.0 + 1e-9)) <= 1e-15
 
 
 def test_trace_norms_of_a_stack():
@@ -105,7 +104,7 @@ def test_trace_norms_of_a_stack():
     got = trace_norms(stack)
     assert got.shape == (7,)
     for i in range(7):
-        assert got[i] == pytest.approx(trace_norm(stack[i]), rel=1e-14)
+        assert got[i] == pytest.approx(trace_norms(stack[i]), rel=1e-14)
     with pytest.raises(ValueError):
         trace_norms(np.full((2, 2, 2), np.nan))
 
@@ -134,16 +133,16 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_spectral_norm_below_trace_norm():
+def test_spectral_norm_below_trace_norms():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rng.standard_normal((3, 3))
-        assert spectral_norm(m) <= trace_norm(m) + 1e-12
+        assert spectral_norm(m) <= trace_norms(m) + 1e-12
 
 
 def test_norms_reject_non_finite():
     with pytest.raises(ValueError):
-        trace_norm([[np.nan, 0.0], [0.0, 1.0]])
+        trace_norms([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         spectral_norm([[np.inf, 0.0], [0.0, 1.0]])
 

@@ -14,8 +14,9 @@ from gaussimag.gaussian import (
     sample_random_channel,
     sample_random_state,
     sample_random_superchannel,
+    superchannel_patterns,
 )
-from gaussimag.linalg import trace_norm
+from gaussimag.linalg import trace_norms
 from gaussimag.measures import (
     CM_EIGENVALUE_BOUND,
     DISPLACEMENT_BOUND,
@@ -174,9 +175,9 @@ def test_batched_terms_match_per_channel_measures(n):
         # independent route: sort by the permutation matrix, 2-d trace norms
         ts, ns = p @ c.T @ p.T, p @ c.N @ p.T
         oracle = (
-            trace_norm(ts[n:, :n])
-            + trace_norm(ts[:n, n:]) * trace_norm(ts[n:, n:])
-            + trace_norm(ns[:n, n:])
+            trace_norms(ts[n:, :n])
+            + trace_norms(ts[:n, n:]) * trace_norms(ts[n:, n:])
+            + trace_norms(ns[:n, n:])
             + float(np.linalg.norm(c.d[1::2]))
         )
         assert batched[i] == pytest.approx(oracle, abs=1e-12)
@@ -263,10 +264,10 @@ def test_ic_continuity_bound(n, seeds, flags, shares):
     ts, ts2, ns, ns2 = (p @ m @ p.T for m in (c.T, t2, c.N, n2))
     dt, dn = ts2 - ts, ns2 - ns
     bound = (
-        trace_norm(dt[n:, :n])
-        + trace_norm(dt[:n, n:]) * trace_norm(ts[n:, n:])
-        + trace_norm(ts2[:n, n:]) * trace_norm(dt[n:, n:])
-        + trace_norm(dn[:n, n:])
+        trace_norms(dt[n:, :n])
+        + trace_norms(dt[:n, n:]) * trace_norms(ts[n:, n:])
+        + trace_norms(ts2[:n, n:]) * trace_norms(dt[n:, n:])
+        + trace_norms(dn[:n, n:])
         + float(np.linalg.norm(d2[1::2] - c.d[1::2]))
     )
     moved = GaussianChannel(n, t2, n2, d2)
@@ -448,9 +449,7 @@ def test_fo1_sampler_members():
 
 def test_fo_requires_realness():
     sup = sample_random_superchannel(1, 5, "any")
-    from gaussimag.gaussian import superchannel_is_real
-
-    if not superchannel_is_real(sup):
+    if not superchannel_patterns(sup).is_real:
         assert not in_fo(sup)
 
 

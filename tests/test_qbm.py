@@ -8,18 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussimag.qbm as qbm
-from gaussimag.gaussian import validate_channel
+from gaussimag.gaussian import violated_constraint
 from gaussimag.qbm import (
     FormulaInconsistencyError,
     IntegrationResolutionError,
     QbmConfig,
-    coeff_delta_closed,
-    coeff_gamma_closed,
-    coeff_pi_closed,
+    coefficients,
     imaginarity_trajectory,
-    noise_wbar,
     qbm_channel,
-    rotation_r,
     solve_qbm,
     steady_state_n12,
 )
@@ -41,13 +37,14 @@ LOW = QbmConfig(alpha=0.03, x=0.5, theta=10.0, regime="low")
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 @pytest.mark.parametrize("tau", [0.3, 1.7, 5.0, 12.0])
 def test_closed_forms_match_quadrature(cfg, tau):
-    assert coeff_gamma_closed(cfg, tau) == pytest.approx(
+    (gamma,), (delta,), (pi_,) = coefficients(cfg, np.array([tau]))
+    assert gamma == pytest.approx(
         coeff_gamma_quadrature(cfg, tau), rel=1e-6, abs=1e-12
     )
-    assert coeff_delta_closed(cfg, tau) == pytest.approx(
+    assert delta == pytest.approx(
         coeff_delta_quadrature(cfg, tau), rel=1e-5, abs=1e-12
     )
-    assert coeff_pi_closed(cfg, tau) == pytest.approx(
+    assert pi_ == pytest.approx(
         coeff_pi_quadrature(cfg, tau), rel=1e-5, abs=1e-12
     )
 
@@ -100,7 +97,7 @@ ORACLE_TAUS = [0.05, 0.7, 3.0, 25.0, 615.7, 3e3, 2e4, 4.2e4, 1e5, 2.1e5]
 def test_closed_forms_match_40_digit_evaluation(cfg):
     taus = np.array(ORACLE_TAUS)
     want = np.array([mp_coefficients(cfg, t) for t in taus]).T
-    got = [fn(cfg, taus) for fn in (coeff_gamma_closed, coeff_delta_closed, coeff_pi_closed)]
+    got = coefficients(cfg, taus)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 5e-14 * np.max(np.abs(w))
     # the transcription above agrees with the defining integrals
@@ -116,24 +113,24 @@ def test_closed_forms_match_quadrature_at_small_x(regime, theta, x):
     # gamma and Delta read Im E1((b - i tau)/x): as 2 pi - 2 Im Ei((-b + i tau)/x)
     # they lost all digits at x 0.03 (gamma 67 times too large)
     cfg = QbmConfig(alpha=0.03, x=x, theta=theta, regime=regime)
-    routes = ((coeff_gamma_closed, coeff_gamma_quadrature),
-              (coeff_delta_closed, coeff_delta_quadrature),
-              (coeff_pi_closed, coeff_pi_quadrature))
-    for closed, quadrature in routes:
+    routes = (("gamma", coeff_gamma_quadrature), ("Delta", coeff_delta_quadrature),
+              ("Pi", coeff_pi_quadrature))
+    for index, (name, quadrature) in enumerate(routes):
         # low-T Delta at x 0.01 is 1e3-fold smaller than its boundary and Ei
         # terms, which the rounding of tau/x and b/x moves by ~1e-15: it
         # measures 1.3e-11 at tau 1
-        tol = 2e-11 if (regime, x, closed) == ("low", 0.01, coeff_delta_closed) else 1e-11
+        tol = 2e-11 if (regime, x, name) == ("low", 0.01, "Delta") else 1e-11
         for tau in (0.5, 1.0, 3.0):
             want = quadrature(cfg, tau)
-            assert abs(closed(cfg, tau) - want) <= tol * abs(want), (closed.__name__, tau)
+            closed = coefficients(cfg, np.array([tau]))[index][0]
+            assert abs(closed - want) <= tol * abs(want), (name, tau)
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 def test_coefficients_vanish_at_origin(cfg):
-    for fn in (coeff_gamma_closed, coeff_delta_closed, coeff_pi_closed):
-        assert fn(cfg, 0.0) == 0.0
-        arr = fn(cfg, np.array([0.0, 1.0]))
+    for one, arr in zip(coefficients(cfg, np.array([0.0])),
+                        coefficients(cfg, np.array([0.0, 1.0]))):
+        assert one[0] == 0.0
         assert arr[0] == 0.0
         assert arr[1] != 0.0
 
@@ -146,11 +143,11 @@ def test_gamma_small_tau_cubic_onset():
 
 
 def test_scalar_and_array_calls_agree():
+    # one point at a time and the whole batch
     taus = np.array([0.5, 2.5, 9.0])
-    for fn in (coeff_gamma_closed, coeff_delta_closed, coeff_pi_closed):
-        arr = fn(HIGH, taus)
-        for i, t in enumerate(taus):
-            assert fn(HIGH, float(t)) == pytest.approx(arr[i], rel=1e-14)
+    for i, t in enumerate(taus):
+        for one, arr in zip(coefficients(HIGH, np.array([t])), coefficients(HIGH, taus)):
+            assert one[0] == pytest.approx(arr[i], rel=1e-14)
 
 
 def test_invalid_config_rejected():
@@ -203,13 +200,13 @@ def test_config_domain_bounds():
 
 def _fixed_gamma(monkeypatch, value):
     """Replace the closed-form gamma by the constant ``value``."""
-    shared = qbm._coefficients
+    shared = qbm.coefficients
 
     def fixed(cfg, t, *consts):
         gamma, delta, pi_ = shared(cfg, t, *consts)
         return np.full_like(gamma, value), delta, pi_
 
-    monkeypatch.setattr(qbm, "_coefficients", fixed)
+    monkeypatch.setattr(qbm, "coefficients", fixed)
 
 
 def _gamma_at(sol, tau):
@@ -226,6 +223,14 @@ def test_gamma_capital_constant_coefficient(monkeypatch):
     sol = solve_qbm(HIGH, 10.0)
     for tau in (0.0, 1.0, 4.2, 10.0):
         assert _gamma_at(sol, tau) == pytest.approx(2.0 * 0.37 * tau, abs=1e-12)
+
+
+def test_one_node_grid_is_the_identity():
+    # a horizon below 1e-12 gives the grid [0]: no interval to integrate
+    sol = solve_qbm(HIGH, 1e-13)
+    assert np.array_equal(sol.grid, [0.0])
+    assert np.array_equal(sol.gamma_capital, [0.0])
+    assert np.array_equal(sol.wbar, np.zeros((2, 2, 1)))
 
 
 def test_gamma_capital_step_halving():
@@ -254,8 +259,8 @@ def test_gamma_capital_eventually_monotone():
 
 def test_gamma_capital_range_errors():
     sol = solve_qbm(HIGH, 5.0)
-    with pytest.raises(ValueError):
-        qbm_channel(sol, 6.0)
+    with pytest.raises(IndexError):
+        qbm_channel(sol, len(sol.grid))
     with pytest.raises(ValueError):
         solve_qbm(HIGH, -1.0)
 
@@ -286,7 +291,7 @@ PANEL_CONFIGS = [
 def test_cumulative_simpson_matches_scipy_on_refined_grids(horizon, configs):
     fine = qbm._refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
     for cfg in configs:
-        gamma, delta, pi_ = qbm._coefficients(cfg, fine)
+        gamma, delta, pi_ = qbm.coefficients(cfg, fine)
         _assert_simpson_matches_scipy(gamma, fine)
         _assert_simpson_matches_scipy(np.array([[delta, pi_], [pi_, gamma]]), fine)
 
@@ -315,38 +320,41 @@ def test_cumulative_simpson_matches_scipy_on_random_grids(seed):
 # ---------------------------------------------------------------------------
 
 def test_rotation_group_law():
+    def rot(tau):
+        return qbm._rotations(tau, HIGH.x)
+
     rng = np.random.default_rng(19)
     for _ in range(20):
         a, b = rng.uniform(0, 10, 2)
-        lhs = rotation_r(HIGH, a) @ rotation_r(HIGH, b)
-        assert np.allclose(lhs, rotation_r(HIGH, a + b), atol=1e-12)
-    r = rotation_r(HIGH, 1.3)
+        lhs = rot(a) @ rot(b)
+        assert np.allclose(lhs, rot(a + b), atol=1e-12)
+    r = rot(1.3)
     assert np.allclose(r @ r.T, np.eye(2), atol=1e-12)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_zero_at_origin():
     sol = solve_qbm(HIGH, 5.0)
-    assert np.max(np.abs(noise_wbar(sol, 0.0))) == 0.0
+    assert np.max(np.abs(qbm_channel(sol, 0).N)) == 0.0
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
-    shared = qbm._coefficients
+    shared = qbm.coefficients
 
     def no_diffusion(cfg, t, *consts):
         gamma, delta, pi_ = shared(cfg, t, *consts)
         return gamma, np.zeros_like(delta), np.zeros_like(pi_)
 
-    monkeypatch.setattr(qbm, "_coefficients", no_diffusion)
+    monkeypatch.setattr(qbm, "coefficients", no_diffusion)
     sol = solve_qbm(HIGH, 5.0)
-    for tau in (1.0, 3.0, 5.0):
-        assert np.max(np.abs(noise_wbar(sol, tau))) == 0.0
+    for i in (100, 300, 500):  # tau 1, 3, 5
+        assert np.max(np.abs(qbm_channel(sol, i).N)) == 0.0
 
 
 def test_noise_is_symmetric():
     sol = solve_qbm(HIGH, 20.0)
-    for tau in (0.5, 7.0, 20.0):
-        w = noise_wbar(sol, tau)
+    for i in (50, 700, 2000):  # tau 0.5, 7, 20
+        w = qbm_channel(sol, i).N
         assert np.array_equal(w, w.T)
 
 
@@ -355,7 +363,7 @@ def test_noise_is_symmetric():
 # ---------------------------------------------------------------------------
 
 def test_qbm_channel_at_origin_is_identity():
-    c = qbm_channel(solve_qbm(HIGH, 5.0), 0.0)
+    c = qbm_channel(solve_qbm(HIGH, 5.0), 0)
     assert np.allclose(c.T, np.eye(2))
     assert np.max(np.abs(c.N)) == 0.0
     assert np.max(np.abs(c.d)) == 0.0
@@ -363,18 +371,49 @@ def test_qbm_channel_at_origin_is_identity():
 
 def test_qbm_channel_t_gram_is_damping():
     sol = solve_qbm(HIGH, 20.0)
-    for tau in (1.0, 5.0, 20.0):
-        c = qbm_channel(sol, tau)
+    for i in (100, 500, 2000):  # tau 1, 5, 20
+        c = qbm_channel(sol, i)
         assert np.allclose(
-            c.T.T @ c.T, np.exp(-_gamma_at(sol, tau)) * np.eye(2), atol=1e-12
+            c.T.T @ c.T, np.exp(-sol.gamma_capital[i]) * np.eye(2), atol=1e-12
         )
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 def test_qbm_channel_is_physical(cfg):
     sol = solve_qbm(cfg, 20.0)
-    for tau in (1.0, 5.0, 20.0):
-        assert validate_channel(qbm_channel(sol, tau))
+    for i in (100, 500, 2000):  # tau 1, 5, 20
+        assert not violated_constraint(qbm_channel(sol, i))
+
+
+def test_qbm_channel_is_the_node_construction():
+    # horizon 100: 10,001 nodes, three chunks of the solver
+    sol = solve_qbm(HIGH, 100.0)
+    for i, tau in enumerate(sol.grid):
+        c, s = np.cos(tau / HIGH.x), np.sin(tau / HIGH.x)
+        t_mat = np.exp(-sol.gamma_capital[i] / 2.0) * np.array([[c, s], [-s, c]])
+        w = sol.wbar[..., i]
+        chan = qbm_channel(sol, i)
+        assert np.array_equal(chan.T, t_mat), tau
+        assert np.array_equal(chan.N, 2.0 * (0.5 * (w + w.T))), tau
+        assert np.array_equal(chan.d, np.zeros(2))
+
+
+def test_qbm_channel_at_minus_one_is_the_horizon_node():
+    sol = solve_qbm(HIGH, 5.0)
+    last, horizon = qbm_channel(sol, -1), qbm_channel(sol, len(sol.grid) - 1)
+    assert sol.grid[-1] == 5.0
+    assert np.array_equal(last.T, horizon.T)
+    assert np.array_equal(last.N, horizon.N)
+
+
+def test_qbm_channel_checks_its_node_asymmetry():
+    sol = solve_qbm(HIGH, 5.0)
+    wbar = sol.wbar.copy()
+    wbar[1, 0, 250] = -3.0 * wbar[0, 1, 250]
+    bad = dataclasses.replace(sol, wbar=wbar)
+    assert not violated_constraint(qbm_channel(bad, 249))
+    with pytest.raises(IntegrationResolutionError, match="asymmetry .* at tau=2.5"):
+        qbm_channel(bad, 250)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +860,7 @@ def test_high_temperature_saturation():
     at large tau as ``steady_state_n12`` does.  Halving the grid step
     moves both window means by less than 0.1%."""
     probes = np.array([2000.0, 2000.0 + np.pi * HIGH.x / 2, 2000.0 + np.pi * HIGH.x])
-    gamma_inf = float(np.mean(coeff_gamma_closed(HIGH, probes)))
+    gamma_inf = float(np.mean(coefficients(HIGH, probes)[0]))
     level = 0.5 * 0.05 * abs(steady_state_n12(HIGH))
     early_start = float(np.log(2.0 / (np.pi * level)) / gamma_inf)
     late_start = 2.0 * early_start
