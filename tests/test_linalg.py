@@ -133,7 +133,7 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_spectral_norm_below_trace_norms():
+def test_spectral_norm_below_trace_norm():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m = rng.standard_normal((3, 3))
