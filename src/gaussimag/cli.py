@@ -57,22 +57,31 @@ EXIT_COMPUTE = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
+class _Exit(Exception):
+    """A failure, raised where it is found: :func:`main` prints its message
+    as one stderr line and returns its exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _load_document(path):
-    """The document's object and its :func:`violated_constraint`, or an exit
-    code after one stderr line: 1 when the document cannot be read, 3 when
-    finite entries overflow the physicality form, so validity is undecidable."""
+    """The document's object and its :func:`violated_constraint`.  Raises
+    :class:`_Exit` with code 1 when the document cannot be read, and with 3
+    when finite entries overflow the physicality form, so validity is
+    undecidable."""
     try:
         with open(path, "r") as fh:
             obj = from_document(json.load(fh))
     except (OSError, json.JSONDecodeError, ValidationError, ValueError, RecursionError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"parse error: {exc}") from exc
     try:
         with np.errstate(all="ignore"):
             return obj, violated_constraint(obj)
     except ValueError as exc:
-        print(f"computation failed: physicality form overflows: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        raise _Exit(EXIT_COMPUTE,
+                    f"computation failed: physicality form overflows: {exc}") from exc
 
 
 def _digest(path) -> str:
@@ -105,10 +114,7 @@ def _report(command: str, path, results: dict, wall_time=None) -> dict:
 
 def cmd_validate(args) -> int:
     start = time.perf_counter()
-    loaded = _load_document(args.path)
-    if isinstance(loaded, int):
-        return loaded
-    obj, constraint = loaded
+    obj, constraint = _load_document(args.path)
     results = {"kind": type(obj).__name__, "valid": not constraint}
     if constraint:
         results["violated_constraint"] = constraint
@@ -118,22 +124,15 @@ def cmd_validate(args) -> int:
 
 def cmd_measure(args) -> int:
     start = time.perf_counter()
-    loaded = _load_document(args.path)
-    if isinstance(loaded, int):
-        return loaded
-    obj, constraint = loaded
+    obj, constraint = _load_document(args.path)
     if constraint:
-        print(f"invalid object: {constraint}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(EXIT_INVALID, f"invalid object: {constraint}")
 
     which = args.which
-    is_state = isinstance(obj, GaussianState)
-    if which == "ign" and not is_state:
-        print("measure 'ign' requires a state document", file=sys.stderr)
-        return EXIT_USAGE
+    if which == "ign" and not isinstance(obj, GaussianState):
+        raise _Exit(EXIT_USAGE, "measure 'ign' requires a state document")
     if which in ("ic", "id", "is") and not isinstance(obj, GaussianChannel):
-        print(f"measure '{which}' requires a channel document", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"measure '{which}' requires a channel document")
 
     if which == "is":
         try:
@@ -143,8 +142,7 @@ def cmd_measure(args) -> int:
                 seed=args.seed,
             )
         except ValueError as exc:
-            print(f"bad parameters: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, f"bad parameters: {exc}") from exc
     try:
         # The value is checked below, so numpy's overflow warnings add nothing.
         with np.errstate(all="ignore"):
@@ -157,12 +155,10 @@ def cmd_measure(args) -> int:
             else:
                 rep = channel_measure_is(obj, cfg)
     except ValidationError as exc:
-        print(f"computation failed: measure '{which}': {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        raise _Exit(EXIT_COMPUTE, f"computation failed: measure '{which}': {exc}") from exc
     if not np.isfinite(rep.value):
-        print(f"computation failed: measure '{which}' is not finite ({rep.value})",
-              file=sys.stderr)
-        return EXIT_COMPUTE
+        raise _Exit(EXIT_COMPUTE,
+                    f"computation failed: measure '{which}' is not finite ({rep.value})")
 
     results = {
         "measure": which,
@@ -183,16 +179,11 @@ def cmd_measure(args) -> int:
 
 def cmd_check_super(args) -> int:
     start = time.perf_counter()
-    loaded = _load_document(args.path)
-    if isinstance(loaded, int):
-        return loaded
-    obj, constraint = loaded
+    obj, constraint = _load_document(args.path)
     if not isinstance(obj, GaussianSuperchannel):
-        print("check-super requires a superchannel document", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "check-super requires a superchannel document")
     if constraint:
-        print(f"invalid superchannel: {constraint}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(EXIT_INVALID, f"invalid superchannel: {constraint}")
 
     patterns = superchannel_patterns(obj)
     results = {
@@ -208,6 +199,8 @@ def cmd_check_super(args) -> int:
 
 def _unwritable(path) -> str | None:
     """Why ``path`` cannot be written, or None; creates and truncates nothing."""
+    if not path or path.endswith(os.sep):
+        return f"not a file name: {path!r}"
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         return f"no such directory: {parent!r}"
@@ -224,8 +217,7 @@ def cmd_qbm(args) -> int:
     # below keeps its own handler for what only the write can find.
     problem = _unwritable(args.out)
     if problem is not None:
-        print(f"cannot write output: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"cannot write output: {problem}")
     try:
         cfg = qbm.QbmConfig(
             alpha=args.alpha, x=args.x, theta=args.theta, regime=args.regime
@@ -236,16 +228,13 @@ def cmd_qbm(args) -> int:
         with np.errstate(all="ignore"):
             traj = qbm.imaginarity_trajectory(cfg, args.horizon, args.step)
     except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"bad parameters: {exc}") from exc
     except (RuntimeError, ArithmeticError, MemoryError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        raise _Exit(EXIT_COMPUTE, f"computation failed: {exc}") from exc
     try:
         traj.write_csv(args.out)
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"cannot write output: {exc}") from exc
 
     period = np.pi * cfg.x
     window = 10.0 * period
@@ -316,8 +305,7 @@ def cmd_audit(args) -> int:
         else None
     )
     if problem is not None:
-        print(f"bad parameters: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"bad parameters: {problem}")
     counterexamples = []
     for name, sup, chan in _audit_suites(args.modes, args.trials, args.seed):
         counterexamples.append(
@@ -400,7 +388,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

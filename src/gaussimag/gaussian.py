@@ -22,7 +22,7 @@ the set of real channels, which reduces to analogous patterns on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,13 +47,20 @@ class ValidationError(ValueError):
     """Raised when an operation is handed a malformed or unphysical object."""
 
 
-def _as_array(v, shape: tuple, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != shape:
-        raise DimensionError(f"{name} must have shape {shape}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return v
+def _check_fields(obj):
+    """The ``__post_init__`` of the three kinds: check the mode count, then
+    make each later field, in field order, a finite float array: a vector for
+    a displacement and a 2n x 2n matrix for the rest."""
+    obj.modes = check_modes(obj.modes)
+    dim = 2 * obj.modes
+    for f in fields(obj)[1:]:
+        v = np.asarray(getattr(obj, f.name), dtype=float)
+        shape = (dim,) if f.name in ("displacement", "d", "dbar") else (dim, dim)
+        if v.shape != shape:
+            raise DimensionError(f"{f.name} must have shape {shape}, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"{f.name} contains non-finite entries")
+        setattr(obj, f.name, v)
 
 
 @dataclass
@@ -64,11 +71,7 @@ class GaussianState:
     displacement: np.ndarray
     covariance: np.ndarray
 
-    def __post_init__(self):
-        self.modes = check_modes(self.modes)
-        dim = 2 * self.modes
-        self.displacement = _as_array(self.displacement, (dim,), "displacement")
-        self.covariance = _as_array(self.covariance, (dim, dim), "covariance")
+    __post_init__ = _check_fields
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "GaussianState":
@@ -84,12 +87,7 @@ class GaussianChannel:
     N: np.ndarray
     d: np.ndarray
 
-    def __post_init__(self):
-        self.modes = check_modes(self.modes)
-        dim = 2 * self.modes
-        self.T = _as_array(self.T, (dim, dim), "T")
-        self.N = _as_array(self.N, (dim, dim), "N")
-        self.d = _as_array(self.d, (dim,), "d")
+    __post_init__ = _check_fields
 
     @classmethod
     def identity(cls, modes: int = 1) -> "GaussianChannel":
@@ -122,13 +120,7 @@ class GaussianSuperchannel:
     Y: np.ndarray
     dbar: np.ndarray
 
-    def __post_init__(self):
-        self.modes = check_modes(self.modes)
-        dim = 2 * self.modes
-        self.A = _as_array(self.A, (dim, dim), "A")
-        self.O = _as_array(self.O, (dim, dim), "O")
-        self.Y = _as_array(self.Y, (dim, dim), "Y")
-        self.dbar = _as_array(self.dbar, (dim,), "dbar")
+    __post_init__ = _check_fields
 
     @classmethod
     def identity(cls, modes: int = 1) -> "GaussianSuperchannel":
@@ -267,7 +259,8 @@ def decompose_superchannel(
 _MOMENTUM, _POSITION, _ALL = slice(1, None, 2), slice(0, None, 2), slice(None)
 
 #: The (rows, cols) blocks that each zero pattern asks to vanish; ``cols``
-#: None marks the entries of a vector.
+#: None marks the entries of a vector.  :func:`_violations` checks them and
+#: :func:`_impose` writes them.
 _PATTERNS = {
     "momentum": [(_MOMENTUM, None)],
     "qp": [(_POSITION, _MOMENTUM)],
@@ -295,6 +288,12 @@ def _violations(m: np.ndarray, name: str, pattern: str) -> list:
         out += [(f"{name}_{pattern}", (r, c), v)
                 for r, c, v in zip(i.tolist(), j.tolist(), magnitudes.tolist())]
     return out
+
+
+def _impose(m: np.ndarray, pattern: str) -> None:
+    """Zero, in place, the blocks of ``m`` that ``pattern`` asks to vanish."""
+    for rows, cols in _PATTERNS[pattern]:
+        m[rows if cols is None else (rows, cols)] = 0.0
 
 
 def channel_realness(c: GaussianChannel) -> RealnessReport:
@@ -363,12 +362,6 @@ def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
 # random generators
 # ---------------------------------------------------------------------------
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
@@ -383,12 +376,7 @@ def _random_orthosymplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    o = np.zeros((2 * n, 2 * n))
-    o[0::2, 0::2] = u.real
-    o[0::2, 1::2] = u.imag
-    o[1::2, 0::2] = -u.imag
-    o[1::2, 1::2] = u.real
-    return o
+    return _interleave(n, u.real, u.real, u.imag, -u.imag)
 
 
 def _interleave(n: int, block_qq: np.ndarray, block_pp: np.ndarray,
@@ -424,7 +412,7 @@ def sample_random_channel(n: int, seed, realness: str = "any") -> GaussianChanne
     Validity is guaranteed by additive noise inflation rather than
     rejection sampling.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2 * n
     scale = rng.uniform(0.2, 1.4)
     t = rng.standard_normal((dim, dim))
@@ -437,15 +425,10 @@ def sample_random_channel(n: int, seed, realness: str = "any") -> GaussianChanne
     if realness == "any":
         g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
         n0 = g @ g.T
-    elif realness == "completely-real":
-        t[1::2, :] = 0.0
+    elif realness in ("completely-real", "covariant-real"):
+        _impose(t, "momentum_rows" if realness == "completely-real" else "mixing")
+        _impose(d, "momentum")
         n0 = _interleave(n, g1 @ g1.T, g2 @ g2.T)
-        d[1::2] = 0.0
-    elif realness == "covariant-real":
-        t[0::2, 1::2] = 0.0
-        t[1::2, 0::2] = 0.0
-        n0 = _interleave(n, g1 @ g1.T, g2 @ g2.T)
-        d[1::2] = 0.0
     else:
         raise ValueError(f"unknown realness flag {realness!r}")
 
@@ -454,18 +437,18 @@ def sample_random_channel(n: int, seed, realness: str = "any") -> GaussianChanne
 
 def sample_random_state(n: int, seed, real: bool = False) -> GaussianState:
     """Draw a random valid state; with ``real=True`` the state is real."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2 * n
     if real:
         v1 = _random_spd(n, rng, low=1.0, high=4.0)
         v2 = _random_spd(n, rng, low=1.0, high=4.0)
         nu = _interleave(n, v1, v2)
-        d0 = rng.uniform(-2.0, 2.0, dim)
-        d0[1::2] = 0.0
     else:
         g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
         nu = g @ g.T + np.eye(dim)
-        d0 = rng.uniform(-2.0, 2.0, dim)
+    d0 = rng.uniform(-2.0, 2.0, dim)
+    if real:
+        _impose(d0, "momentum")
     return GaussianState(n, d0, nu)
 
 
@@ -492,7 +475,7 @@ def sample_random_superchannel(
     sector-preserving pattern this means equal position and momentum
     blocks.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     dim = 2 * n
     a = rng.standard_normal((dim, dim))
     a *= rng.uniform(0.2, 1.4) / max(spectral_norm(a), 1e-12)
@@ -500,24 +483,20 @@ def sample_random_superchannel(
     g1 = rng.standard_normal((n, n)) / np.sqrt(n)
     g2 = rng.standard_normal((n, n)) / np.sqrt(n)
 
-    if flag == "any":
-        o = _random_orthosymplectic(n, rng)
-        g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-        y0 = g @ g.T
-    elif flag in ("real-eq8", "breaking"):
-        o = _random_orthosymplectic(n, rng)
-        a[1::2, :] = 0.0
-        y0 = _interleave(n, g1 @ g1.T, g2 @ g2.T)
-        dbar[1::2] = 0.0
-    elif flag == "real-eq9":
+    if flag == "real-eq9":
         o1 = _random_orthogonal(n, rng)
         o = _interleave(n, o1, o1)
-        a[0::2, 1::2] = 0.0
-        a[1::2, 0::2] = 0.0
-        y0 = _interleave(n, g1 @ g1.T, g2 @ g2.T)
-        dbar[1::2] = 0.0
+    elif flag in ("any", "real-eq8", "breaking"):
+        o = _random_orthosymplectic(n, rng)
     else:
         raise ValueError(f"unknown superchannel class flag {flag!r}")
+    if flag == "any":
+        g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        y0 = g @ g.T
+    else:
+        _impose(a, "mixing" if flag == "real-eq9" else "momentum_rows")
+        _impose(dbar, "momentum")
+        y0 = _interleave(n, g1 @ g1.T, g2 @ g2.T)
 
     if unit_norm_a:
         a /= max(spectral_norm(a), 1e-12)
@@ -530,32 +509,21 @@ def sample_random_superchannel(
 # JSON-facing document serialization
 # ---------------------------------------------------------------------------
 
+#: Each document kind: its class, and the document keys of the fields that
+#: follow ``modes``, in field order.
+_KINDS = {
+    "state": (GaussianState, ("displacement", "covariance")),
+    "channel": (GaussianChannel, ("T", "N", "d")),
+    "superchannel": (GaussianSuperchannel, ("A", "O", "Y", "d")),
+}
+
+
 def to_document(obj) -> dict:
     """Serialize a state/channel/superchannel into a plain JSON-able dict."""
-    if isinstance(obj, GaussianState):
-        return {
-            "kind": "state",
-            "modes": obj.modes,
-            "displacement": obj.displacement.tolist(),
-            "covariance": obj.covariance.tolist(),
-        }
-    if isinstance(obj, GaussianChannel):
-        return {
-            "kind": "channel",
-            "modes": obj.modes,
-            "T": obj.T.tolist(),
-            "N": obj.N.tolist(),
-            "d": obj.d.tolist(),
-        }
-    if isinstance(obj, GaussianSuperchannel):
-        return {
-            "kind": "superchannel",
-            "modes": obj.modes,
-            "A": obj.A.tolist(),
-            "O": obj.O.tolist(),
-            "Y": obj.Y.tolist(),
-            "d": obj.dbar.tolist(),
-        }
+    for kind, (cls, keys) in _KINDS.items():
+        if isinstance(obj, cls):
+            arrays = (getattr(obj, f.name).tolist() for f in fields(obj)[1:])
+            return {"kind": kind, "modes": obj.modes, **dict(zip(keys, arrays))}
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -566,13 +534,9 @@ def from_document(doc: dict):
     kind = doc.get("kind")
     try:
         modes = doc["modes"]
-        if kind == "state":
-            return GaussianState(modes, doc["displacement"], doc["covariance"])
-        if kind == "channel":
-            return GaussianChannel(modes, doc["T"], doc["N"], doc["d"])
-        if kind == "superchannel":
-            return GaussianSuperchannel(modes, doc["A"], doc["O"], doc["Y"], doc["d"])
+        for name, (cls, keys) in _KINDS.items():
+            if kind == name:
+                return cls(modes, *(doc[key] for key in keys))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed {kind or 'object'} document: {exc}") from exc
     raise ValidationError(f"unknown document kind {kind!r}")
-

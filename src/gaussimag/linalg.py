@@ -67,13 +67,6 @@ def sigma_blocks(n: int) -> np.ndarray:
     return np.diag(np.tile([1.0, -1.0], n))
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    # A direct SVD keeps singular values far below sqrt(eps) * sigma_max,
-    # which an eigensolve of M^T M would round away.  Works on stacks
-    # (..., r, c) as well.
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def trace_norms(stack) -> np.ndarray:
     """Trace norm of every matrix in a stack of shape (..., r, c)."""
     stack = np.asarray(stack, dtype=float)
@@ -83,7 +76,9 @@ def trace_norms(stack) -> np.ndarray:
         raise ValueError("stack contains non-finite entries")
     if stack.shape[-2:] == (1, 1):  # the one singular value is |entry|
         return np.abs(stack[..., 0, 0])
-    return np.sum(_singular_values(stack), axis=-1)
+    # A direct SVD keeps singular values far below sqrt(eps) * sigma_max,
+    # which an eigensolve of M^T M would round away.
+    return np.sum(np.linalg.svd(stack, compute_uv=False), axis=-1)
 
 
 def spectral_norm(m) -> float:
@@ -91,7 +86,7 @@ def spectral_norm(m) -> float:
     m = _as_matrix(m)
     if m.size == 0:
         return 0.0
-    return float(np.max(_singular_values(m)))
+    return float(np.max(np.linalg.svd(m, compute_uv=False)))
 
 
 def min_eigenvalue(x, y) -> float:

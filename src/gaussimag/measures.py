@@ -130,6 +130,11 @@ def state_measure_ign(s: GaussianState) -> MeasureReport:
 # channel measures
 # ---------------------------------------------------------------------------
 
+#: The names of the four summands of I_c and I_d, in the order of
+#: :func:`_channel_terms`.
+_TERM_NAMES = ("T21", "T12*T22", "N12", "displacement")
+
+
 def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
     """The four raw summands (and their scales) shared by I_c and I_d.
 
@@ -148,28 +153,11 @@ def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
     return term_t21, term_t12t22, term_n12, term_d, scales
 
 
-def _single_channel_terms(c: GaussianChannel) -> tuple:
-    """:func:`_channel_terms` of one channel, as a stack of one."""
-    t21, t12t22, n12, disp, scales = _channel_terms(c.T[None], c.N[None], c.d[None])
-    return (
-        float(t21[0]), float(t12t22[0]), float(n12[0]), float(disp[0]),
-        tuple(float(v[0]) for v in scales),
-    )
-
-
 def channel_measure_ic(c: GaussianChannel) -> MeasureReport:
     """Continuous channel imaginarity measure (four trace-norm summands)."""
-    t21, t12t22, n12, disp, _ = _single_channel_terms(c)
-    return MeasureReport(
-        value=float(t21 + t12t22 + n12 + disp),
-        kind="I_c",
-        breakdown=[
-            ("T21", float(t21)),
-            ("T12*T22", float(t12t22)),
-            ("N12", float(n12)),
-            ("displacement", float(disp)),
-        ],
-    )
+    *terms, _ = _channel_terms(c.T[None], c.N[None], c.d[None])
+    breakdown = [(name, float(v[0])) for name, v in zip(_TERM_NAMES, terms)]
+    return MeasureReport(value=sum(v for _, v in breakdown), kind="I_c", breakdown=breakdown)
 
 
 def channel_measure_ic_stack(t, n, d) -> np.ndarray:
@@ -187,14 +175,10 @@ def channel_measure_ic_stack(t, n, d) -> np.ndarray:
 
 def channel_measure_id(c: GaussianChannel) -> MeasureReport:
     """Discrete channel imaginarity measure: step of each I_c summand."""
-    t21, t12t22, n12, disp, scales = _single_channel_terms(c)
-    steps = step_function(np.array([t21, t12t22, n12, disp]), np.array(scales))
-    terms = [
-        (name, float(v)) for name, v in zip(("T21", "T12*T22", "N12", "displacement"), steps)
-    ]
-    return MeasureReport(
-        value=float(sum(v for _, v in terms)), kind="I_d", breakdown=terms
-    )
+    *terms, scales = _channel_terms(c.T[None], c.N[None], c.d[None])
+    steps = step_function(np.concatenate(terms), np.concatenate(scales))
+    breakdown = [(name, float(v)) for name, v in zip(_TERM_NAMES, steps)]
+    return MeasureReport(value=sum(v for _, v in breakdown), kind="I_d", breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------

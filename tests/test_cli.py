@@ -263,6 +263,34 @@ def test_check_super_wrong_kind(amplifying_doc):
     assert cli.main(["check-super", amplifying_doc]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,kind,code,line", [
+    (["measure", "--which", "ic"], "invalid channel", cli.EXIT_INVALID,
+     "invalid object: N+iDelta-iTDeltaT^T"),
+    (["measure", "--which", "ign"], "channel", cli.EXIT_USAGE,
+     "measure 'ign' requires a state document"),
+    (["measure", "--which", "ic"], "superchannel", cli.EXIT_USAGE,
+     "measure 'ic' requires a channel document"),
+    (["check-super"], "channel", cli.EXIT_USAGE, "check-super requires a superchannel document"),
+    (["check-super"], "invalid superchannel", cli.EXIT_INVALID,
+     "invalid superchannel: Y+iDelta-iADeltaA^T"),
+], ids=["invalid-object", "ign-needs-state", "ic-needs-channel", "check-super-needs-superchannel",
+        "invalid-superchannel"])
+def test_document_command_failure_lines(tmp_path, capsys, argv, kind, code, line):
+    eye, zeros = np.eye(2), np.zeros((2, 2))
+    obj = {
+        "channel": GaussianChannel.amplifying(1, tau=2.0),
+        "invalid channel": GaussianChannel(1, 2.0 * eye, zeros, np.zeros(2)),
+        "superchannel": GaussianSuperchannel.identity(),
+        "invalid superchannel": GaussianSuperchannel(1, 2.0 * eye, eye, zeros, np.zeros(2)),
+    }[kind]
+    doc = write_doc(tmp_path, "doc.json", obj)
+    assert cli.main([argv[0], doc, *argv[1:]]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, line)
+    assert err == line + "\n"
+
+
 # ---------------------------------------------------------------------------
 # qbm
 # ---------------------------------------------------------------------------
@@ -498,7 +526,8 @@ def test_qbm_unwritable_output_is_usage_error(tmp_path, capsys):
     assert_one_line(capsys.readouterr().err, "cannot write output:")
 
 
-@pytest.mark.parametrize("target", ["no-such-dir/x.csv", "a-directory"])
+@pytest.mark.parametrize("target", ["no-such-dir/x.csv", "a-directory", "", "no-such-dir/"],
+                         ids=["no-such-dir/x.csv", "a-directory", "empty", "trailing-separator"])
 def test_qbm_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch, target):
     from gaussimag import qbm
 
@@ -506,8 +535,9 @@ def test_qbm_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypa
         raise AssertionError("trajectory computed for an unwritable --out")
 
     monkeypatch.setattr(qbm, "imaginarity_trajectory", never)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
-    code = cli.main(QBM_BASE + ["--out", str(tmp_path / target)])
+    code = cli.main(QBM_BASE + ["--out", target])
     assert code == cli.EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "cannot write output:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -445,17 +447,22 @@ def test_real_channels_preserve_state_realness():
 # ---------------------------------------------------------------------------
 
 def test_document_round_trip():
-    objects = [
-        sample_random_state(2, 1),
-        sample_random_channel(2, 2),
-        sample_random_superchannel(2, 3, "real-eq9"),
-    ]
-    for obj in objects:
-        clone = from_document(to_document(obj))
-        assert type(clone) is type(obj)
-        for name in ("displacement", "covariance", "T", "N", "d", "A", "O", "Y", "dbar"):
-            if hasattr(obj, name):
-                assert np.allclose(getattr(obj, name), getattr(clone, name), atol=1e-15)
+    # exact through JSON; the key order fixes the JSON of audit counterexamples
+    for modes in (1, 2, 3, 4):
+        objects = {
+            ("displacement", "covariance"): sample_random_state(modes, 1),
+            ("T", "N", "d"): sample_random_channel(modes, 2),
+            ("A", "O", "Y", "d"): sample_random_superchannel(modes, 3, "real-eq9"),
+        }
+        for keys, obj in objects.items():
+            doc = to_document(obj)
+            assert list(doc) == ["kind", "modes", *keys]
+            clone = from_document(json.loads(json.dumps(doc)))
+            assert type(clone) is type(obj)
+            assert clone.modes == obj.modes
+            for name in ("displacement", "covariance", "T", "N", "d", "A", "O", "Y", "dbar"):
+                if hasattr(obj, name):
+                    assert np.array_equal(getattr(obj, name), getattr(clone, name))
 
 
 def test_from_document_rejects_garbage():
@@ -464,6 +471,12 @@ def test_from_document_rejects_garbage():
     with pytest.raises(ValidationError):
         from_document({"kind": "nonsense"})
     with pytest.raises(ValidationError):
-        from_document({"kind": "channel", "modes": 1})
-    with pytest.raises(ValidationError):
         from_document([1, 2, 3])
+    for doc, message in [
+        ({"kind": "x"}, "malformed x document: 'modes'"),
+        ({"kind": ["a"], "modes": 1}, "unknown document kind ['a']"),
+        ({"kind": "channel", "modes": 1}, "malformed channel document: 'T'"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            from_document(doc)
+        assert str(info.value) == message

@@ -229,3 +229,35 @@ def test_unused_private_findings_flags_module_level_names_only():
 def test_modules_use_every_private_name_they_define(module):
     source = (Path(gaussimag.__file__).parent / module).read_text()
     assert unused_private_findings(source) == []
+
+
+def stderr_findings(source: str) -> list[str]:
+    """Where ``source`` names ``stderr`` outside its top-level function
+    ``main``: a command reports a failure by raising it, and ``main`` prints it."""
+    tree = ast.parse(source)
+    tree.body = [node for node in tree.body if getattr(node, "name", None) != "main"]
+    fields = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+    return [f"line {node.lineno}: names stderr" for node in ast.walk(tree)
+            if type(node) in fields and getattr(node, fields[type(node)]) == "stderr"]
+
+
+def test_stderr_findings_flags_every_use_outside_main():
+    source = textwrap.dedent('''
+        import sys
+        from sys import stderr
+
+
+        def main():
+            print("failed", file=sys.stderr)
+
+
+        def command():
+            print("failed", file=sys.stderr)
+            stderr.write("failed")
+    ''')
+    assert stderr_findings(source) == [
+        "line 3: names stderr", "line 11: names stderr", "line 12: names stderr"]
+
+
+def test_only_the_cli_main_names_stderr():
+    assert stderr_findings((Path(gaussimag.__file__).parent / "cli.py").read_text()) == []
