@@ -1,7 +1,7 @@
 """Importing the package and running the CLI load no scipy code, `qbm`
 loads no OpenSSL, and no package module names scipy; the package modules
 use only each other's public names, import nothing unused and define no
-private name that they never use."""
+private name that they never use; in the CLI only `main` names stderr."""
 
 import ast
 import json
