@@ -67,64 +67,43 @@ class _Exit(Exception):
 
 
 def _load_document(path):
-    """The document's object and its :func:`violated_constraint`.  Raises
-    :class:`_Exit` with code 1 when the document cannot be read, and with 3
-    when finite entries overflow the physicality form, so validity is
+    """The document's object, its :func:`violated_constraint` and its input
+    record ``{"path", "sha256"}``, the digest being that of the bytes parsed.
+    Raises :class:`_Exit` with code 1 when the document cannot be read, and
+    with 3 when finite entries overflow the physicality form, so validity is
     undecidable."""
+    import hashlib  # here, so that qbm does not load OpenSSL
+
     try:
-        with open(path, "r") as fh:
-            obj = from_document(json.load(fh))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        obj = from_document(json.loads(data.decode()))
     except (OSError, json.JSONDecodeError, ValidationError, ValueError, RecursionError) as exc:
         raise _Exit(EXIT_USAGE, f"parse error: {exc}") from exc
+    source = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
     try:
         with np.errstate(all="ignore"):
-            return obj, violated_constraint(obj)
+            return obj, violated_constraint(obj), source
     except ValueError as exc:
         raise _Exit(EXIT_COMPUTE,
                     f"computation failed: physicality form overflows: {exc}") from exc
 
 
-def _digest(path) -> str:
-    import hashlib  # here, so that qbm does not load OpenSSL
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _emit(report: dict, as_json: bool):
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for key, value in report.get("results", {}).items():
-            print(f"{key}: {value}")
-
-
-def _report(command: str, path, results: dict, wall_time=None) -> dict:
-    report = {"command": command, "results": results}
-    if path is not None:
-        report["input"] = {"path": str(path), "sha256": _digest(path)}
-    if wall_time is not None:
-        report["wall_time_s"] = round(wall_time, 6)
-    return report
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code, its results and its input record
+# (or None), and main builds and prints the report
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    start = time.perf_counter()
-    obj, constraint = _load_document(args.path)
+def cmd_validate(args):
+    obj, constraint, source = _load_document(args.path)
     results = {"kind": type(obj).__name__, "valid": not constraint}
     if constraint:
         results["violated_constraint"] = constraint
-    _emit(_report("validate", args.path, results, time.perf_counter() - start), args.json)
-    return EXIT_INVALID if constraint else EXIT_OK
+    return EXIT_INVALID if constraint else EXIT_OK, results, source
 
 
-def cmd_measure(args) -> int:
-    start = time.perf_counter()
-    obj, constraint = _load_document(args.path)
+def cmd_measure(args):
+    obj, constraint, source = _load_document(args.path)
     if constraint:
         raise _Exit(EXIT_INVALID, f"invalid object: {constraint}")
 
@@ -173,13 +152,11 @@ def cmd_measure(args) -> int:
             "seed": args.seed,
             **rep.diagnostics,
         }
-    _emit(_report("measure", args.path, results, time.perf_counter() - start), args.json)
-    return EXIT_OK
+    return EXIT_OK, results, source
 
 
-def cmd_check_super(args) -> int:
-    start = time.perf_counter()
-    obj, constraint = _load_document(args.path)
+def cmd_check_super(args):
+    obj, constraint, source = _load_document(args.path)
     if not isinstance(obj, GaussianSuperchannel):
         raise _Exit(EXIT_USAGE, "check-super requires a superchannel document")
     if constraint:
@@ -193,8 +170,7 @@ def cmd_check_super(args) -> int:
         "inFO1": in_fo1(obj),
         "diagnostics": {**dataclasses.asdict(patterns), "spectral_norm_A": spectral_norm(obj.A)},
     }
-    _emit(_report("check-super", args.path, results, time.perf_counter() - start), args.json)
-    return EXIT_OK
+    return EXIT_OK, results, source
 
 
 def _unwritable(path) -> str | None:
@@ -211,8 +187,7 @@ def _unwritable(path) -> str | None:
     return None
 
 
-def cmd_qbm(args) -> int:
-    start = time.perf_counter()
+def cmd_qbm(args):
     # Checked before computing so that a bad path fails at once; the write
     # below keeps its own handler for what only the write can find.
     problem = _unwritable(args.out)
@@ -248,8 +223,7 @@ def cmd_qbm(args) -> int:
         win_start = args.horizon - window
         results["window_start"] = win_start
         results["window_mean_Ic"] = traj.window_mean(win_start, window)
-    _emit(_report("qbm", None, results, time.perf_counter() - start), args.json)
-    return EXIT_OK
+    return EXIT_OK, results, None
 
 
 def _audit_suites(modes: int, trials: int, seed: int):
@@ -297,7 +271,7 @@ def _audit_suites(modes: int, trials: int, seed: int):
             yield ("ic_monotonicity", sup, chan)
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args):
     problem = (
         "trials must be >= 1" if args.trials < 1
         else f"modes must be in [1, {MAX_MODES}]" if not 1 <= args.modes <= MAX_MODES
@@ -328,10 +302,7 @@ def cmd_audit(args) -> int:
         "counterexamples": counterexamples,
         "passed": not counterexamples,
     }
-    # No wall time here: audit reports are contractually byte-identical
-    # for a fixed seed.
-    _emit(_report("audit", None, results), args.json)
-    return EXIT_OK if not counterexamples else EXIT_COUNTEREXAMPLE
+    return EXIT_OK if not counterexamples else EXIT_COUNTEREXAMPLE, results, None
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +359,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code, results, source = args.func(args)
     except _Exit as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    report = {"command": args.command, "results": results}
+    if source is not None:
+        report["input"] = source
+    if args.command != "audit":  # audit reports are byte-identical for a fixed seed
+        report["wall_time_s"] = round(time.perf_counter() - start, 6)
+    if args.json:
+        print(json.dumps(report, indent=2))
+    else:
+        for key, value in results.items():
+            print(f"{key}: {value}")
+    return code
 
 
 if __name__ == "__main__":

@@ -532,11 +532,10 @@ def from_document(doc: dict):
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"unknown document kind {kind!r}")
+    cls, keys = _KINDS[kind]
     try:
-        modes = doc["modes"]
-        for name, (cls, keys) in _KINDS.items():
-            if kind == name:
-                return cls(modes, *(doc[key] for key in keys))
+        return cls(doc["modes"], *(doc[key] for key in keys))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed {kind or 'object'} document: {exc}") from exc
-    raise ValidationError(f"unknown document kind {kind!r}")
+        raise ValidationError(f"malformed {kind} document: {exc}") from exc

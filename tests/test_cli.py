@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -217,6 +219,43 @@ def test_document_nested_past_the_recursion_limit_is_parse_error(tmp_path, capsy
                     + ', "N": [[1, 0], [0, 1]], "d": [0, 0]}')
     assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "parse error: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("head,tail,line", [
+    (b"", b"", None),
+    (b"\xef\xbb\xbf", b"", "parse error: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                           "line 1 column 1 (char 0)"),
+    (b"\xff", b"", "parse error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte"),
+], ids=["plain", "utf-8-bom", "undecodable-byte"])
+@pytest.mark.parametrize("argv,obj", [
+    (["validate"], GaussianChannel.amplifying(1, tau=2.0)),
+    (["measure", "--which", "ic"], GaussianChannel.amplifying(1, tau=2.0)),
+    (["check-super"], GaussianSuperchannel.identity()),
+], ids=["validate", "measure", "check-super"])
+def test_document_commands_read_the_input_once(tmp_path, capsys, monkeypatch, argv, obj,
+                                               head, tail, line):
+    path = tmp_path / "doc.json"
+    path.write_bytes(head + json.dumps(to_document(obj)).encode() + tail)
+    modes, real_open = [], builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == str(path):
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code = cli.main(["--json", argv[0], str(path), *argv[1:]])
+    monkeypatch.undo()
+    assert modes == ["rb"]
+    out, err = capsys.readouterr()
+    if line is None:
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["input"] == {
+            "path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    else:
+        assert code == cli.EXIT_USAGE
+        assert (out, err) == ("", line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +636,28 @@ def test_audit_deterministic_report(capsys):
     assert cli.main(args) == cli.EXIT_OK
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the report
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,keys", [
+    (["validate", "{doc}"], ["command", "results", "input", "wall_time_s"]),
+    (["measure", "{doc}", "--which", "id"], ["command", "results", "input", "wall_time_s"]),
+    (["check-super", "{sup}"], ["command", "results", "input", "wall_time_s"]),
+    (QBM_BASE + ["--out", "{csv}"], ["command", "results", "wall_time_s"]),
+    (["audit", "--trials", "3"], ["command", "results"]),
+], ids=["validate", "measure", "check-super", "qbm", "audit"])
+def test_report_shape(tmp_path, capsys, argv, keys):
+    names = {"doc": write_doc(tmp_path, "amp.json", GaussianChannel.amplifying(1, tau=2.0)),
+             "sup": write_doc(tmp_path, "sup.json", GaussianSuperchannel.identity()),
+             "csv": str(tmp_path / "t.csv")}
+    argv = [arg.format(**names) for arg in argv]
+    assert cli.main(["--json", *argv]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == keys
+    assert report["command"] == argv[0]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        f"{key}: {value}" for key, value in report["results"].items()]

@@ -473,7 +473,8 @@ def test_from_document_rejects_garbage():
     with pytest.raises(ValidationError):
         from_document([1, 2, 3])
     for doc, message in [
-        ({"kind": "x"}, "malformed x document: 'modes'"),
+        ({"kind": "x"}, "unknown document kind 'x'"),
+        ({"kind": "state"}, "malformed state document: 'modes'"),
         ({"kind": ["a"], "modes": 1}, "unknown document kind ['a']"),
         ({"kind": "channel", "modes": 1}, "malformed channel document: 'T'"),
     ]:

@@ -1,7 +1,8 @@
 """Importing the package and running the CLI load no scipy code, `qbm`
 loads no OpenSSL, and no package module names scipy; the package modules
 use only each other's public names, import nothing unused and define no
-private name that they never use; in the CLI only `main` names stderr."""
+private name that they never use; in the CLI only `main` names stderr,
+prints and reads the clock."""
 
 import ast
 import json
@@ -231,14 +232,27 @@ def test_modules_use_every_private_name_they_define(module):
     assert unused_private_findings(source) == []
 
 
-def stderr_findings(source: str) -> list[str]:
-    """Where ``source`` names ``stderr`` outside its top-level function
-    ``main``: a command reports a failure by raising it, and ``main`` prints it."""
+def findings_outside_main(source: str, names: set[str]) -> list[str]:
+    """Where ``source`` names one of ``names`` outside its top-level function
+    ``main``, in line order."""
     tree = ast.parse(source)
     tree.body = [node for node in tree.body if getattr(node, "name", None) != "main"]
     fields = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
-    return [f"line {node.lineno}: names stderr" for node in ast.walk(tree)
-            if type(node) in fields and getattr(node, fields[type(node)]) == "stderr"]
+    found = [node for node in ast.walk(tree)
+             if type(node) in fields and getattr(node, fields[type(node)]) in names]
+    return [f"line {node.lineno}: names {getattr(node, fields[type(node)])}"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def stderr_findings(source: str) -> list[str]:
+    """A command reports a failure by raising it, and ``main`` prints it."""
+    return findings_outside_main(source, {"stderr"})
+
+
+def report_findings(source: str) -> list[str]:
+    """A command returns its results, and ``main`` times the run, builds the
+    report and prints it."""
+    return findings_outside_main(source, {"print", "_emit", "perf_counter"})
 
 
 def test_stderr_findings_flags_every_use_outside_main():
@@ -261,3 +275,28 @@ def test_stderr_findings_flags_every_use_outside_main():
 
 def test_only_the_cli_main_names_stderr():
     assert stderr_findings((Path(gaussimag.__file__).parent / "cli.py").read_text()) == []
+
+
+def test_report_findings_flags_every_use_outside_main():
+    source = textwrap.dedent('''
+        import time
+        from time import perf_counter
+
+
+        def main():
+            start = time.perf_counter()
+            print("report", time.perf_counter() - start)
+
+
+        def command():
+            _emit({"results": {}}, True)
+            print("report")
+            return time.perf_counter()
+    ''')
+    assert report_findings(source) == [
+        "line 3: names perf_counter", "line 12: names _emit", "line 13: names print",
+        "line 14: names perf_counter"]
+
+
+def test_only_the_cli_main_prints_and_times_the_report():
+    assert report_findings((Path(gaussimag.__file__).parent / "cli.py").read_text()) == []
