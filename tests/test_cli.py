@@ -221,12 +221,12 @@ def test_document_nested_past_the_recursion_limit_is_parse_error(tmp_path, capsy
     assert_one_line(capsys.readouterr().err, "parse error: maximum recursion depth exceeded")
 
 
-@pytest.mark.parametrize("head,tail,line", [
-    (b"", b"", None),
-    (b"\xef\xbb\xbf", b"", "parse error: Unexpected UTF-8 BOM (decode using utf-8-sig): "
-                           "line 1 column 1 (char 0)"),
-    (b"\xff", b"", "parse error: 'utf-8' codec can't decode byte 0xff in position 0: "
-                   "invalid start byte"),
+@pytest.mark.parametrize("head,line", [
+    (b"", None),
+    (b"\xef\xbb\xbf", "parse error: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                      "line 1 column 1 (char 0)"),
+    (b"\xff", "parse error: 'utf-8' codec can't decode byte 0xff in position 0: "
+              "invalid start byte"),
 ], ids=["plain", "utf-8-bom", "undecodable-byte"])
 @pytest.mark.parametrize("argv,obj", [
     (["validate"], GaussianChannel.amplifying(1, tau=2.0)),
@@ -234,9 +234,9 @@ def test_document_nested_past_the_recursion_limit_is_parse_error(tmp_path, capsy
     (["check-super"], GaussianSuperchannel.identity()),
 ], ids=["validate", "measure", "check-super"])
 def test_document_commands_read_the_input_once(tmp_path, capsys, monkeypatch, argv, obj,
-                                               head, tail, line):
+                                               head, line):
     path = tmp_path / "doc.json"
-    path.write_bytes(head + json.dumps(to_document(obj)).encode() + tail)
+    path.write_bytes(head + json.dumps(to_document(obj)).encode())
     modes, real_open = [], builtins.open
 
     def counting_open(file, mode="r", *args, **kwargs):
