@@ -51,12 +51,10 @@ from .measures import (
 )
 from .qbm import (
     QbmConfig,
-    QbmSolution,
     Trajectory,
     coefficients,
     imaginarity_trajectory,
     qbm_channel,
-    solve_qbm,
     steady_state_n12,
 )
 from .specfun import (

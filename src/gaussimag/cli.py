@@ -8,9 +8,10 @@ check-super  realness / imaginarity-breaking / free-set diagnostics
 qbm          run a quantum-Brownian-motion trajectory and write CSV
 audit        randomized theorem and monotonicity audits
 
-Exit codes: 0 success, 1 usage/parse error, 2 physically invalid input,
-3 computation failure (including a physicality form that overflows and
-a measure value that is not finite), 4 audit counterexample.
+Exit codes: 0 success, 1 usage/parse error or unwritable output,
+2 physically invalid input, 3 computation failure (including a
+physicality form that overflows and a measure value that is not finite),
+4 audit counterexample.
 """
 
 from __future__ import annotations
@@ -370,11 +371,18 @@ def main(argv=None) -> int:
         report["input"] = source
     if args.command != "audit":  # audit reports are byte-identical for a fixed seed
         report["wall_time_s"] = round(time.perf_counter() - start, 6)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        for key, value in results.items():
-            print(f"{key}: {value}")
+    try:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            for key, value in results.items():
+                print(f"{key}: {value}")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader has gone; what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

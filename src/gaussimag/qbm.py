@@ -26,7 +26,7 @@ Temperature enters through the thermal weight 2 P(omega) + 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -222,7 +222,7 @@ def coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
 
 
 # ---------------------------------------------------------------------------
-# the solution: Gamma and the noise integral at the grid nodes
+# Gamma and the noise integral at the grid nodes
 # ---------------------------------------------------------------------------
 
 def _make_grid(horizon: float, step: float) -> np.ndarray:
@@ -242,9 +242,9 @@ def _make_grid(horizon: float, step: float) -> np.ndarray:
 #: O(step^4) negativity in the physicality form at the first node.
 NOISE_REFINEMENT = 4
 
-#: Grid intervals per chunk of the solver, the trajectory and the CSV
-#: writer.  Even, so that every chunk starts at an even node and no Simpson
-#: panel (2j, 2j+1, 2j+2) straddles a seam.
+#: Grid intervals per chunk of the one walk over the grid.  Even, so that
+#: every chunk starts at an even node and no Simpson panel (2j, 2j+1, 2j+2)
+#: straddles a seam.
 _CHUNK = 4096
 
 #: Growth of Gamma after which the noise integral's reference moves, so
@@ -308,76 +308,6 @@ def _rotations(tau: np.ndarray, x: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-@dataclass(frozen=True)
-class QbmSolution:
-    """Gamma and the noise integral Wbar (shape (2, 2, m)), both integrated
-    on the refined grid, of the QBM channel at the nodes of a tau-grid, in
-    read-only arrays."""
-
-    cfg: QbmConfig
-    grid: np.ndarray
-    gamma_capital: np.ndarray
-    wbar: np.ndarray
-
-    def _nodes(self, part: slice | list) -> "QbmSolution":
-        return replace(self, grid=self.grid[part], gamma_capital=self.gamma_capital[part],
-                       wbar=self.wbar[..., part])
-
-
-def solve_qbm(cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP) -> QbmSolution:
-    """Gamma and Wbar on the grid 0, step, ..., horizon.
-
-    The grid is walked ``_CHUNK`` intervals at a time.  Per chunk the
-    closed-form coefficients are evaluated on the refined points, the
-    fine-grid Gamma weights the co-rotating noise integrand R^T M R, and
-    both running integrals carry their totals into the next chunk; only
-    Gamma and Wbar at the nodes are kept, so T and N read one Gamma.  The
-    noise integral is held relative to e^{ref}, and rescaled by
-    e^{-(new ref - old ref)} when its reference moves, so it stays finite
-    at every horizon.  Where the reference moves depends on Gamma alone,
-    so the result equals that of one whole-grid pass bit for bit.
-    """
-    grid = _make_grid(horizon, step)
-    consts = _ei_constants(cfg)
-    m, x = len(grid), cfg.x
-    big_gamma, wbar = np.zeros(m), np.zeros((2, 2, m))
-    fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
-    nodes = slice(None, None, NOISE_REFINEMENT)
-    for lo in range(0, m - 1, _CHUNK):
-        hi = min(lo + _CHUNK, m - 1)
-        fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
-        gamma_f, delta_f, pi_f = coefficients(cfg, fine, consts)
-        run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
-        big_gamma_f, fine_total = 2.0 * run, run[-1]
-        g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]
-        rot = _rotations(fine, x)
-        rot_n = rot[..., nodes]  # fine[nodes] is the grid exactly
-        m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
-        # co-rotating integrand R^T M R weighted by e^{Gamma - ref}, its
-        # running integral, damped and rotated back at the nodes; the
-        # reference moves to the first node whose Gamma passes ref + _REBASE
-        integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot)
-        start = 0
-        while start < hi - lo:
-            past = np.flatnonzero(g_n[start + 1:] > ref + _REBASE)
-            end = start + 1 + past[0] if past.size else hi - lo
-            seg = slice(NOISE_REFINEMENT * start, NOISE_REFINEMENT * end + 1)
-            weighted = integrand[..., seg] * np.exp(big_gamma_f[seg] - ref)
-            cum = _running_sum(noise_total, _simpson_parts(weighted, fine[seg]))
-            at = slice(start, end + 1)
-            wbar[..., lo:hi + 1][..., at] = np.einsum("ija,jka,lka->ila", rot_n[..., at],
-                                                      cum[..., nodes] * np.exp(-(g_n[at] - ref)),
-                                                      rot_n[..., at])
-            noise_total = cum[..., -1].copy()
-            if past.size:
-                noise_total *= np.exp(-(g_n[end] - ref))
-                ref = g_n[end]
-            start = end
-    for array in (grid, big_gamma, wbar):
-        array.flags.writeable = False
-    return QbmSolution(cfg=cfg, grid=grid, gamma_capital=big_gamma, wbar=wbar)
-
-
 #: Largest relative asymmetry |W01 - W10| / max(1, max|W|) of the noise integral.
 ASYMMETRY_TOL = 1e-8
 
@@ -397,25 +327,25 @@ def _asymmetry(grid: np.ndarray, w: np.ndarray) -> float:
     return float(np.max(rel))
 
 
-def _node_channels(sol: QbmSolution) -> tuple[np.ndarray, np.ndarray]:
-    """(T, N) at every node of ``sol``: two (m, 2, 2) stacks, T = e^{-Gamma/2} R
-    and N = 2 Wbar symmetrized."""
-    t_mats = np.exp(-sol.gamma_capital / 2.0)[:, None, None] * np.moveaxis(
-        _rotations(sol.grid, sol.cfg.x), -1, 0)
-    n_mats = 2.0 * np.moveaxis(sol.wbar, -1, 0)
+def _node_channels(x: float, tau: np.ndarray, big_gamma: np.ndarray,
+                   wbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, N) at the nodes (tau, Gamma, Wbar): two (m, 2, 2) stacks,
+    T = e^{-Gamma/2} R and N = 2 Wbar symmetrized."""
+    t_mats = np.exp(-big_gamma / 2.0)[:, None, None] * np.moveaxis(_rotations(tau, x), -1, 0)
+    n_mats = 2.0 * np.moveaxis(wbar, -1, 0)
     return t_mats, 0.5 * (n_mats + np.swapaxes(n_mats, -1, -2))
 
 
-def qbm_channel(sol: QbmSolution, i: int) -> GaussianChannel:
+def qbm_channel(traj: Trajectory, i: int) -> GaussianChannel:
     """The one-mode channel (e^{-Gamma/2} R, 2 Wbar, 0) at the node
-    ``sol.grid[i]``; a negative ``i`` counts back from the horizon.
+    ``traj.tau[i]``; a negative ``i`` counts back from the horizon.
 
     Raises :class:`IntegrationResolutionError` when that node's Wbar misses
     ``ASYMMETRY_TOL``.
     """
-    node = sol._nodes([i])
-    _asymmetry(node.grid, node.wbar)
-    t_mats, n_mats = _node_channels(node)
+    tau, big_gamma, wbar = traj.tau[[i]], traj.gamma_capital[[i]], traj.wbar[..., [i]]
+    _asymmetry(tau, wbar)
+    t_mats, n_mats = _node_channels(traj.cfg.x, tau, big_gamma, wbar)
     return GaussianChannel(1, t_mats[0], n_mats[0], np.zeros(2))
 
 
@@ -423,38 +353,57 @@ def qbm_channel(sol: QbmSolution, i: int) -> GaussianChannel:
 # trajectory
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _formula(x: float, tau: np.ndarray, big_gamma: np.ndarray, wbar: np.ndarray):
+    """(I_c, N12, |T21| term, |T12 T22| term) of the damped-oscillation
+    formula at the nodes (tau, Gamma, Wbar)."""
+    n12 = 2.0 * wbar[0, 1]
+    term1 = np.abs(np.exp(-big_gamma / 2.0) * np.sin(tau / x))
+    term2 = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * tau / x))
+    return term1 + term2 + np.abs(n12), n12, term1, term2
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled imaginarity trajectory of the QBM channel."""
+    """Sampled imaginarity trajectory of the QBM channel: Gamma and the
+    noise integral Wbar (shape (2, 2, m)) at the nodes ``tau``, in read-only
+    arrays.  I_c, N12 and the two rotation terms are worked out from them
+    by ``_formula`` where they are read."""
 
     cfg: QbmConfig
     tau: np.ndarray
-    ic: np.ndarray
     gamma_capital: np.ndarray
-    n12: np.ndarray
-    term_t21: np.ndarray
-    term_t12t22: np.ndarray
+    wbar: np.ndarray
     #: Worst |generic I_c - formula I_c| over the grid (bounded by 1e-8).
     cross_check_error: float
     #: Worst relative asymmetry of Wbar over the grid (bounded by 1e-8).
     wbar_asymmetry: float
+
+    def _columns(self, part=slice(None)) -> tuple[np.ndarray, ...]:
+        return _formula(self.cfg.x, self.tau[part], self.gamma_capital[part],
+                        self.wbar[..., part])
+
+    ic = property(lambda self: self._columns()[0])
+    n12 = property(lambda self: self._columns()[1])
+    term_t21 = property(lambda self: self._columns()[2])
+    term_t12t22 = property(lambda self: self._columns()[3])
 
     def window_mean(self, start: float, width: float) -> float:
         """Mean of I_c over the window [start, start + width]."""
         mask = (self.tau >= start - 1e-12) & (self.tau <= start + width + 1e-12)
         if not np.any(mask):
             raise ValueError("window does not intersect the trajectory grid")
-        return float(np.mean(self.ic[mask]))
+        return float(np.mean(self._columns(mask)[0]))
 
     def write_csv(self, path):
         """Write a header and one row per grid point, every value as ``_fmt``
         formats it, ``_CSV_ROWS`` rows per write."""
-        columns = (self.tau, self.ic, self.gamma_capital, self.n12,
-                   self.term_t21, self.term_t12t22)
         with open(path, "wb") as fh:
             fh.write(b"tau,Ic,Gamma,N12,term_T21,term_T12T22\n")
             for lo in range(0, len(self.tau), _CSV_ROWS):
-                fh.write(_csv_block(np.column_stack([c[lo:lo + _CSV_ROWS] for c in columns])))
+                part = slice(lo, lo + _CSV_ROWS)
+                ic, n12, term1, term2 = self._columns(part)
+                fh.write(_csv_block(np.column_stack(
+                    [self.tau[part], ic, self.gamma_capital[part], n12, term1, term2])))
 
 
 def _fmt(v: float) -> str:
@@ -574,59 +523,99 @@ def _csv_block(rows: np.ndarray) -> np.ndarray:
 CROSS_CHECK_TOL = 1e-8
 
 
-def _cross_check(sol: QbmSolution, direct: np.ndarray) -> float:
-    """Worst |generic I_c - direct| over the solution's nodes, one batched
-    measure call.
+def _cross_check(x: float, tau: np.ndarray, big_gamma: np.ndarray, wbar: np.ndarray,
+                 direct: np.ndarray) -> float:
+    """Worst |generic I_c - direct| over the nodes (tau, Gamma, Wbar), one
+    batched measure call.
 
     Raises :class:`FormulaInconsistencyError` when a channel matrix is
     non-finite or any point (NaN included) misses ``CROSS_CHECK_TOL``.
     """
-    grid = sol.grid
-    t_mats, n_mats = _node_channels(sol)
+    t_mats, n_mats = _node_channels(x, tau, big_gamma, wbar)
     finite = np.all(np.isfinite(t_mats), axis=(1, 2)) & np.all(np.isfinite(n_mats), axis=(1, 2))
     if not np.all(finite):
-        tau = grid[int(np.argmin(finite))]
-        raise FormulaInconsistencyError(f"non-finite channel matrices at tau={tau:g}")
-    generic = channel_measure_ic_stack(t_mats, n_mats, np.zeros((len(grid), 2)))
+        raise FormulaInconsistencyError(
+            f"non-finite channel matrices at tau={tau[int(np.argmin(finite))]:g}")
+    generic = channel_measure_ic_stack(t_mats, n_mats, np.zeros((len(tau), 2)))
     error = np.abs(generic - direct)
     if not np.all(error <= CROSS_CHECK_TOL):
         i = int(np.argmax(~(error <= CROSS_CHECK_TOL)))
         raise FormulaInconsistencyError(f"generic measure and trajectory formula disagree "
-                                        f"by {error[i]:.3e} at tau={grid[i]:g}")
+                                        f"by {error[i]:.3e} at tau={tau[i]:g}")
     return float(np.max(error))
 
 
 def imaginarity_trajectory(
     cfg: QbmConfig, horizon: float, step: float = DEFAULT_STEP
 ) -> Trajectory:
-    """I_c of the QBM channel on a tau-grid, with built-in cross-check.
+    """I_c of the QBM channel on the grid 0, step, ..., horizon, with
+    built-in cross-check.
 
-    Every grid point is evaluated both through the generic channel
-    measure on the emitted (T, N, d) matrices and through the
-    specialized damped-oscillation formula
+    The grid is walked once, ``_CHUNK`` intervals at a time.  Per chunk the
+    closed-form coefficients are evaluated on the refined points, the
+    fine-grid Gamma weights the co-rotating noise integrand R^T M R, and
+    both running integrals carry their totals into the next chunk; only
+    Gamma and Wbar at the nodes are kept, so T and N read one Gamma.  The
+    noise integral is held relative to e^{ref}, and rescaled by
+    e^{-(new ref - old ref)} when its reference moves, so it stays finite
+    at every horizon.  Where the reference moves depends on Gamma alone,
+    so the result equals that of one whole-grid pass bit for bit.
+
+    Then every node of the chunk but the one it shares with the next is
+    evaluated both through the generic channel measure on the emitted
+    (T, N, d) matrices and through the specialized damped-oscillation formula
 
         |e^{-Gamma/2} sin(tau/x)| + (1/2)|e^{-Gamma} sin(2 tau/x)| + |N12|;
 
-    the two must agree within ``CROSS_CHECK_TOL`` at every point, and
-    Wbar must be symmetric within ``ASYMMETRY_TOL``.  Both checks run
-    ``_CHUNK`` nodes at a time.
+    the two must agree within ``CROSS_CHECK_TOL`` at every node, and Wbar
+    must be symmetric within ``ASYMMETRY_TOL``.
     """
-    sol = solve_qbm(cfg, horizon, step)
-    m, x = len(sol.grid), cfg.x
-    n12, term1, term2, direct = (np.empty(m) for _ in range(4))
+    grid = _make_grid(horizon, step)
+    consts = _ei_constants(cfg)
+    m, x = len(grid), cfg.x
+    big_gamma, wbar = np.zeros(m), np.zeros((2, 2, m))
+    fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
     error = asymmetry = 0.0
+    nodes = slice(None, None, NOISE_REFINEMENT)
     for lo in range(0, m, _CHUNK):
-        nodes = slice(lo, lo + _CHUNK)
-        part = sol._nodes(nodes)
-        tau, big_gamma = part.grid, part.gamma_capital
-        n12[nodes] = 2.0 * part.wbar[0, 1]
-        term1[nodes] = np.abs(np.exp(-big_gamma / 2.0) * np.sin(tau / x))
-        term2[nodes] = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * tau / x))
-        direct[nodes] = term1[nodes] + term2[nodes] + np.abs(n12[nodes])
-        error = max(error, _cross_check(part, direct[nodes]))
-        asymmetry = max(asymmetry, _asymmetry(tau, part.wbar))
-    return Trajectory(cfg, sol.grid, direct, sol.gamma_capital, n12, term1, term2,
-                      cross_check_error=error, wbar_asymmetry=asymmetry)
+        hi = min(lo + _CHUNK, m - 1)
+        if hi > lo:  # else the last node alone, solved by the chunk before or the origin
+            fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
+            gamma_f, delta_f, pi_f = coefficients(cfg, fine, consts)
+            run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
+            big_gamma_f, fine_total = 2.0 * run, run[-1]
+            g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]
+            rot = _rotations(fine, x)
+            rot_n = rot[..., nodes]  # fine[nodes] is the grid exactly
+            m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
+            # co-rotating integrand R^T M R weighted by e^{Gamma - ref}, its
+            # running integral, damped and rotated back at the nodes; the
+            # reference moves to the first node whose Gamma passes ref + _REBASE
+            integrand = np.einsum("jia,jka,kla->ila", rot, m_mat, rot)
+            start = 0
+            while start < hi - lo:
+                past = np.flatnonzero(g_n[start + 1:] > ref + _REBASE)
+                end = start + 1 + past[0] if past.size else hi - lo
+                seg = slice(NOISE_REFINEMENT * start, NOISE_REFINEMENT * end + 1)
+                weighted = integrand[..., seg] * np.exp(big_gamma_f[seg] - ref)
+                cum = _running_sum(noise_total, _simpson_parts(weighted, fine[seg]))
+                at = slice(start, end + 1)
+                wbar[..., lo:hi + 1][..., at] = np.einsum(
+                    "ija,jka,lka->ila", rot_n[..., at],
+                    cum[..., nodes] * np.exp(-(g_n[at] - ref)), rot_n[..., at])
+                noise_total = cum[..., -1].copy()
+                if past.size:
+                    noise_total *= np.exp(-(g_n[end] - ref))
+                    ref = g_n[end]
+                start = end
+            del rot, rot_n, m_mat, integrand, weighted, cum  # not held through the checks
+        part = slice(lo, lo + _CHUNK)
+        tau, g, w = grid[part], big_gamma[part], wbar[..., part]
+        error = max(error, _cross_check(x, tau, g, w, _formula(x, tau, g, w)[0]))
+        asymmetry = max(asymmetry, _asymmetry(tau, w))
+    for array in (grid, big_gamma, wbar):
+        array.flags.writeable = False
+    return Trajectory(cfg, grid, big_gamma, wbar, error, asymmetry)
 
 
 # ---------------------------------------------------------------------------

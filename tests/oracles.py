@@ -20,7 +20,7 @@ import numpy as np
 import scipy.integrate
 
 from gaussimag import qbm
-from gaussimag.qbm import QbmConfig, QbmSolution
+from gaussimag.qbm import QbmConfig, Trajectory
 
 # ---------------------------------------------------------------------------
 # adaptive quadrature
@@ -141,8 +141,8 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return qbm._running_sum(np.zeros(y.shape[:-1]), qbm._simpson_parts(y, x))
 
 
-def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
-    """N12 at the solution's nodes via the scalar co-rotating integral.
+def n12_scalar_oracle(traj: Trajectory) -> np.ndarray:
+    """N12 at the trajectory's nodes via the scalar co-rotating integral.
 
     Independent algebraic route (trig-expanded cumulative integrals on
     its own whole-grid evaluation of the refined coefficients, unscaled,
@@ -151,10 +151,10 @@ def n12_scalar_oracle(sol: QbmSolution) -> np.ndarray:
       N12(tau) = e^{-Gamma} * integral of
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
     """
-    fine = qbm._refine_grid(sol.grid, qbm.NOISE_REFINEMENT)
-    gamma, delta, pi_ = qbm.coefficients(sol.cfg, fine)
+    fine = qbm._refine_grid(traj.tau, qbm.NOISE_REFINEMENT)
+    gamma, delta, pi_ = qbm.coefficients(traj.cfg, fine)
     big_gamma = 2.0 * _cumulative_simpson(gamma, fine)
-    x = sol.cfg.x
+    x = traj.cfg.x
     weight = np.exp(big_gamma)
     sin2, cos2 = np.sin(2.0 * fine / x), np.cos(2.0 * fine / x)
     a1, a2, b1, b2 = _cumulative_simpson(np.array([weight * delta * sin2, weight * delta * cos2,

@@ -30,7 +30,7 @@ from gaussimag.measures import (
 from gaussimag.qbm import (
     QbmConfig,
     coefficients,
-    solve_qbm,
+    imaginarity_trajectory,
 )
 from oracles import coeff_delta_quadrature, coeff_gamma_quadrature, coeff_pi_quadrature
 
@@ -67,12 +67,12 @@ def _verdict(criterion: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def _ic_series(sol) -> np.ndarray:
+def _ic_series(traj) -> np.ndarray:
     """The damped-oscillation I_c formula evaluated on the whole grid."""
-    grid, big_gamma, x = sol.grid, sol.gamma_capital, sol.cfg.x
+    grid, big_gamma, x = traj.tau, traj.gamma_capital, traj.cfg.x
     term1 = np.abs(np.exp(-big_gamma / 2.0) * np.sin(grid / x))
     term2 = 0.5 * np.abs(np.exp(-big_gamma) * np.sin(2.0 * grid / x))
-    return term1 + term2 + np.abs(2.0 * sol.wbar[0, 1])
+    return term1 + term2 + np.abs(2.0 * traj.wbar[0, 1])
 
 
 def _window_width(cfg: QbmConfig) -> float:
@@ -92,8 +92,8 @@ def _settled_start(cfg: QbmConfig, level: float) -> float:
     return float(np.log(2.0 / (np.pi * level)) / gamma_inf)
 
 
-def _window_report(sol, start: float) -> str:
-    big_gamma = float(np.interp(start, sol.grid, sol.gamma_capital))
+def _window_report(traj, start: float) -> str:
+    big_gamma = float(np.interp(start, traj.tau, traj.gamma_capital))
     envelope = 2.0 / np.pi * np.exp(-big_gamma / 2.0)
     return f"window from tau={start:.0f} (Gamma {big_gamma:.2f}, envelope {envelope:.2g})"
 
@@ -107,7 +107,7 @@ class _Grids:
     def get(self, cfg: QbmConfig, horizon: float, step: float = qbm.DEFAULT_STEP):
         key = (cfg, horizon, step)
         if key not in self.built:
-            self.built[key] = solve_qbm(cfg, horizon, step)
+            self.built[key] = imaginarity_trajectory(cfg, horizon, step)
         return self.built[key]
 
     def figure(self, cfg: QbmConfig):
@@ -124,7 +124,7 @@ class _Grids:
         window starts where the T-term envelope is half the 0.1 * peak
         threshold."""
         figure = self.figure(LOW_CFG)
-        peak = float(np.max(_ic_series(figure)[figure.grid <= np.pi * LOW_CFG.x]))
+        peak = float(np.max(_ic_series(figure)[figure.tau <= np.pi * LOW_CFG.x]))
         start = _settled_start(LOW_CFG, 0.05 * peak)
         acc = self.get(LOW_CFG, start + _window_width(LOW_CFG), LONG_STEP)
         return acc, start, peak
@@ -296,13 +296,13 @@ def test_criterion_5_trajectory_formula_consistency(grids):
     start = time.perf_counter()
     worst = 0.0
     for cfg in FIGURE_CONFIGS:
-        sol = grids.figure(cfg)
-        direct = _ic_series(sol)
-        half = np.exp(-sol.gamma_capital / 2.0)
-        cos_, sin_ = np.cos(sol.grid / cfg.x), np.sin(sol.grid / cfg.x)
-        for i in range(len(sol.grid)):
+        traj = grids.figure(cfg)
+        direct = _ic_series(traj)
+        half = np.exp(-traj.gamma_capital / 2.0)
+        cos_, sin_ = np.cos(traj.tau / cfg.x), np.sin(traj.tau / cfg.x)
+        for i in range(len(traj.tau)):
             t_mat = half[i] * np.array([[cos_[i], sin_[i]], [-sin_[i], cos_[i]]])
-            chan = GaussianChannel(1, t_mat, 2.0 * sol.wbar[:, :, i], np.zeros(2))
+            chan = GaussianChannel(1, t_mat, 2.0 * traj.wbar[:, :, i], np.zeros(2))
             worst = max(worst, abs(channel_measure_ic(chan).value - direct[i]))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8
@@ -320,14 +320,14 @@ def test_criterion_6_high_temperature_steady_values(grids):
     for panel, entries in STEADY_PANELS.items():
         panel_start = time.perf_counter()
         for cfg, quoted in entries:
-            sol, start = grids.steady(cfg, quoted)
-            mean = float(np.mean(_ic_series(sol)[sol.grid >= start]))
+            traj, start = grids.steady(cfg, quoted)
+            mean = float(np.mean(_ic_series(traj)[traj.tau >= start]))
             within = abs(mean - quoted) <= 0.25 * quoted
             ok &= within
             details.append(
                 f"{panel} alpha={cfg.alpha} x={cfg.x}: mean {mean:.4g} vs "
                 f"quoted {quoted} ({'ok' if within else 'off'}), "
-                f"{_window_report(sol, start)}"
+                f"{_window_report(traj, start)}"
             )
         panel_elapsed = time.perf_counter() - panel_start
         ok &= panel_elapsed < 300.0
@@ -336,14 +336,14 @@ def test_criterion_6_high_temperature_steady_values(grids):
 
 
 def test_criterion_7_low_temperature_decay(grids):
-    sol, start, peak = grids.decay()
-    late = float(np.mean(_ic_series(sol)[sol.grid >= start]))
+    traj, start, peak = grids.decay()
+    late = float(np.mean(_ic_series(traj)[traj.tau >= start]))
     ratio = late / peak
     _verdict(
         7,
         ratio < 0.1,
         f"late-window mean {late:.4g} vs first-period peak {peak:.4g}, "
-        f"ratio {ratio:.3f} (required < 0.1), {_window_report(sol, start)}",
+        f"ratio {ratio:.3f} (required < 0.1), {_window_report(traj, start)}",
     )
 
 
@@ -351,10 +351,10 @@ def test_criterion_8_oscillation_period(grids):
     worst_offset = 0.0
     count = 0
     for cfg in FIGURE_CONFIGS:
-        sol = grids.figure(cfg)
-        grid = sol.grid
+        traj = grids.figure(cfg)
+        grid = traj.tau
         step = grid[1] - grid[0]
-        term1 = np.abs(np.exp(-sol.gamma_capital / 2.0) * np.sin(grid / cfg.x))
+        term1 = np.abs(np.exp(-traj.gamma_capital / 2.0) * np.sin(grid / cfg.x))
         # zero crossings of the T21 oscillation, located by sign change
         sine = np.sin(grid / cfg.x)
         crossings = grid[:-1][np.diff(np.sign(sine)) != 0]
@@ -382,10 +382,10 @@ def test_criterion_9_full_physicality_sweep(grids):
     worst_rel = 0.0
     swept = 0
     channels = 0
-    for key, sol in grids.every().items():
+    for key, traj in grids.every().items():
         swept += 1
-        big_gamma = sol.gamma_capital
-        n_mats = 2.0 * sol.wbar  # (2, 2, m)
+        big_gamma = traj.gamma_capital
+        n_mats = 2.0 * traj.wbar  # (2, 2, m)
         # T Delta T^T = e^{-Gamma} Delta for T = e^{-Gamma/2} R, so the
         # physicality form is N + i (1 - e^{-Gamma}) Delta: closed-form
         # eigenvalues for the whole grid at once
@@ -397,9 +397,9 @@ def test_criterion_9_full_physicality_sweep(grids):
         scale = np.maximum(1.0, np.abs(mean) + radius)
         worst_rel = max(worst_rel, float(np.max(-min_eig / scale)))
         # independent spot checks through the generic validator
-        for i in np.sort(rng.choice(len(sol.grid), size=200, replace=False)):
-            tau = float(sol.grid[i])
-            chan = qbm.qbm_channel(sol, i)
+        for i in np.sort(rng.choice(len(traj.tau), size=200, replace=False)):
+            tau = float(traj.tau[i])
+            chan = qbm.qbm_channel(traj, i)
             assert not violated_constraint(chan), f"{key} invalid at tau={tau}"
             channels += 1
     ok = swept >= 9 and worst_rel <= 1e-9

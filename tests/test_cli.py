@@ -1,7 +1,10 @@
 import builtins
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,15 +424,14 @@ def test_audit_bad_parameters_are_usage_errors(capsys, argv):
 def test_qbm_non_finite_channel_is_compute_error(tmp_path, capsys, monkeypatch):
     from gaussimag import qbm
 
-    original = qbm.solve_qbm
+    original = qbm._formula
 
-    def corrupted(*args):
-        sol = original(*args)
-        wbar = sol.wbar.copy()
+    def corrupted(x, tau, big_gamma, wbar):
+        # horizon 5 is one chunk, whose Wbar view the walk hands here first
         wbar[1, 1, 3] = np.nan
-        return dataclasses.replace(sol, wbar=wbar)
+        return original(x, tau, big_gamma, wbar)
 
-    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
+    monkeypatch.setattr(qbm, "_formula", corrupted)
     code = cli.main([
         "qbm", "--alpha", "0.03", "--x", "0.5", "--theta", "100",
         "--horizon", "5", "--out", str(tmp_path / "t.csv"),
@@ -444,15 +446,14 @@ def test_qbm_asymmetric_noise_is_compute_error(tmp_path, capsys, monkeypatch):
     # Wbar[1, 0] = -3 Wbar[0, 1] passes the cross-check (|N12| is unchanged)
     from gaussimag import qbm
 
-    original = qbm.solve_qbm
+    original = qbm._formula
 
-    def corrupted(*args):
-        sol = original(*args)
-        wbar = sol.wbar.copy()
+    def corrupted(x, tau, big_gamma, wbar):
+        # horizon 5 is one chunk, whose Wbar view the walk hands here first
         wbar[1, 0, 250] = -3.0 * wbar[0, 1, 250]
-        return dataclasses.replace(sol, wbar=wbar)
+        return original(x, tau, big_gamma, wbar)
 
-    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
+    monkeypatch.setattr(qbm, "_formula", corrupted)
     code = cli.main(QBM_BASE + ["--out", str(tmp_path / "t.csv")])
     assert code == cli.EXIT_COMPUTE
     assert_one_line(capsys.readouterr().err,
@@ -580,6 +581,29 @@ def test_qbm_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypa
     assert code == cli.EXIT_USAGE
     assert_one_line(capsys.readouterr().err, "cannot write output:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+
+
+@pytest.mark.parametrize("argv", [["--json", "validate", "DOC"],
+                                  ["measure", "DOC", "--which", "ic"]],
+                         ids=["json-validate", "text-measure"])
+def test_closed_stdout_is_one_line_and_exit_1(amplifying_doc, argv):
+    # stdout is a pipe whose reader has gone, as under ``| head`` once it has
+    # its lines: one stderr line, no traceback, and nothing more at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussimag.cli",
+             *(amplifying_doc if arg == "DOC" else arg for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_qbm_existing_output_is_overwritten(tmp_path):

@@ -2,7 +2,7 @@
 loads no OpenSSL, and no package module names scipy; the package modules
 use only each other's public names, import nothing unused and define no
 private name that they never use; in the CLI only `main` names stderr,
-prints and reads the clock."""
+prints and reads the clock; and `qbm` walks its grid in one loop."""
 
 import ast
 import json
@@ -300,3 +300,48 @@ def test_report_findings_flags_every_use_outside_main():
 
 def test_only_the_cli_main_prints_and_times_the_report():
     assert report_findings((Path(gaussimag.__file__).parent / "cli.py").read_text()) == []
+
+
+def chunk_walk_findings(source: str) -> list[str]:
+    """The QBM grid is walked once: exactly one ``for`` loop iterates over
+    ``range(..., _CHUNK)``, and no code outside such a loop reads ``_CHUNK``."""
+    tree = ast.parse(source)
+    walks = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.AsyncFor)) and isinstance(node.iter, ast.Call)
+             and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range"
+             and len(node.iter.args) == 3 and isinstance(node.iter.args[2], ast.Name)
+             and node.iter.args[2].id == "_CHUNK"]
+    inside = {id(node) for walk in walks for node in ast.walk(walk)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "_CHUNK" and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+    found = [(walk.lineno, "another loop over range(..., _CHUNK)") for walk in walks[1:]]
+    found += [(node.lineno, "reads _CHUNK outside a loop over range(..., _CHUNK)")
+              for node in reads]
+    return ([] if walks else ["no loop over range(..., _CHUNK)"]) + [
+        f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_chunk_walk_findings_flags_a_second_walk_and_stray_reads():
+    source = textwrap.dedent('''
+        _CHUNK = 4
+
+
+        def walk(m):
+            for lo in range(0, m, _CHUNK):
+                hi = min(lo + _CHUNK, m - 1)
+
+
+        def second_walk(m):
+            for lo in range(0, m, _CHUNK):
+                pass
+            return [lo for lo in range(0, m, _CHUNK)], range(_CHUNK)
+    ''')
+    assert chunk_walk_findings(source) == [
+        "line 11: another loop over range(..., _CHUNK)",
+        "line 13: reads _CHUNK outside a loop over range(..., _CHUNK)",
+        "line 13: reads _CHUNK outside a loop over range(..., _CHUNK)"]
+    assert chunk_walk_findings("_CHUNK = 4\n") == ["no loop over range(..., _CHUNK)"]
+
+
+def test_qbm_walks_its_grid_in_one_loop():
+    assert chunk_walk_findings((Path(gaussimag.__file__).parent / "qbm.py").read_text()) == []

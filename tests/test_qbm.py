@@ -16,7 +16,6 @@ from gaussimag.qbm import (
     coefficients,
     imaginarity_trajectory,
     qbm_channel,
-    solve_qbm,
     steady_state_n12,
 )
 from oracles import (
@@ -209,33 +208,33 @@ def _fixed_gamma(monkeypatch, value):
     monkeypatch.setattr(qbm, "coefficients", fixed)
 
 
-def _gamma_at(sol, tau):
-    return float(np.interp(tau, sol.grid, sol.gamma_capital))
+def _gamma_at(traj, tau):
+    return float(np.interp(tau, traj.tau, traj.gamma_capital))
 
 
 def test_gamma_capital_zero_coefficient(monkeypatch):
     _fixed_gamma(monkeypatch, 0.0)
-    assert np.max(np.abs(solve_qbm(HIGH, 10.0).gamma_capital)) == 0.0
+    assert np.max(np.abs(imaginarity_trajectory(HIGH, 10.0).gamma_capital)) == 0.0
 
 
 def test_gamma_capital_constant_coefficient(monkeypatch):
     _fixed_gamma(monkeypatch, 0.37)
-    sol = solve_qbm(HIGH, 10.0)
+    traj = imaginarity_trajectory(HIGH, 10.0)
     for tau in (0.0, 1.0, 4.2, 10.0):
-        assert _gamma_at(sol, tau) == pytest.approx(2.0 * 0.37 * tau, abs=1e-12)
+        assert _gamma_at(traj, tau) == pytest.approx(2.0 * 0.37 * tau, abs=1e-12)
 
 
 def test_one_node_grid_is_the_identity():
     # a horizon below 1e-12 gives the grid [0]: no interval to integrate
-    sol = solve_qbm(HIGH, 1e-13)
-    assert np.array_equal(sol.grid, [0.0])
-    assert np.array_equal(sol.gamma_capital, [0.0])
-    assert np.array_equal(sol.wbar, np.zeros((2, 2, 1)))
+    traj = imaginarity_trajectory(HIGH, 1e-13)
+    assert np.array_equal(traj.tau, [0.0])
+    assert np.array_equal(traj.gamma_capital, [0.0])
+    assert np.array_equal(traj.wbar, np.zeros((2, 2, 1)))
 
 
 def test_gamma_capital_step_halving():
-    a = solve_qbm(HIGH, 10.0, step=0.01).gamma_capital[-1]
-    b = solve_qbm(HIGH, 10.0, step=0.005).gamma_capital[-1]
+    a = imaginarity_trajectory(HIGH, 10.0, step=0.01).gamma_capital[-1]
+    b = imaginarity_trajectory(HIGH, 10.0, step=0.005).gamma_capital[-1]
     assert abs(a - b) < 1e-6
 
 
@@ -243,26 +242,26 @@ def test_coarse_grid_gamma_reads_the_refined_integral():
     # Gamma is the one refined-grid integral that also weights Wbar, read at
     # the nodes; a Simpson pass over gamma's node values alone is 1.2e-3 off
     cfg = QbmConfig(alpha=0.3, x=0.5, theta=100.0)
-    coarse = solve_qbm(cfg, 500.0, step=0.5)
-    fine = solve_qbm(cfg, 500.0, step=0.005)
-    reference = np.interp(coarse.grid, fine.grid, fine.gamma_capital)
+    coarse = imaginarity_trajectory(cfg, 500.0, step=0.5)
+    fine = imaginarity_trajectory(cfg, 500.0, step=0.005)
+    reference = np.interp(coarse.tau, fine.tau, fine.gamma_capital)
     assert np.max(np.abs(coarse.gamma_capital - reference)) <= 1e-5
 
 
 def test_gamma_capital_eventually_monotone():
-    sol = solve_qbm(HIGH, 50.0)
-    assert _gamma_at(sol, 50.0) > 0
+    traj = imaginarity_trajectory(HIGH, 50.0)
+    assert _gamma_at(traj, 50.0) > 0
     # damping accumulates monotonically once transients pass
-    tail = sol.gamma_capital[sol.grid > 5.0]
+    tail = traj.gamma_capital[traj.tau > 5.0]
     assert np.all(np.diff(tail) > -1e-12)
 
 
 def test_gamma_capital_range_errors():
-    sol = solve_qbm(HIGH, 5.0)
+    traj = imaginarity_trajectory(HIGH, 5.0)
     with pytest.raises(IndexError):
-        qbm_channel(sol, len(sol.grid))
+        qbm_channel(traj, len(traj.tau))
     with pytest.raises(ValueError):
-        solve_qbm(HIGH, -1.0)
+        imaginarity_trajectory(HIGH, -1.0)
 
 
 def _scipy_cumulative_simpson(y, x):
@@ -334,8 +333,8 @@ def test_rotation_group_law():
 
 
 def test_noise_zero_at_origin():
-    sol = solve_qbm(HIGH, 5.0)
-    assert np.max(np.abs(qbm_channel(sol, 0).N)) == 0.0
+    traj = imaginarity_trajectory(HIGH, 5.0)
+    assert np.max(np.abs(qbm_channel(traj, 0).N)) == 0.0
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
@@ -346,15 +345,15 @@ def test_noise_zero_when_diffusion_off(monkeypatch):
         return gamma, np.zeros_like(delta), np.zeros_like(pi_)
 
     monkeypatch.setattr(qbm, "coefficients", no_diffusion)
-    sol = solve_qbm(HIGH, 5.0)
+    traj = imaginarity_trajectory(HIGH, 5.0)
     for i in (100, 300, 500):  # tau 1, 3, 5
-        assert np.max(np.abs(qbm_channel(sol, i).N)) == 0.0
+        assert np.max(np.abs(qbm_channel(traj, i).N)) == 0.0
 
 
 def test_noise_is_symmetric():
-    sol = solve_qbm(HIGH, 20.0)
+    traj = imaginarity_trajectory(HIGH, 20.0)
     for i in (50, 700, 2000):  # tau 0.5, 7, 20
-        w = qbm_channel(sol, i).N
+        w = qbm_channel(traj, i).N
         assert np.array_equal(w, w.T)
 
 
@@ -363,54 +362,54 @@ def test_noise_is_symmetric():
 # ---------------------------------------------------------------------------
 
 def test_qbm_channel_at_origin_is_identity():
-    c = qbm_channel(solve_qbm(HIGH, 5.0), 0)
+    c = qbm_channel(imaginarity_trajectory(HIGH, 5.0), 0)
     assert np.allclose(c.T, np.eye(2))
     assert np.max(np.abs(c.N)) == 0.0
     assert np.max(np.abs(c.d)) == 0.0
 
 
 def test_qbm_channel_t_gram_is_damping():
-    sol = solve_qbm(HIGH, 20.0)
+    traj = imaginarity_trajectory(HIGH, 20.0)
     for i in (100, 500, 2000):  # tau 1, 5, 20
-        c = qbm_channel(sol, i)
+        c = qbm_channel(traj, i)
         assert np.allclose(
-            c.T.T @ c.T, np.exp(-sol.gamma_capital[i]) * np.eye(2), atol=1e-12
+            c.T.T @ c.T, np.exp(-traj.gamma_capital[i]) * np.eye(2), atol=1e-12
         )
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 def test_qbm_channel_is_physical(cfg):
-    sol = solve_qbm(cfg, 20.0)
+    traj = imaginarity_trajectory(cfg, 20.0)
     for i in (100, 500, 2000):  # tau 1, 5, 20
-        assert not violated_constraint(qbm_channel(sol, i))
+        assert not violated_constraint(qbm_channel(traj, i))
 
 
 def test_qbm_channel_is_the_node_construction():
-    # horizon 100: 10,001 nodes, three chunks of the solver
-    sol = solve_qbm(HIGH, 100.0)
-    for i, tau in enumerate(sol.grid):
+    # horizon 100: 10,001 nodes, three chunks of the walk
+    traj = imaginarity_trajectory(HIGH, 100.0)
+    for i, tau in enumerate(traj.tau):
         c, s = np.cos(tau / HIGH.x), np.sin(tau / HIGH.x)
-        t_mat = np.exp(-sol.gamma_capital[i] / 2.0) * np.array([[c, s], [-s, c]])
-        w = sol.wbar[..., i]
-        chan = qbm_channel(sol, i)
+        t_mat = np.exp(-traj.gamma_capital[i] / 2.0) * np.array([[c, s], [-s, c]])
+        w = traj.wbar[..., i]
+        chan = qbm_channel(traj, i)
         assert np.array_equal(chan.T, t_mat), tau
         assert np.array_equal(chan.N, 2.0 * (0.5 * (w + w.T))), tau
         assert np.array_equal(chan.d, np.zeros(2))
 
 
 def test_qbm_channel_at_minus_one_is_the_horizon_node():
-    sol = solve_qbm(HIGH, 5.0)
-    last, horizon = qbm_channel(sol, -1), qbm_channel(sol, len(sol.grid) - 1)
-    assert sol.grid[-1] == 5.0
+    traj = imaginarity_trajectory(HIGH, 5.0)
+    last, horizon = qbm_channel(traj, -1), qbm_channel(traj, len(traj.tau) - 1)
+    assert traj.tau[-1] == 5.0
     assert np.array_equal(last.T, horizon.T)
     assert np.array_equal(last.N, horizon.N)
 
 
 def test_qbm_channel_checks_its_node_asymmetry():
-    sol = solve_qbm(HIGH, 5.0)
-    wbar = sol.wbar.copy()
+    traj = imaginarity_trajectory(HIGH, 5.0)
+    wbar = traj.wbar.copy()
     wbar[1, 0, 250] = -3.0 * wbar[0, 1, 250]
-    bad = dataclasses.replace(sol, wbar=wbar)
+    bad = dataclasses.replace(traj, wbar=wbar)
     assert not violated_constraint(qbm_channel(bad, 249))
     with pytest.raises(IntegrationResolutionError, match="asymmetry .* at tau=2.5"):
         qbm_channel(bad, 250)
@@ -529,19 +528,23 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
         assert np.array_equal(got, want)
 
 
-def _corrupt_solution(monkeypatch, entry, value):
-    """Make the trajectory read a solution whose Wbar ``entry`` at the middle
-    node is ``value(Wbar)``."""
-    original = qbm.solve_qbm
+def _corrupt_wbar(monkeypatch, entry, value, horizon, node):
+    """Make the walk over the grid 0, 0.01, ..., ``horizon`` read a Wbar whose
+    ``entry`` at the grid node ``node`` is ``value(Wbar)``.
 
-    def corrupted(*args):
-        sol = original(*args)
-        wbar = sol.wbar.copy()
-        mid = len(sol.grid) // 2
-        wbar[entry + (mid,)] = value(wbar[..., mid])
-        return dataclasses.replace(sol, wbar=wbar)
+    The walk hands each chunk's Wbar, a view of the whole array, to
+    ``_formula`` first; the corruption goes in there, in place, so the
+    formula, the cross-check and the asymmetry check all read it.
+    """
+    target = qbm._make_grid(horizon, qbm.DEFAULT_STEP)[node]
+    original = qbm._formula
 
-    monkeypatch.setattr(qbm, "solve_qbm", corrupted)
+    def corrupted(x, tau, big_gamma, wbar):
+        for j in np.flatnonzero(tau == target):
+            wbar[entry + (j,)] = value(wbar[..., j])
+        return original(x, tau, big_gamma, wbar)
+
+    monkeypatch.setattr(qbm, "_formula", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -550,7 +553,7 @@ def _corrupt_solution(monkeypatch, entry, value):
 def test_corrupted_wbar_entry_fails_cross_check(monkeypatch, value):
     # one off-diagonal entry: the formula reads N12 = 2 Wbar[0, 1], the
     # generic measure the symmetrized N
-    _corrupt_solution(monkeypatch, (0, 1), value)
+    _corrupt_wbar(monkeypatch, (0, 1), value, 5.0, 250)  # the middle node
     with pytest.raises(FormulaInconsistencyError):
         imaginarity_trajectory(HIGH, 5.0)
 
@@ -562,35 +565,58 @@ def test_trajectory_reports_wbar_asymmetry(short_trajectory):
 def test_asymmetric_wbar_entry_fails_the_asymmetry_check(monkeypatch):
     # Wbar[1, 0] = -3 Wbar[0, 1] leaves |N12| of the symmetrized N equal to
     # the formula's |2 Wbar[0, 1]|, so only the asymmetry check can see it
-    _corrupt_solution(monkeypatch, (1, 0), lambda w: -3.0 * w[0, 1])
+    _corrupt_wbar(monkeypatch, (1, 0), lambda w: -3.0 * w[0, 1], 5.0, 250)
     with pytest.raises(IntegrationResolutionError, match="asymmetry .* at tau=2.5"):
         imaginarity_trajectory(HIGH, 5.0)
 
 
+#: Horizon 100 is 10,001 nodes in three chunks: the node after the origin,
+#: the seam node that the first two chunks share, and the horizon node.
+CHUNKED_NODES = pytest.mark.parametrize("node", [1, qbm._CHUNK, 10_000],
+                                        ids=["first", "seam", "horizon"])
+
+
+@CHUNKED_NODES
+def test_corrupted_wbar_entry_fails_cross_check_in_every_chunk(monkeypatch, node):
+    tau = qbm._make_grid(100.0, qbm.DEFAULT_STEP)[node]
+    _corrupt_wbar(monkeypatch, (0, 1), lambda w: w[0, 1] + 1e-6, 100.0, node)
+    with pytest.raises(FormulaInconsistencyError, match=rf"disagree by .* at tau={tau:g}$"):
+        imaginarity_trajectory(HIGH, 100.0)
+
+
+@CHUNKED_NODES
+def test_asymmetric_wbar_entry_fails_the_asymmetry_check_in_every_chunk(monkeypatch, node):
+    tau = qbm._make_grid(100.0, qbm.DEFAULT_STEP)[node]
+    _corrupt_wbar(monkeypatch, (1, 0), lambda w: -3.0 * w[0, 1], 100.0, node)
+    with pytest.raises(IntegrationResolutionError, match=rf"asymmetry .* at tau={tau:g}$"):
+        imaginarity_trajectory(HIGH, 100.0)
+
+
 def test_cross_check_fails_on_nan_formula_value():
-    sol = solve_qbm(HIGH, 5.0)
+    traj = imaginarity_trajectory(HIGH, 5.0)
     x = HIGH.x
     direct = (
-        np.abs(np.exp(-sol.gamma_capital / 2.0) * np.sin(sol.grid / x))
-        + 0.5 * np.abs(np.exp(-sol.gamma_capital) * np.sin(2.0 * sol.grid / x))
-        + np.abs(2.0 * sol.wbar[0, 1])
+        np.abs(np.exp(-traj.gamma_capital / 2.0) * np.sin(traj.tau / x))
+        + 0.5 * np.abs(np.exp(-traj.gamma_capital) * np.sin(2.0 * traj.tau / x))
+        + np.abs(2.0 * traj.wbar[0, 1])
     )
-    assert qbm._cross_check(sol, direct) <= qbm.CROSS_CHECK_TOL
+    nodes = (x, traj.tau, traj.gamma_capital, traj.wbar)
+    assert qbm._cross_check(*nodes, direct) <= qbm.CROSS_CHECK_TOL
     direct[7] = np.nan
     with pytest.raises(FormulaInconsistencyError):
-        qbm._cross_check(sol, direct)
+        qbm._cross_check(*nodes, direct)
 
 
-def test_solution_is_immutable():
-    sol = solve_qbm(HIGH, 1.0)
+def test_trajectory_is_immutable():
+    traj = imaginarity_trajectory(HIGH, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sol.wbar = np.zeros_like(sol.wbar)
-    for array in (sol.grid, sol.gamma_capital, sol.wbar):
+        traj.wbar = np.zeros_like(traj.wbar)
+    for array in (traj.tau, traj.gamma_capital, traj.wbar):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 1.0
 
 
-TRAJECTORY_COLUMNS = ("tau", "ic", "gamma_capital", "n12", "term_t21", "term_t12t22",
+TRAJECTORY_COLUMNS = ("tau", "ic", "gamma_capital", "wbar", "n12", "term_t21", "term_t12t22",
                       "cross_check_error", "wbar_asymmetry")
 
 
@@ -632,9 +658,9 @@ def test_rebasing_does_not_depend_on_chunk_length(monkeypatch):
 
 def test_rebasing_changes_only_rounding(monkeypatch):
     # below Gamma ~ 700 the unscaled weights e^Gamma are still finite
-    rebased = solve_qbm(STRONG, 300.0, step=0.5)
+    rebased = imaginarity_trajectory(STRONG, 300.0, step=0.5)
     monkeypatch.setattr(qbm, "_REBASE", np.inf)
-    plain = solve_qbm(STRONG, 300.0, step=0.5)
+    plain = imaginarity_trajectory(STRONG, 300.0, step=0.5)
     assert np.array_equal(rebased.gamma_capital, plain.gamma_capital)
     scale = np.maximum(1.0, np.max(np.abs(plain.wbar), axis=(0, 1)))
     assert np.max(np.abs(rebased.wbar - plain.wbar) / scale) <= 1e-12
@@ -652,8 +678,8 @@ def test_strong_coupling_reaches_the_steady_state(x):
 
 
 def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
-    # the per-node output (Trajectory columns, Gamma and Wbar) is about
-    # 90 bytes a node; every other array is one chunk long
+    # the per-node output (tau, Gamma and Wbar) is 48 bytes a node; every
+    # other array is one chunk or one CSV block long
     peaks, nodes = [], []
     for horizon in (61.57, 615.7):
         tracemalloc.start()
@@ -669,17 +695,17 @@ def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
     assert per_node <= 200.0, f"{per_node:.0f} bytes a node"
 
 
-def test_one_chunk_of_solve_qbm_peaks_below_5_mb():
+def test_one_chunk_of_the_trajectory_peaks_below_5_mb():
     # one full _CHUNK of intervals; the Simpson parts keep only the half-panel
-    # integrals they use (4.59 MB traced, 5.45 MB when every half was computed)
+    # integrals they use (4.60 MB traced, 5.45 MB when every half was computed)
     horizon = qbm._CHUNK * qbm.DEFAULT_STEP
     tracemalloc.start()
     try:
-        sol = solve_qbm(HIGH, horizon)
+        traj = imaginarity_trajectory(HIGH, horizon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(sol.grid) == qbm._CHUNK + 1
+    assert len(traj.tau) == qbm._CHUNK + 1
     assert peak < 5.0e6, f"{peak / 1e6:.2f} MB"
 
 
@@ -700,9 +726,9 @@ def test_real_checked_rejects_non_finite(values):
 
 
 def test_n12_matrix_route_matches_scalar_oracle():
-    sol = solve_qbm(HIGH, 30.0)
-    oracle = n12_scalar_oracle(sol)
-    assert np.max(np.abs(2.0 * sol.wbar[0, 1] - oracle)) <= 1e-9
+    traj = imaginarity_trajectory(HIGH, 30.0)
+    oracle = n12_scalar_oracle(traj)
+    assert np.max(np.abs(2.0 * traj.wbar[0, 1] - oracle)) <= 1e-9
 
 
 def _per_value_line(row):
