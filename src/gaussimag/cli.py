@@ -40,14 +40,12 @@ from .gaussian import (
     to_document,
     violated_constraint,
 )
-from .linalg import MAX_MODES, spectral_norm
+from .linalg import MAX_MODES
 from .measures import (
     SupSearchConfig,
     channel_measure_ic,
     channel_measure_id,
     channel_measure_is,
-    in_fo,
-    in_fo1,
     state_measure_ign,
 )
 
@@ -147,12 +145,7 @@ def cmd_measure(args):
         "breakdown": {name: val for name, val in rep.breakdown},
     }
     if which == "is":
-        results["search"] = {
-            "restarts": args.restarts,
-            "iterations_per_restart": args.iterations,
-            "seed": args.seed,
-            **rep.diagnostics,
-        }
+        results["search"] = {**dataclasses.asdict(cfg), **rep.diagnostics}
     return EXIT_OK, results, source
 
 
@@ -167,9 +160,9 @@ def cmd_check_super(args):
     results = {
         "isReal": patterns.is_real,
         "isImaginarityBreaking": patterns.is_imaginarity_breaking,
-        "inFO": in_fo(obj),
-        "inFO1": in_fo1(obj),
-        "diagnostics": {**dataclasses.asdict(patterns), "spectral_norm_A": spectral_norm(obj.A)},
+        "inFO": patterns.in_fo,
+        "inFO1": patterns.in_fo1,
+        "diagnostics": dataclasses.asdict(patterns),
     }
     return EXIT_OK, results, source
 
@@ -326,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate an imaginarity measure")
     p.add_argument("path")
     p.add_argument("--which", choices=["ic", "id", "is", "ign"], required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=SupSearchConfig.restarts)
+    p.add_argument("--iterations", type=int, default=SupSearchConfig.iterations_per_restart)
+    p.add_argument("--seed", type=int, default=SupSearchConfig.seed)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("check-super", help="superchannel structure diagnostics")

@@ -17,7 +17,9 @@ sectors of the covariance decouple.  Channels are real iff they are
 "completely real" (they erase the momentum sector) or "covariant real"
 (they never mix the sectors); superchannels are real iff they preserve
 the set of real channels, which reduces to analogous patterns on
-(A, O, Y, dbar).
+(A, O, Y, dbar).  ``superchannel_patterns`` also decides the free sets:
+FO (real, with unit spectral norm of A) and its sector-preserving
+subset FO1.
 """
 
 from __future__ import annotations
@@ -323,7 +325,8 @@ def state_realness(s: GaussianState) -> bool:
 
 @dataclass(frozen=True)
 class SuperchannelPatterns:
-    """The three realness patterns of a superchannel (A, O, Y, dbar).
+    """The three realness patterns of a superchannel (A, O, Y, dbar), and
+    the spectral norm of A that decides the free sets FO and FO1.
 
     ``momentum_pattern_dbar_Y``: dbar has no momentum part and Y no qp
     block; ``A_erases_momentum``: the momentum rows of A vanish;
@@ -333,6 +336,7 @@ class SuperchannelPatterns:
     momentum_pattern_dbar_Y: bool
     A_erases_momentum: bool
     A_O_sector_preserving: bool
+    spectral_norm_A: float
 
     @property
     def is_real(self) -> bool:
@@ -346,6 +350,16 @@ class SuperchannelPatterns:
         """The output channel is real for every input channel."""
         return self.momentum_pattern_dbar_Y and self.A_erases_momentum
 
+    @property
+    def in_fo(self) -> bool:
+        """In FO: real, with the spectral norm of A equal to 1 (within 1e-9)."""
+        return self.is_real and abs(self.spectral_norm_A - 1.0) <= 1e-9
+
+    @property
+    def in_fo1(self) -> bool:
+        """In FO1: an FO member whose A and O preserve the position/momentum split."""
+        return self.in_fo and self.A_O_sector_preserving
+
 
 def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
     """The realness patterns of ``s``; see :class:`SuperchannelPatterns`."""
@@ -355,6 +369,7 @@ def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
         A_erases_momentum=not _violations(s.A, "A", "momentum_rows"),
         A_O_sector_preserving=not (_violations(s.A, "A", "mixing")
                                    or _violations(s.O, "O", "mixing")),
+        spectral_norm_A=spectral_norm(s.A),
     )
 
 

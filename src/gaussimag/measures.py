@@ -11,9 +11,9 @@ Three channel measures are provided:
   random sampling plus coordinate-wise local refinement (the supremum
   itself has no known closed-form algorithm).
 
-Plus the determinant-based state measure and membership tests for the
-free-operation sets (real superchannels with unit-spectral-norm A, and
-the sector-preserving subset).
+Plus the determinant-based state measure I_Gn.  Membership of a
+superchannel in the free-operation sets FO and FO1 is read from
+``gaussian.superchannel_patterns``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (
-    GaussianChannel,
-    GaussianState,
-    GaussianSuperchannel,
-    ValidationError,
-    superchannel_patterns,
-)
-from .linalg import spectral_norm, trace_norms
+from .gaussian import GaussianChannel, GaussianState, ValidationError
+from .linalg import trace_norms
 
 
 #: Relative threshold of the step function h (0 at zero, else 1): a value t
@@ -282,18 +276,3 @@ def channel_measure_is(
         objective_evaluations=evaluations,
     )
 
-
-# ---------------------------------------------------------------------------
-# free-operation membership
-# ---------------------------------------------------------------------------
-
-def in_fo(s: GaussianSuperchannel) -> bool:
-    """Real superchannel with spectral norm of A equal to 1 (within 1e-9)."""
-    if not superchannel_patterns(s).is_real:
-        return False
-    return abs(spectral_norm(s.A) - 1.0) <= 1e-9
-
-
-def in_fo1(s: GaussianSuperchannel) -> bool:
-    """FO member whose A and O both preserve the position/momentum split."""
-    return in_fo(s) and superchannel_patterns(s).A_O_sector_preserving

@@ -1,8 +1,10 @@
-"""Importing the package and running the CLI load no scipy code, `qbm`
-loads no OpenSSL, and no package module names scipy; the package modules
-use only each other's public names, import nothing unused and define no
-private name that they never use; in the CLI only `main` names stderr,
-prints and reads the clock; and `qbm` walks its grid in one loop."""
+"""Importing the package root loads neither numpy nor any package module;
+importing the package and running the CLI load no scipy code, `qbm`
+loads no OpenSSL, and no package module names scipy; the package modules,
+the root included, use only each other's public names, import nothing
+unused and define no private name that they never use; in the CLI only
+`main` names stderr, prints and reads the clock; and `qbm` walks its
+grid in one loop."""
 
 import ast
 import json
@@ -36,6 +38,10 @@ def modules_after(tmp_path, body: str, *names: str) -> list[str]:
         env={**os.environ, "PYTHONPATH": path}, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_root_imports_nothing(tmp_path):
+    assert modules_after(tmp_path, "import gaussimag", "gaussimag", "numpy") == ["gaussimag"]
 
 
 def test_importing_the_package_loads_no_scipy(tmp_path):
@@ -149,9 +155,8 @@ def import_findings(path: Path) -> list[str]:
               and node.value.id in imported and _private(node.attr)):
             found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    if path.name != "__init__.py":  # the package's imports are its exports
-        found += [f"line {line}: {name} is imported but unused"
-                  for name, line in imported.items() if name not in used]
+    found += [f"line {line}: {name} is imported but unused"
+              for name, line in imported.items() if name not in used]
     return found
 
 

@@ -28,8 +28,6 @@ from gaussimag.measures import (
     channel_measure_ic_stack,
     channel_measure_id,
     channel_measure_is,
-    in_fo,
-    in_fo1,
     state_measure_ign,
     step_function,
 )
@@ -429,28 +427,30 @@ def test_is_deterministic_and_monotone_in_restarts():
 # ---------------------------------------------------------------------------
 
 def test_fo_examples():
-    ident = GaussianSuperchannel.identity()
-    assert in_fo(ident)
-    assert in_fo1(ident)
+    ident = superchannel_patterns(GaussianSuperchannel.identity())
+    assert ident.in_fo
+    assert ident.in_fo1
     scaled = GaussianSuperchannel.identity()
     scaled.A = 2.0 * np.eye(2)
-    assert not in_fo(scaled)
-    assert not in_fo1(scaled)
+    patterns = superchannel_patterns(scaled)
+    assert not patterns.in_fo
+    assert not patterns.in_fo1
 
 
 def test_fo1_sampler_members():
     rng = np.random.default_rng(71)
     for _ in range(50):
         n = int(rng.integers(1, 4))
-        sup = sample_random_superchannel(n, rng, "real-eq9", unit_norm_a=True)
-        assert in_fo(sup)
-        assert in_fo1(sup)
+        patterns = superchannel_patterns(
+            sample_random_superchannel(n, rng, "real-eq9", unit_norm_a=True))
+        assert patterns.in_fo
+        assert patterns.in_fo1
 
 
 def test_fo_requires_realness():
-    sup = sample_random_superchannel(1, 5, "any")
-    if not superchannel_patterns(sup).is_real:
-        assert not in_fo(sup)
+    patterns = superchannel_patterns(sample_random_superchannel(1, 5, "any"))
+    if not patterns.is_real:
+        assert not patterns.in_fo
 
 
 # ---------------------------------------------------------------------------
