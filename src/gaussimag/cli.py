@@ -12,12 +12,20 @@ Exit codes: 0 success, 1 usage/parse error or unwritable output,
 2 physically invalid input, 3 computation failure (including a
 physicality form that overflows and a measure value that is not finite),
 4 audit counterexample.
+
+The ``gaussimag`` command and ``python -m gaussimag.cli`` enter through
+:func:`run`: it has glibc's malloc keep freed pages, runs :func:`main`,
+freezes the heap so that the collection at exit skips it, and exits.
+:func:`main` does none of this, since tests and library callers call it
+in a process that it does not own.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -379,5 +387,31 @@ def main(argv=None) -> int:
     return code
 
 
+#: glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD (malloc.h) and the values
+#: ``run`` sets, so that a freed chunk keeps its pages.  On a 2-CPU VM a
+#: horizon-615.7 ``qbm`` took 42,668 minor faults by default and 6,536 with
+#: them, at up to 1 MB more peak RSS; horizon 2e4 took 9.15 s and 5.79 s.
+#: 32 MiB is the ceiling of glibc's own sliding map threshold.
+_MALLOC_SETTINGS = ((-1, 256 << 20), (-3, 32 << 20))
+
+
+def _keep_freed_pages() -> bool:
+    # False without glibc, or when it refuses a setting (the rest are skipped)
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all(mallopt(param, value) == 1 for param, value in _MALLOC_SETTINGS)
+
+
+def run():
+    """The process entry: see the module docstring."""
+    _keep_freed_pages()
+    code = main()
+    gc.freeze()  # the collection at exit then skips what main left
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
-from .specfun import expint_e1, expint_ei
+from .specfun import expint_e1, expint_e1_pair, expint_ei
 
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
@@ -127,7 +127,8 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
-    """e_p = Ei((b + i tau)/x) and k = E1((b - i tau)/x), one batch each.
+    """e_p = Ei(w), w = (b + i tau)/x, formed from E1(-w) as ``expint_ei``
+    forms it, and k = E1(conj w): one pair batch.
 
     Ei(conj z) == conj(Ei(z)) gives the -i tau value, so a conjugate pair
     sums to 2 Re e_p and differs by 2i Im e_p.  The other pair is
@@ -135,8 +136,10 @@ def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
     closed forms read Re k and Im k: Im Ei((-b + i tau)/x) is pi minus a
     part of size e^{-b/x}, which pi + Im would lose at small x.
     """
-    return (np.asarray(expint_ei((b + 1j * tau) / x)),
-            np.asarray(expint_e1((b - 1j * tau) / x)))
+    w = (b + 1j * tau) / x
+    e1, k = expint_e1_pair(-w)
+    e_p = -e1 + 1j * np.pi * np.sign(w.imag)
+    return np.where(w.imag == 0, e_p.real, e_p), k
 
 
 def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -146,10 +149,10 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _ei_constants(cfg: QbmConfig) -> tuple:
-    """(Ei(b/x), Ei(-b/x)) of the Pi closed forms for b = 1 and, at low
-    temperature, b = 1 + 1/theta: real, evaluated once per trajectory."""
+    """(Ei(b/x), Ei(-b/x) = -E1(b/x)) of the Pi closed forms for b = 1 and,
+    at low temperature, b = 1 + 1/theta: real, evaluated once per trajectory."""
     cutoffs = (1.0,) if cfg.regime == "high" else (1.0, cfg.cutoff_shift)
-    return tuple((expint_ei(b / cfg.x).real, expint_ei(-b / cfg.x).real) for b in cutoffs)
+    return tuple((expint_ei(b / cfg.x).real, -expint_e1(b / cfg.x).real) for b in cutoffs)
 
 
 def _delta_pi_high(cfg: QbmConfig, pairs, scalars):
@@ -197,8 +200,8 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs, consts):
 def coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
     """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
 
-    The two ``_ei_pairs`` batches (and, at low temperature, the two
-    cutoff-shifted ones) are evaluated once and shared by all three
+    The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted
+    one) is evaluated once and shared by all three
     coefficients; each coefficient is checked to be finite.
     ``consts`` is ``_ei_constants(cfg)``, evaluated here when omitted.
     """

@@ -2,11 +2,13 @@
 
 The quantum-Brownian-motion closed forms need both.  ``expint_e1``
 evaluates E1(z), choosing per element of w = -z (DLMF 6.6, 6.9, 6.12):
-the asymptotic series -(e^w/w) sum k!/w^k for |w| >= 40; the power
-series -gamma - log z - sum w^k/(k k!) for |w| < 5 right of Re w = -2
-and in the wedge Re w > 2|Im w|; and the continued fraction of E1(z)
-elsewhere, each point only as deep as its convergence rate needs (at
-most 300 terms).  ``expint_ei`` is -E1(-w) + i pi sgn(Im w).
+the asymptotic series -(e^w/w) sum k!/w^k for |w| >= 40, as its even plus
+its odd powers of 1/w; the power series -gamma - log z - sum w^k/(k k!)
+for |w| < 5 right of Re w = -2 and in the wedge Re w > 2|Im w|; and the
+continued fraction of E1(z) elsewhere, each point only as deep as its
+convergence rate needs (at most 300 terms).  ``expint_e1_pair`` adds
+E1(-conj z), whose series is conj(even - odd) of the same powers.
+``expint_ei`` is -E1(-w) + i pi sgn(Im w).
 
 Branch conventions
 ------------------
@@ -67,6 +69,52 @@ def _e1_continued_fraction(z):
     return z
 
 
+def _asymptotic_parts(u, terms):
+    # the even and the odd k of sum_{k < terms} k! u^k, each by Horner's rule
+    # in u^2 with the ratio k (k - 1) of neighbouring terms
+    q, parts = u * u, [1.0, 1.0]
+    for k in range(terms - 1, 1, -1):
+        parts[k % 2] = 1.0 + k * (k - 1) * q * parts[k % 2]
+    return parts[0], u * parts[1]
+
+
+def _e1(z, mirror: bool) -> list:
+    # E1 at z and, when mirror, at -conj(z): the two share |w| and so their
+    # band of the asymptotic series, where the mirror's sum is conj(even - odd)
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("argument contains non-finite entries")
+    if np.any(z == 0):
+        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
+    r = np.abs(z)
+    near = r < _ASYMPTOTIC_BANDS[-1][0]
+    outs = []
+    for point in (z, -np.conj(z))[:1 + mirror]:
+        w, out = -point, np.empty(z.shape, dtype=complex)
+        series = near & ((w.real > 2.0 * np.abs(w.imag))
+                         | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
+        # each expansion runs only where it has elements: its loop costs the
+        # same on an empty array
+        if np.any(series):
+            out[series] = _e1_series(point[series], w[series])
+        if np.any(cf := near & ~series):
+            out[cf] = _e1_continued_fraction(point[cf])
+        outs.append(out)
+    w, upper = -z, np.inf
+    for lower, terms in _ASYMPTOTIC_BANDS:
+        band = (r >= lower) & (r < upper)
+        upper = lower
+        if np.any(band):
+            wb = w[band]
+            u = 1.0 / wb
+            even, odd = _asymptotic_parts(u, terms)
+            outs[0][band] = -(np.exp(wb) * u * (even + odd))
+            if mirror:
+                outs[1][band] = -(np.exp(-np.conj(wb)) * -np.conj(u)
+                                  * (np.conj(even) - np.conj(odd)))
+    return [out if out.ndim else complex(out) for out in outs]
+
+
 def expint_e1(z):
     """Exponential integral E1 at real or complex argument, principal branch.
 
@@ -75,35 +123,14 @@ def expint_e1(z):
     ``E1(conj z) == conj(E1(z))`` everywhere.  Each expansion is chosen
     on w = -z, the argument of Ei(w) = -E1(-w) + i pi sgn(Im w).
     """
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("argument contains non-finite entries")
-    if np.any(z == 0):
-        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
-    w = -z
-    r = np.abs(w)
-    near = r < _ASYMPTOTIC_BANDS[-1][0]
-    series = near & ((w.real > 2.0 * np.abs(w.imag))
-                     | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
-    out = np.empty(w.shape, dtype=complex)
-    # each expansion runs only where it has elements: its loop costs the
-    # same on an empty array
-    if np.any(series):
-        out[series] = _e1_series(z[series], w[series])
-    if np.any(cf := near & ~series):
-        out[cf] = _e1_continued_fraction(z[cf])
-    upper = np.inf
-    for lower, terms in _ASYMPTOTIC_BANDS:
-        band = (r >= lower) & (r < upper)
-        upper = lower
-        if not np.any(band):
-            continue
-        wb = w[band]
-        u, s = 1.0 / wb, 1.0
-        for k in range(terms - 1, 0, -1):
-            s = 1.0 + k * u * s
-        out[band] = -(np.exp(wb) * u * s)
-    return out if out.ndim else complex(out)
+    return _e1(z, mirror=False)[0]
+
+
+def expint_e1_pair(z):
+    """(E1(z), E1(-conj z)) from one asymptotic series, each value as
+    ``expint_e1`` gives it bit for bit, but for the sign of a zero
+    imaginary part on the real axis."""
+    return tuple(_e1(z, mirror=True))
 
 
 def expint_ei(z):

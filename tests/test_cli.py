@@ -1,7 +1,9 @@
 import builtins
+import gc
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -604,6 +606,87 @@ def test_closed_stdout_is_one_line_and_exit_1(amplifying_doc, argv):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_USAGE
     assert proc.stderr == "cannot write output: [Errno 32] Broken pipe\n"
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+# ---------------------------------------------------------------------------
+
+def run_child(tmp_path, *args):
+    """``python *args`` with the package on its path and ``tmp_path`` as its
+    directory, reaped with os.wait4: (exit code, stdout, stderr, rusage)."""
+    package_root = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out, err = tmp_path / "child.out", tmp_path / "child.err"
+    with open(out, "wb") as out_fh, open(err, "wb") as err_fh:
+        proc = subprocess.Popen([sys.executable, *args], stdout=out_fh, stderr=err_fh,
+                                cwd=tmp_path, env={**os.environ, "PYTHONPATH": path})
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out.read_text(), err.read_text(), usage
+
+
+OVERFLOWING_CHANNEL = {"kind": "channel", "modes": 1, "T": [[1e160, 0.0], [0.0, 1e160]],
+                       "N": [[1.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["validate", "{amp}"], cli.EXIT_OK),
+    (["validate", "{missing}"], cli.EXIT_USAGE),
+    (["validate", "{bad}"], cli.EXIT_INVALID),
+    (["measure", "{overflow}", "--which", "ic"], cli.EXIT_COMPUTE),
+], ids=["ok", "usage", "invalid", "compute"])
+def test_module_entry_gives_the_code_and_output_of_main(tmp_path, capsys, amplifying_doc,
+                                                       invalid_channel_doc, argv, code):
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(OVERFLOWING_CHANNEL))
+    names = {"amp": amplifying_doc, "missing": str(tmp_path / "missing.json"),
+             "bad": invalid_channel_doc, "overflow": str(overflow)}
+    argv = [arg.format(**names) for arg in argv]
+    assert cli.main(argv) == code
+    want = capsys.readouterr()
+    assert run_child(tmp_path, "-m", "gaussimag.cli", *argv)[:3] == (code, want.out, want.err)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+def test_long_qbm_run_keeps_its_freed_pages(tmp_path):
+    # glibc's default thresholds cost the horizon-615.7 run about 42,700
+    # minor faults; with the ones run() sets it takes about 6,500
+    code, out, _, usage = run_child(
+        tmp_path, "-m", "gaussimag.cli", "--json", "qbm", "--alpha", "0.03", "--x", "0.5",
+        "--theta", "100", "--horizon", "615.7", "--out", "t.csv")
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["results"]["rows"] == 61571
+    assert usage.ru_minflt < 15_000
+    assert run_child(tmp_path, "-c", "from gaussimag import cli; "
+                     "print(cli._keep_freed_pages())")[:2] == (0, "True\n")
+
+
+def test_importing_the_cli_freezes_nothing():
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_without_mallopt_still_runs_and_freezes_at_exit(tmp_path, amplifying_doc):
+    script = f"""
+import atexit, ctypes, gc, sys
+ctypes.CDLL = lambda name: object()  # a C library without mallopt
+from gaussimag import cli
+assert not cli._keep_freed_pages()
+atexit.register(lambda: sys.stderr.write(f"frozen {{gc.get_freeze_count() > 0}}\\n"))
+sys.argv = ["gaussimag", "validate", {amplifying_doc!r}]
+cli.run()
+"""
+    assert run_child(tmp_path, "-c", script)[:3] == (
+        cli.EXIT_OK, "kind: GaussianChannel\nvalid: True\n", "frozen True\n")
+
+
+def test_installed_command_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("not a source checkout")
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"gaussimag": "gaussimag.cli:run"}
 
 
 def test_qbm_existing_output_is_overwritten(tmp_path):

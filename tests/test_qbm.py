@@ -450,12 +450,13 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
     assert 0.0 <= short_trajectory.cross_check_error <= qbm.CROSS_CHECK_TOL
 
 
-@pytest.mark.parametrize("cfg,batches", [(HIGH, 2), (LOW, 4)], ids=["high", "low"])
+@pytest.mark.parametrize("cfg,batches", [(HIGH, 1), (LOW, 2)], ids=["high", "low"])
 def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
-    # one Ei and one E1 batch per cutoff over each chunk's refined points
-    # (8 points a row at high T, 16 at low T, plus the point each seam
-    # shares), and the scalar constants Ei(+/-1/x) and, at low T,
-    # Ei(+/-b/x) once per trajectory
+    # one pair batch, E1 at -(b + i tau)/x and at its mirror (b - i tau)/x,
+    # per cutoff over each chunk's refined points (8 points a row at high T,
+    # 16 at low T, plus the point each seam shares), no single Ei or E1
+    # batch, and the scalar constants Ei(1/x), E1(1/x) and, at low T,
+    # Ei(b/x), E1(b/x) once per trajectory
     array_points, scalar_calls = [], []
 
     def counting(original):
@@ -467,15 +468,15 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
             return original(z)
         return count
 
-    monkeypatch.setattr(qbm, "expint_ei", counting(qbm.expint_ei))
-    monkeypatch.setattr(qbm, "expint_e1", counting(qbm.expint_e1))
+    for name in ("expint_ei", "expint_e1", "expint_e1_pair"):
+        monkeypatch.setattr(qbm, name, counting(getattr(qbm, name)))
     traj = imaginarity_trajectory(cfg, 100.0)
     intervals = len(traj.tau) - 1
     chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
     assert len(chunks) == 3
     assert array_points == [qbm.NOISE_REFINEMENT * n + 1 for n in chunks for _ in range(batches)]
     assert sum(array_points) == batches * (qbm.NOISE_REFINEMENT * intervals + len(chunks))
-    assert len(scalar_calls) == batches
+    assert len(scalar_calls) == 2 * batches
 
 
 def _low_t_shifted_terms_direct(cfg, t):

@@ -4,7 +4,7 @@ import pytest
 import scipy.special as sp
 
 from gaussimag import qbm
-from gaussimag.specfun import PoleError, expint_e1, expint_ei
+from gaussimag.specfun import PoleError, expint_e1, expint_e1_pair, expint_ei
 from oracles import ConvergenceError, QuadratureSpec, integrate_adaptive
 
 EULER_GAMMA = 0.5772156649015328606
@@ -193,6 +193,73 @@ def test_e1_on_closed_form_lines_equals_depth_300(x, b):
     z = z[in_continued_fraction_region(-z)]
     assert z.size > 10_000
     assert np.array_equal(expint_e1(z), depth_300_continued_fraction(z))
+
+
+def closed_form_line_points() -> np.ndarray:
+    # w = (b + i tau)/x as qbm._ei_pairs forms it, on the refined grids of
+    # the four figure panels (horizon 60) and of qbm-long (horizon 615.7)
+    lines = []
+    for horizon, x, b in [(60.0, 0.5, 1.0), (60.0, 0.7, 1.0), (60.0, 0.9, 1.0),
+                          (60.0, 0.5, 1.1), (615.7, 0.5, 1.0)]:
+        tau = qbm._refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+        lines.append((b + 1j * tau) / x)
+    return np.concatenate(lines)
+
+
+def band_points() -> np.ndarray:
+    # both sides of |w| = 40, 80 and 200 in every direction, and the bulk of
+    # each band of the asymptotic series and of the region below it
+    angles = np.linspace(-np.pi, np.pi, 49)
+    radii = [r * (1.0 + s) for r in (40.0, 80.0, 200.0) for s in (-1e-12, -1e-15, 0.0, 1e-12)]
+    radii += [1.0, 20.0, 39.0, 60.0, 150.0, 500.0, 700.0]
+    return (np.array(radii)[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("points", [band_points, closed_form_line_points, seam_points],
+                         ids=["bands", "closed-form-lines", "seams"])
+def test_e1_pair_equals_two_single_calls(points):
+    # one asymptotic series serves E1(z) and E1(-conj z): each value keeps
+    # the bits of its own single call, but for the sign of a zero imaginary
+    # part on the real axis, where E1 is real
+    z = -points().astype(complex)
+    r = np.abs(z)
+    for lower, upper in ((0.0, 40.0), (40.0, 80.0), (80.0, 200.0), (200.0, np.inf)):
+        assert np.any((r >= lower) & (r < upper))
+    got, mirror = expint_e1_pair(z)
+    assert np.array_equal(bits(got), bits(expint_e1(z)))
+    single = expint_e1(-np.conj(z))
+    off = z.imag != 0
+    assert np.array_equal(bits(mirror[off]), bits(single[off]))
+    assert np.array_equal(bits(mirror.real), bits(single.real))
+    assert np.array_equal(mirror[~off], single[~off])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "points", [trajectory_line_points, seam_points, real_axis_points],
+    ids=["trajectory-lines", "seams", "real-axis"],
+)
+def test_e1_pair_matches_mpmath(points):
+    # both values of the pair to the tolerance of test_e1_matches_mpmath
+    z = -points().astype(complex)
+    z = np.where(z.imag == 0, z.real + 0j, z)
+    got = np.concatenate(expint_e1_pair(z))
+    with mp.workdps(40):
+        want = np.array([complex(mp.e1(mp.mpc(v.real, v.imag)))
+                         for v in np.concatenate([z, -np.conj(z)])])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-310)
+
+
+def test_e1_pair_scalar_in_scalars_out():
+    got = expint_e1_pair(complex(-50.0, 3.0))
+    assert all(isinstance(v, complex) for v in got)
+    assert got == (expint_e1(complex(-50.0, 3.0)), expint_e1(complex(50.0, 3.0)))
+    with pytest.raises(PoleError):
+        expint_e1_pair(0.0)
 
 
 def test_ei_scalar_in_scalar_out():
