@@ -31,6 +31,10 @@ import os
 import sys
 import time
 
+# One OpenBLAS thread unless the user set a count: the CLI's matrices are at
+# most 128 x 128, and the thread pool only costs start-up CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import qbm
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--regime", choices=["high", "low"], default="high")
+    p.add_argument("--regime", choices=qbm.REGIMES, default=qbm.QbmConfig.regime)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--step", type=float, default=qbm.DEFAULT_STEP)
     p.add_argument("--out", default="trajectory.csv")

@@ -27,16 +27,19 @@ Temperature enters through the thermal weight 2 P(omega) + 1:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .gaussian import GaussianChannel
 from .measures import channel_measure_ic_stack
-from .specfun import expint_e1, expint_e1_pair, expint_ei
+from .specfun import expint_e1_pair
 
 #: Default trajectory grid step in units of tau.
 DEFAULT_STEP = 0.01
+
+#: Approximations of the thermal weight 2P+1, the values of ``QbmConfig.regime``.
+REGIMES = ("high", "low")
 
 #: Largest coupling: the closed forms are second order in alpha.
 ALPHA_MAX = 1.0
@@ -97,8 +100,9 @@ class QbmConfig:
                 f"alpha {self.alpha:g} (alpha**2 * theta <= {NOISE_SCALE_MAX:g}), "
                 f"got {self.theta:g}"
             )
-        if self.regime not in ("high", "low"):
-            raise ValueError(f"regime must be 'high' or 'low', got {self.regime!r}")
+        if self.regime not in REGIMES:
+            names = " or ".join(map(repr, REGIMES))
+            raise ValueError(f"regime must be {names}, got {self.regime!r}")
         limit = LOW_T_EXPONENT_MAX
         if self.regime == "high" and 2.0 / self.x > limit:
             raise ValueError(f"x must be at least {2.0 / limit:.3g} in the high regime "
@@ -114,6 +118,13 @@ class QbmConfig:
     def cutoff_shift(self) -> float:
         """Effective low-temperature cutoff b = 1 + 1/theta."""
         return 1.0 + 1.0 / self.theta
+
+    @cached_property
+    def _ei_scalars(self) -> tuple:
+        """(Ei(b/x), Ei(-b/x)) = (-Re E1(-b/x), -Re E1(b/x)) of the Pi closed forms, one
+        pair call per cutoff b = 1 and, at low temperature, 1 + 1/theta."""
+        cutoffs = (1.0,) if self.regime == "high" else (1.0, self.cutoff_shift)
+        return tuple((-e.real, -k.real) for e, k in (expint_e1_pair(-b / self.x) for b in cutoffs))
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +159,14 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(tau == 0.0, 0.0, values)
 
 
-def _ei_constants(cfg: QbmConfig) -> tuple:
-    """(Ei(b/x), Ei(-b/x) = -E1(b/x)) of the Pi closed forms for b = 1 and,
-    at low temperature, b = 1 + 1/theta: real, evaluated once per trajectory."""
-    cutoffs = (1.0,) if cfg.regime == "high" else (1.0, cfg.cutoff_shift)
-    return tuple((expint_ei(b / cfg.x).real, -expint_e1(b / cfg.x).real) for b in cutoffs)
-
-
-def _delta_pi_high(cfg: QbmConfig, pairs, scalars):
+def _delta_pi_high(cfg: QbmConfig, pairs):
     x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
     e_p, k = pairs
     pref = a2 * theta * np.exp(-1.0 / x) / 2.0
     b1 = 2.0 * e_p.imag
     b2 = 2.0 * k.imag
     delta = pref * (b1 + np.exp(2.0 / x) * b2)
-    ei_pos, ei_neg = scalars
+    ei_pos, ei_neg = cfg._ei_scalars[0]
     c1 = -2.0 * e_p.real + 2.0 * ei_pos
     c2 = -2.0 * ei_neg - 2.0 * k.real
     pi_ = pref * (c1 + np.exp(2.0 / x) * c2)
@@ -190,23 +194,20 @@ def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pa
     return delta, pi_
 
 
-def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs, consts):
-    b = cfg.cutoff_shift
-    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs, consts[0])
-    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b), consts[1])
+def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
+    b, scalars = cfg.cutoff_shift, cfg._ei_scalars
+    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs, scalars[0])
+    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b), scalars[1])
     return delta_1 + delta_b, pi_1 + pi_b
 
 
-def coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
+def coefficients(cfg: QbmConfig, t: np.ndarray):
     """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
 
-    The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted
-    one) is evaluated once and shared by all three
-    coefficients; each coefficient is checked to be finite.
-    ``consts`` is ``_ei_constants(cfg)``, evaluated here when omitted.
+    The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted one) is
+    evaluated once and shared by all three coefficients; each is checked to be finite.
     """
     x, a2 = cfg.x, cfg.alpha**2
-    consts = consts or _ei_constants(cfg)
     pairs = _ei_pairs(t, x)
     e_p, k = pairs
     gamma = (a2 / (4.0 * x)) * (
@@ -215,9 +216,9 @@ def coefficients(cfg: QbmConfig, t: np.ndarray, consts: tuple | None = None):
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
     if cfg.regime == "high":
-        delta, pi_ = _delta_pi_high(cfg, pairs, consts[0])
+        delta, pi_ = _delta_pi_high(cfg, pairs)
     else:
-        delta, pi_ = _delta_pi_low(cfg, t, pairs, consts)
+        delta, pi_ = _delta_pi_low(cfg, t, pairs)
     return tuple(
         _zero_at_origin(t, _real_checked(values, name))
         for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"))
@@ -574,7 +575,6 @@ def imaginarity_trajectory(
     must be symmetric within ``ASYMMETRY_TOL``.
     """
     grid = _make_grid(horizon, step)
-    consts = _ei_constants(cfg)
     m, x = len(grid), cfg.x
     big_gamma, wbar = np.zeros(m), np.zeros((2, 2, m))
     fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
@@ -584,7 +584,7 @@ def imaginarity_trajectory(
         hi = min(lo + _CHUNK, m - 1)
         if hi > lo:  # else the last node alone, solved by the chunk before or the origin
             fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
-            gamma_f, delta_f, pi_f = coefficients(cfg, fine, consts)
+            gamma_f, delta_f, pi_f = coefficients(cfg, fine)
             run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
             big_gamma_f, fine_total = 2.0 * run, run[-1]
             g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]

@@ -1,12 +1,15 @@
+import ast
 import builtins
 import gc
 import hashlib
+import itertools
 import json
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from gaussimag import cli
 from gaussimag.gaussian import (
     GaussianChannel,
     GaussianSuperchannel,
+    from_document,
     sample_random_superchannel,
     to_document,
 )
@@ -197,6 +201,28 @@ def test_integer_too_large_for_a_float_is_parse_error(tmp_path, capsys, argv, do
     out, err = capsys.readouterr()
     assert out == ""
     assert_one_line(err, f"parse error: malformed {doc['kind']} document: int too large")
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"kind": "state", "modes": 1, "displacement": [0, 0],
+      "covariance": [[1, 0], [0, float("nan")]]}, "covariance"),
+    ({"kind": "channel", "modes": 1, "T": [[float("inf"), 0], [0, 1]], "N": [[1, 0], [0, 1]],
+      "d": [0, 0]}, "T"),
+    ({"kind": "superchannel", "modes": 1, "A": [[1, 0], [0, 1]], "O": [[1, 0], [0, 1]],
+      "Y": [[0, 0], [0, 0]], "d": [0, float("-inf")]}, "dbar"),
+], ids=["state-NaN", "channel-Infinity", "superchannel-minus-Infinity"])
+@pytest.mark.parametrize("argv", [["validate"], ["measure", "--which", "ic"], ["check-super"]],
+                         ids=["validate", "measure", "check-super"])
+def test_non_finite_document_entry_is_parse_error(tmp_path, capsys, argv, doc, field):
+    # Python's json reads the literals NaN, Infinity and -Infinity as floats
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert any(word in path.read_text() for word in ("NaN", "Infinity"))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"parse error: malformed {doc['kind']} document: "
+                   f"{field} contains non-finite entries\n")
 
 
 @pytest.mark.parametrize("modes", [0, 65])
@@ -585,6 +611,16 @@ def test_qbm_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_qbm_write_that_fails_after_the_walk_is_usage_error(capsys):
+    # /dev/full passes the check before computing; only the write finds it full
+    code = cli.main(QBM_BASE + ["--out", "/dev/full"])
+    assert code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cannot write output: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("argv", [["--json", "validate", "DOC"],
                                   ["measure", "DOC", "--which", "ic"]],
                          ids=["json-validate", "text-measure"])
@@ -662,6 +698,19 @@ def test_long_qbm_run_keeps_its_freed_pages(tmp_path):
                      "print(cli._keep_freed_pages())")[:2] == (0, "True\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_importing_the_cli_starts_one_blas_thread_unless_told_otherwise(tmp_path, monkeypatch):
+    script = ("import os, gaussimag.cli\n"
+              "status = open('/proc/self/status').read().splitlines()\n"
+              "print([line.split()[1] for line in status if line.startswith('Threads:')][0])\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run_child(tmp_path, "-c", script)[:3] == (0, "1\n1\n", "")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a count the user set wins
+    code, out, err, _ = run_child(tmp_path, "-c", script)
+    assert (code, out.splitlines()[1], err) == (0, "2", "")
+
+
 def test_importing_the_cli_freezes_nothing():
     assert gc.get_freeze_count() == 0
 
@@ -730,6 +779,32 @@ def test_audit_passes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["passed"] is True
     assert report["results"]["counterexamples"] == []
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_audit_counterexamples_name_their_suite_and_parse_back(capsys, monkeypatch, json_flag):
+    # an I_d that grows with every call makes each id_monotonicity trial a
+    # counterexample: after > before
+    calls = itertools.count()
+    monkeypatch.setattr(cli, "channel_measure_id",
+                        lambda chan: SimpleNamespace(value=float(next(calls))))
+    code = cli.main([*json_flag, "audit", "--modes", "2", "--trials", "3", "--seed", "5"])
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    out = capsys.readouterr().out
+    if json_flag:
+        results = json.loads(out)["results"]
+    else:
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        results = {key: ast.literal_eval(value) for key, value in lines.items()}
+    assert results["passed"] is False
+    found = results["counterexamples"]
+    assert [c["suite"] for c in found] == 3 * ["id_monotonicity"]
+    assert all(c["suite"] in results["suites"] for c in found)
+    for c in found:
+        sup, chan = from_document(c["superchannel"]), from_document(c["channel"])
+        assert isinstance(sup, GaussianSuperchannel) and sup.modes == 2
+        assert isinstance(chan, GaussianChannel) and chan.modes == 2
+        assert to_document(sup) == c["superchannel"] and to_document(chan) == c["channel"]
 
 
 def test_audit_zero_trials(capsys):

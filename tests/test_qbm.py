@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gaussimag.qbm as qbm
 from gaussimag.gaussian import violated_constraint
+from gaussimag.specfun import expint_e1, expint_e1_pair, expint_ei
 from gaussimag.qbm import (
     FormulaInconsistencyError,
     IntegrationResolutionError,
@@ -201,8 +202,8 @@ def _fixed_gamma(monkeypatch, value):
     """Replace the closed-form gamma by the constant ``value``."""
     shared = qbm.coefficients
 
-    def fixed(cfg, t, *consts):
-        gamma, delta, pi_ = shared(cfg, t, *consts)
+    def fixed(cfg, t):
+        gamma, delta, pi_ = shared(cfg, t)
         return np.full_like(gamma, value), delta, pi_
 
     monkeypatch.setattr(qbm, "coefficients", fixed)
@@ -340,8 +341,8 @@ def test_noise_zero_at_origin():
 def test_noise_zero_when_diffusion_off(monkeypatch):
     shared = qbm.coefficients
 
-    def no_diffusion(cfg, t, *consts):
-        gamma, delta, pi_ = shared(cfg, t, *consts)
+    def no_diffusion(cfg, t):
+        gamma, delta, pi_ = shared(cfg, t)
         return gamma, np.zeros_like(delta), np.zeros_like(pi_)
 
     monkeypatch.setattr(qbm, "coefficients", no_diffusion)
@@ -454,9 +455,12 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
 def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
     # one pair batch, E1 at -(b + i tau)/x and at its mirror (b - i tau)/x,
     # per cutoff over each chunk's refined points (8 points a row at high T,
-    # 16 at low T, plus the point each seam shares), no single Ei or E1
-    # batch, and the scalar constants Ei(1/x), E1(1/x) and, at low T,
-    # Ei(b/x), E1(b/x) once per trajectory
+    # 16 at low T, plus the point each seam shares), and one scalar pair,
+    # E1(-b/x) and E1(b/x), per cutoff for the constants Ei(+-b/x).  The pair
+    # is all that qbm imports from specfun.  A fresh copy of the configuration,
+    # so that no earlier test has cached its constants
+    assert [name for name in vars(qbm) if name.startswith("expint")] == ["expint_e1_pair"]
+    cfg = dataclasses.replace(cfg)
     array_points, scalar_calls = [], []
 
     def counting(original):
@@ -468,23 +472,63 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
             return original(z)
         return count
 
-    for name in ("expint_ei", "expint_e1", "expint_e1_pair"):
-        monkeypatch.setattr(qbm, name, counting(getattr(qbm, name)))
+    monkeypatch.setattr(qbm, "expint_e1_pair", counting(qbm.expint_e1_pair))
     traj = imaginarity_trajectory(cfg, 100.0)
     intervals = len(traj.tau) - 1
     chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
     assert len(chunks) == 3
     assert array_points == [qbm.NOISE_REFINEMENT * n + 1 for n in chunks for _ in range(batches)]
     assert sum(array_points) == batches * (qbm.NOISE_REFINEMENT * intervals + len(chunks))
-    assert len(scalar_calls) == 2 * batches
+    assert scalar_calls == [-b / cfg.x for b in (1.0, cfg.cutoff_shift)[:batches]]
+
+
+@pytest.mark.parametrize("cfg,cutoffs", [(HIGH, 1), (LOW, 2)], ids=["high", "low"])
+def test_ei_constants_are_worked_out_once_per_configuration(monkeypatch, cfg, cutoffs):
+    # two coefficient calls on one configuration make one scalar pair call per
+    # cutoff; an equal copy is another instance, with its own cache
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return expint_e1_pair(z)
+
+    monkeypatch.setattr(qbm, "expint_e1_pair", counting)
+    t = np.linspace(0.0, 5.0, 11)
+    for fresh in (dataclasses.replace(cfg), dataclasses.replace(cfg)):
+        first, second = coefficients(fresh, t), coefficients(fresh, t)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+    scalars = [z for z in calls if not np.ndim(z)]
+    assert scalars == 2 * [-b / cfg.x for b in (1.0, cfg.cutoff_shift)[:cutoffs]]
+    assert len(calls) - len(scalars) == 4 * cutoffs  # the array batches
+
+
+def test_ei_constants_equal_ei_and_e1_bit_for_bit():
+    # the cached (-Re E1(-b/x), -Re E1(b/x)) against Ei(b/x) and -E1(b/x), each
+    # from its own scalar call, for b/x in [1e-3, 700] and beside the seams of
+    # the expansions (|w| = 2, 5, 40, 80, 200); a low-T configuration at
+    # theta 1e3 gives both cutoffs, b = 1 and 1.001
+    def bits(v):
+        return np.float64(v).view(np.int64)
+
+    seams = np.outer([2.0, 5.0, 40.0, 80.0, 200.0], [1 - 1e-12, 1 + 1e-12]).ravel()
+    targets = np.concatenate([np.geomspace(1e-3, 700.0, 301), seams])
+    seen = 0
+    for v in targets:
+        cfg = QbmConfig(alpha=0.03, x=1.001 / v, theta=1e3, regime="low")
+        for b, (ei_pos, ei_neg) in zip((1.0, cfg.cutoff_shift), cfg._ei_scalars):
+            assert bits(ei_pos) == bits(expint_ei(b / cfg.x).real)
+            assert bits(ei_neg) == bits(-expint_e1(b / cfg.x).real)
+            seen += 1
+    assert seen == 2 * len(targets)
 
 
 def _low_t_shifted_terms_direct(cfg, t):
     """The cutoff-shifted low-T terms with both Ei batches evaluated."""
     x, a2, b = cfg.x, cfg.alpha**2, cfg.cutoff_shift
-    g_b = qbm.expint_ei((b + 1j * t) / x)
-    g_bc = qbm.expint_ei((b - 1j * t) / x)
-    k_b = qbm.expint_e1((b - 1j * t) / x)
+    g_b = expint_ei((b + 1j * t) / x)
+    g_bc = expint_ei((b - 1j * t) / x)
+    k_b = expint_e1((b - 1j * t) / x)
     boundary = t / (b * b + t * t)
     delta_b = 2.0 * a2 * (
         np.cos(t / x) * boundary
@@ -494,7 +538,7 @@ def _low_t_shifted_terms_direct(cfg, t):
             - np.exp(b / x) * 2j * k_b.imag
         )
     )
-    ei_b, ei_mb = qbm.expint_ei(b / x), qbm.expint_ei(-b / x)
+    ei_b, ei_mb = expint_ei(b / x), expint_ei(-b / x)
     pi_b = 2.0 * a2 * (
         np.sin(t / x) * boundary
         - (1.0 / (4.0 * x))
@@ -514,17 +558,17 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
     t = qbm._refine_grid(qbm._make_grid(60.0, 0.01), qbm.NOISE_REFINEMENT)
     assert t[0] == 0.0
-    direct = [qbm.expint_ei((s + 1j * sign * t) / x)
+    direct = [expint_ei((s + 1j * sign * t) / x)
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
     e_p, k = qbm._ei_pairs(t, x)
     assert np.array_equal(e_p, direct[0]) and np.array_equal(np.conj(e_p), direct[1])
-    assert np.array_equal(k, qbm.expint_e1((1.0 - 1j * t) / x))
+    assert np.array_equal(k, expint_e1((1.0 - 1j * t) / x))
     off = t > 0
     assert np.array_equal(1j * np.pi - k[off], direct[2][off])
     assert np.array_equal(np.conj(1j * np.pi - k[off]), direct[3][off])
     b = cfg.cutoff_shift
     terms = qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b),
-                                  qbm._ei_constants(cfg)[1])
+                                  cfg._ei_scalars[1])
     for got, want in zip(terms, _low_t_shifted_terms_direct(cfg, t)):
         assert np.array_equal(got, want)
 

@@ -184,12 +184,13 @@ def depth_300_continued_fraction(z: np.ndarray) -> np.ndarray:
                          ids=["panel-x0.5", "panel-x0.7", "panel-x0.9", "panel-low-T-shift"])
 def test_e1_on_closed_form_lines_equals_depth_300(x, b):
     # the figure panels' E1 arguments (+-b - i tau)/x, formed as in
-    # qbm._ei_pairs, and -(-b/x) of qbm._ei_constants: a per-point depth must
-    # give the fixed depth-300 fraction's values bit for bit, so that the
-    # coefficients and the panels' CSVs do not move
+    # qbm._ei_pairs, and b/x, the mirror of the scalar pair of
+    # QbmConfig._ei_scalars: a per-point depth must give the fixed depth-300
+    # fraction's values bit for bit, so that the coefficients and the
+    # panels' CSVs do not move
     tau = qbm._refine_grid(qbm._make_grid(60.0, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
     z = np.concatenate([-((b + 1j * tau) / x), (b - 1j * tau) / x,
-                        [-np.asarray(-b / x, dtype=complex)]])
+                        [-np.conj(np.asarray(-b / x, dtype=complex))]])
     z = z[in_continued_fraction_region(-z)]
     assert z.size > 10_000
     assert np.array_equal(expint_e1(z), depth_300_continued_fraction(z))
