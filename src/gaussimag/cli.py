@@ -31,11 +31,14 @@ import os
 import sys
 import time
 
-# One OpenBLAS thread unless the user set a count: the CLI's matrices are at
-# most 128 x 128, and the thread pool only costs start-up CPU.
+# One OpenBLAS thread unless the user set a count: the CLI's matrices are at most
+# 128 x 128.  OpenBLAS reads it once, as numpy loads, so later children do not inherit it.
+_BLAS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
+if _BLAS_UNSET:
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import qbm
 from .gaussian import (

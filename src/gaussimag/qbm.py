@@ -12,10 +12,12 @@ where R is the free rotation by tau/x, Gamma is twice the accumulated
 damping coefficient gamma, and Wbar integrates the diffusion matrix
 M = [[Delta, -Pi/2], [-Pi/2, 0]] in the co-rotating, damped frame.
 
-The coefficient functions gamma, Delta, Pi are closed-form expressions
-built from the exponential integrals Ei and E1 at complex arguments.
-Those enter in conjugate pairs, so each formula reads the real or the
-imaginary part of one Ei or E1 value and is evaluated in real arithmetic.
+The coefficient functions gamma, Delta, Pi, and Gamma itself, are
+closed-form expressions built from the exponential integrals Ei and E1 at
+complex arguments.  Those enter in conjugate pairs, so each formula reads
+the real or the imaginary part of one Ei or E1 value and is evaluated in
+real arithmetic.  Wbar is integrated by the 4-point Gauss-Lobatto rule on
+each grid interval.
 
 Temperature enters through the thermal weight 2 P(omega) + 1:
 
@@ -201,11 +203,14 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
     return delta_1 + delta_b, pi_1 + pi_b
 
 
-def coefficients(cfg: QbmConfig, t: np.ndarray):
-    """(gamma, Delta, Pi) on the 1-d array ``t``, closed form.
+def _closed_forms(cfg: QbmConfig, t: np.ndarray):
+    """(gamma, Delta, Pi, Gamma) on the 1-d array ``t``, closed form.
 
     The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted one) is
-    evaluated once and shared by all three coefficients; each is checked to be finite.
+    evaluated once and shared by all four; each is checked to be finite.  With
+    z = (1 + i t)/x and w = (1 - i t)/x, gamma = dF/dt for
+    F = (alpha^2/2)[e^{-1/x} Re((1 - z) Ei(z)) + e^{1/x} Re((1 + w) E1(w))], so
+    Gamma = 2 [F(t) - F(0+)], where F(0+) reads the constants Ei(+-1/x).
     """
     x, a2 = cfg.x, cfg.alpha**2
     pairs = _ei_pairs(t, x)
@@ -215,14 +220,26 @@ def coefficients(cfg: QbmConfig, t: np.ndarray):
         + np.exp(1.0 / x) * 2.0 * k.imag
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
+    ei_pos, ei_neg = cfg._ei_scalars[0]
+    big_gamma = a2 * (
+        np.exp(-1.0 / x) * ((1.0 - 1.0 / x) * (e_p.real - ei_pos) + (t / x) * e_p.imag)
+        + np.exp(1.0 / x) * ((1.0 + 1.0 / x) * (k.real + ei_neg) + (t / x) * k.imag)
+    )
     if cfg.regime == "high":
         delta, pi_ = _delta_pi_high(cfg, pairs)
     else:
         delta, pi_ = _delta_pi_low(cfg, t, pairs)
     return tuple(
         _zero_at_origin(t, _real_checked(values, name))
-        for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"))
+        for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"),
+                             (big_gamma, "Gamma"))
     )
+
+
+def coefficients(cfg: QbmConfig, t: np.ndarray):
+    """(gamma, Delta, Pi) on the 1-d array ``t``, closed form, from one
+    ``_ei_pairs`` batch per cutoff; at ``t = 0`` all three are exactly 0."""
+    return _closed_forms(cfg, t)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -241,59 +258,32 @@ def _make_grid(horizon: float, step: float) -> np.ndarray:
     return grid
 
 
-#: Internal subdivision of each grid interval for the noise integral.
-#: The Simpson error of the first panel would otherwise leave a spurious
-#: O(step^4) negativity in the physicality form at the first node.
-NOISE_REFINEMENT = 4
-
-#: Grid intervals per chunk of the one walk over the grid.  Even, so that
-#: every chunk starts at an even node and no Simpson panel (2j, 2j+1, 2j+2)
-#: straddles a seam.
+#: Grid intervals per chunk of the one walk over the grid.  Any length gives
+#: the same bits: each interval is integrated from its own points alone.
 _CHUNK = 4096
 
 #: Growth of Gamma after which the noise integral's reference moves, so
 #: that its weights e^{Gamma - ref} stay near e^64 at most.
 _REBASE = 64.0
 
-
-def _refine_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    base = grid[:-1]
-    widths = np.diff(grid)
-    offsets = np.arange(factor) / factor
-    fine = (base[:, None] + widths[:, None] * offsets[None, :]).ravel()
-    return np.append(fine, grid[-1])
+#: Offsets of the 4-point Gauss-Lobatto rule's points from the start of an
+#: interval, as fractions of its width: the first node and the two interior
+#: points (1 -+ 1/sqrt 5)/2.  Its weights are 1/12, 5/12, 5/12 and 1/12.
+_LOBATTO = np.array([0.0, (1.0 - 1.0 / np.sqrt(5.0)) / 2.0, (1.0 + 1.0 / np.sqrt(5.0)) / 2.0])
 
 
-def _simpson_halves(f1, f2, f3, x21, x32) -> np.ndarray:
-    """Simpson integral over [x_1, x_2] of the parabola through the points
-    (x_1, f1), (x_2, f2), (x_3, f3), with widths x21 = |x_2 - x_1| and
-    x32 = |x_3 - x_2|, so the points may run backwards (a second half)."""
-    x21_x31, x21_x32 = x21 / (x21 + x32), x21 / x32
-    ratio = x21_x31 * x21_x32
-    return x21 / 6 * ((3 - x21_x31) * f1 + (3 + ratio + x21_x31) * f2 + -ratio * f3)
+def _lobatto_points(nodes: np.ndarray) -> np.ndarray:
+    """The 3n + 1 points of the rule on the n intervals of ``nodes``, in
+    order; every third one is a node."""
+    widths = np.diff(nodes)
+    return np.append((nodes[:-1, None] + widths[:, None] * _LOBATTO).ravel(), nodes[-1])
 
 
-def _simpson_parts(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Simpson integral of ``y`` over each interval of the 1-d grid ``x``,
-    along the last axis.
-
-    The arithmetic is that of ``scipy.integrate.cumulative_simpson`` on
-    unequal intervals: each even interval 2j is the first half of the
-    panel (2j, 2j+1, 2j+2), each odd interval its second half, and an even
-    last interval the second half of the panel that ends the grid.  A part
-    reads only its own panel, so the parts of the points 2j..k equal those
-    of the whole grid.  Fewer than three points fall back to the trapezoid
-    rule, as SciPy does.
-    """
-    dx = np.diff(x)
-    if y.shape[-1] < 3:
-        return dx * (y[..., 1:] + y[..., :-1]) / 2.0
-    f1, f2, f3, x21, x32 = y[..., :-2:2], y[..., 1:-1:2], y[..., 2::2], dx[:-1:2], dx[1::2]
-    parts = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
-    parts[..., :-1:2] = _simpson_halves(f1, f2, f3, x21, x32)
-    parts[..., 1::2] = _simpson_halves(f3, f2, f1, x32, x21)
-    parts[..., -1] = _simpson_halves(y[..., -1], y[..., -2], y[..., -3], dx[-1], dx[-2])
-    return parts
+def _lobatto_parts(y: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Integral of ``y`` over each interval, along the last axis, from its
+    values at every interval's ``_LOBATTO`` points and at the last node."""
+    ends, inner = y[..., :-1:3] + y[..., 3::3], y[..., 1::3] + y[..., 2::3]
+    return widths * (ends + 5.0 * inner) / 12.0
 
 
 def _running_sum(start, parts: np.ndarray) -> np.ndarray:
@@ -556,9 +546,11 @@ def imaginarity_trajectory(
     built-in cross-check.
 
     The grid is walked once, ``_CHUNK`` intervals at a time.  Per chunk the
-    closed-form coefficients are evaluated on the refined points, the
-    fine-grid Gamma weights the co-rotating noise integrand R^T M R, and
-    both running integrals carry their totals into the next chunk; only
+    closed forms give Gamma, Delta and Pi at the nodes and at the two
+    interior points of the 4-point Gauss-Lobatto rule on every interval;
+    Gamma weights the co-rotating noise integrand R^T M R there, the rule
+    integrates each interval with the weights 1/12, 5/12, 5/12 and 1/12,
+    and the running integral carries its total into the next chunk.  Only
     Gamma and Wbar at the nodes are kept, so T and N read one Gamma.  The
     noise integral is held relative to e^{ref}, and rescaled by
     e^{-(new ref - old ref)} when its reference moves, so it stays finite
@@ -577,20 +569,18 @@ def imaginarity_trajectory(
     grid = _make_grid(horizon, step)
     m, x = len(grid), cfg.x
     big_gamma, wbar = np.zeros(m), np.zeros((2, 2, m))
-    fine_total, noise_total, ref = 0.0, np.zeros((2, 2)), 0.0
+    noise_total, ref = np.zeros((2, 2)), 0.0
     error = asymmetry = 0.0
-    nodes = slice(None, None, NOISE_REFINEMENT)
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m - 1)
         if hi > lo:  # else the last node alone, solved by the chunk before or the origin
-            fine = _refine_grid(grid[lo:hi + 1], NOISE_REFINEMENT)
-            gamma_f, delta_f, pi_f = coefficients(cfg, fine)
-            run = _running_sum(fine_total, _simpson_parts(gamma_f, fine))
-            big_gamma_f, fine_total = 2.0 * run, run[-1]
-            g_n = big_gamma[lo:hi + 1] = big_gamma_f[nodes]
-            rot = _rotations(fine, x)
-            rot_n = rot[..., nodes]  # fine[nodes] is the grid exactly
-            m_mat = np.array([[delta_f, -pi_f / 2.0], [-pi_f / 2.0, np.zeros_like(fine)]])
+            pts = _lobatto_points(grid[lo:hi + 1])
+            widths = np.diff(grid[lo:hi + 1])
+            _, delta_p, pi_p, gamma_p = _closed_forms(cfg, pts)
+            g_n = big_gamma[lo:hi + 1] = gamma_p[::3]  # pts[::3] is the grid exactly
+            rot = _rotations(pts, x)
+            rot_n = rot[..., ::3]
+            m_mat = np.array([[delta_p, -pi_p / 2.0], [-pi_p / 2.0, np.zeros_like(pts)]])
             # co-rotating integrand R^T M R weighted by e^{Gamma - ref}, its
             # running integral, damped and rotated back at the nodes; the
             # reference moves to the first node whose Gamma passes ref + _REBASE
@@ -599,13 +589,13 @@ def imaginarity_trajectory(
             while start < hi - lo:
                 past = np.flatnonzero(g_n[start + 1:] > ref + _REBASE)
                 end = start + 1 + past[0] if past.size else hi - lo
-                seg = slice(NOISE_REFINEMENT * start, NOISE_REFINEMENT * end + 1)
-                weighted = integrand[..., seg] * np.exp(big_gamma_f[seg] - ref)
-                cum = _running_sum(noise_total, _simpson_parts(weighted, fine[seg]))
+                seg = slice(3 * start, 3 * end + 1)
+                weighted = integrand[..., seg] * np.exp(gamma_p[seg] - ref)
+                cum = _running_sum(noise_total, _lobatto_parts(weighted, widths[start:end]))
                 at = slice(start, end + 1)
                 wbar[..., lo:hi + 1][..., at] = np.einsum(
-                    "ija,jka,lka->ila", rot_n[..., at],
-                    cum[..., nodes] * np.exp(-(g_n[at] - ref)), rot_n[..., at])
+                    "ija,jka,lka->ila", rot_n[..., at], cum * np.exp(-(g_n[at] - ref)),
+                    rot_n[..., at])
                 noise_total = cum[..., -1].copy()
                 if past.size:
                     noise_total *= np.exp(-(g_n[end] - ref))
@@ -626,16 +616,15 @@ def imaginarity_trajectory(
 # ---------------------------------------------------------------------------
 
 def steady_state_n12(cfg: QbmConfig) -> float:
-    """Asymptotic N12 from the long-time limits of the coefficients.
-
-    Setting the co-rotating noise build-up to steady state gives
-
-        N12(inf) = -[Delta_inf * (2/x) + Pi_inf * 2 gamma_inf]
-                   / ((2 gamma_inf)^2 + (2/x)^2).
-    """
-    probes = np.array([2000.0, 2000.0 + np.pi * cfg.x / 2, 2000.0 + np.pi * cfg.x])
-    g_inf, d_inf, p_inf = (float(np.mean(c)) for c in coefficients(cfg, probes))
-    two_over_x = 2.0 / cfg.x
-    return -(d_inf * two_over_x + p_inf * 2.0 * g_inf) / (
-        (2.0 * g_inf) ** 2 + two_over_x**2
-    )
+    """N12(inf) = -[Delta_inf (2/x) + Pi_inf 2 gamma_inf] / ((2 gamma_inf)^2 + (2/x)^2),
+    the steady state of the co-rotating noise build-up, from the tau -> inf
+    limits of the closed forms (Im Ei((b + i tau)/x) -> pi, Re Ei and E1 -> 0),
+    summed over the bath copies at low temperature."""
+    x, a2 = cfg.x, cfg.alpha**2
+    copies = [(1.0, a2 * cfg.theta, -1.0)] if cfg.regime == "high" else [
+        (1.0, a2 / (2.0 * x), 1.0), (cfg.cutoff_shift, a2 / x, 1.0)]
+    d_inf = sum(s * np.pi * np.exp(-b / x) for b, s, _ in copies)
+    p_inf = sum(s * (np.exp(-b / x) * ei_b + sign * np.exp(b / x) * ei_mb)
+                for (b, s, sign), (ei_b, ei_mb) in zip(copies, cfg._ei_scalars))
+    g_inf, two_over_x = a2 * np.pi * np.exp(-1.0 / x) / (2.0 * x), 2.0 / x
+    return -(d_inf * two_over_x + p_inf * 2.0 * g_inf) / ((2.0 * g_inf) ** 2 + two_over_x**2)

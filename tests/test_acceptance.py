@@ -85,7 +85,8 @@ def _settled_start(cfg: QbmConfig, level: float) -> float:
     (2/pi) e^{-Gamma/2} is the window mean of the leading T-term
     |e^{-Gamma/2} sin(tau/x)|.  Once the damping coefficient has settled,
     Gamma ~ 2 gamma_inf tau, with gamma_inf read off the closed form at
-    large tau as ``steady_state_n12`` does.
+    three probes near tau = 2000, independently of the closed-form limits
+    of ``steady_state_n12``.
     """
     probes = np.array([2000.0, 2000.0 + np.pi * cfg.x / 2, 2000.0 + np.pi * cfg.x])
     gamma_inf = float(np.mean(coefficients(cfg, probes)[0]))

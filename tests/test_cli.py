@@ -700,12 +700,18 @@ def test_long_qbm_run_keeps_its_freed_pages(tmp_path):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_importing_the_cli_starts_one_blas_thread_unless_told_otherwise(tmp_path, monkeypatch):
-    script = ("import os, gaussimag.cli\n"
-              "status = open('/proc/self/status').read().splitlines()\n"
-              "print([line.split()[1] for line in status if line.startswith('Threads:')][0])\n"
-              "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    threads = ("status = open('/proc/self/status').read().splitlines()\n"
+               "print([line.split()[1] for line in status if line.startswith('Threads:')][0])\n")
+    # the variable is gone again once numpy has loaded, so a grandchild started
+    # after the import has the threads of a child that never imported the CLI
+    numpy_child = "import numpy\n" + threads
+    script = ("import os, subprocess, sys, gaussimag.cli\n" + threads
+              + "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              + f"subprocess.run([sys.executable, '-c', {numpy_child!r}])\n")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert run_child(tmp_path, "-c", script)[:3] == (0, "1\n1\n", "")
+    control = run_child(tmp_path, "-c", numpy_child)
+    assert control[0] == 0 and control[1].strip().isdigit()
+    assert run_child(tmp_path, "-c", script)[:3] == (0, f"1\nNone\n{control[1]}", "")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # a count the user set wins
     code, out, err, _ = run_child(tmp_path, "-c", script)
     assert (code, out.splitlines()[1], err) == (0, "2", "")

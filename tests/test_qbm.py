@@ -23,7 +23,14 @@ from oracles import (
     coeff_delta_quadrature,
     coeff_gamma_quadrature,
     coeff_pi_quadrature,
+    cumulative_simpson,
+    gamma_capital_mp,
+    gamma_capital_quadrature,
+    gamma_capital_simpson,
     n12_scalar_oracle,
+    refine_grid,
+    steady_state_n12_mp,
+    wbar_lobatto5,
 )
 
 HIGH = QbmConfig(alpha=0.03, x=0.5, theta=100.0, regime="high")
@@ -199,14 +206,15 @@ def test_config_domain_bounds():
 # ---------------------------------------------------------------------------
 
 def _fixed_gamma(monkeypatch, value):
-    """Replace the closed-form gamma by the constant ``value``."""
-    shared = qbm.coefficients
+    """Replace the closed-form gamma by the constant ``value``, and Gamma by
+    its integral 2 ``value`` tau."""
+    shared = qbm._closed_forms
 
     def fixed(cfg, t):
-        gamma, delta, pi_ = shared(cfg, t)
-        return np.full_like(gamma, value), delta, pi_
+        gamma, delta, pi_, _ = shared(cfg, t)
+        return np.full_like(gamma, value), delta, pi_, 2.0 * value * t
 
-    monkeypatch.setattr(qbm, "coefficients", fixed)
+    monkeypatch.setattr(qbm, "_closed_forms", fixed)
 
 
 def _gamma_at(traj, tau):
@@ -239,14 +247,49 @@ def test_gamma_capital_step_halving():
     assert abs(a - b) < 1e-6
 
 
-def test_coarse_grid_gamma_reads_the_refined_integral():
-    # Gamma is the one refined-grid integral that also weights Wbar, read at
-    # the nodes; a Simpson pass over gamma's node values alone is 1.2e-3 off
+def test_coarse_grid_gamma_equals_the_fine_grid_gamma():
+    # Gamma is a closed form at each node, so the step does not enter it: at
+    # step 0.5 the refined Simpson sum was 3.3e-6 off, and a Simpson pass over
+    # gamma's node values alone 1.2e-3
     cfg = QbmConfig(alpha=0.3, x=0.5, theta=100.0)
     coarse = imaginarity_trajectory(cfg, 500.0, step=0.5)
     fine = imaginarity_trajectory(cfg, 500.0, step=0.005)
     reference = np.interp(coarse.tau, fine.tau, fine.gamma_capital)
-    assert np.max(np.abs(coarse.gamma_capital - reference)) <= 1e-5
+    assert np.max(np.abs(coarse.gamma_capital - reference)) <= 1e-12
+
+
+#: (alpha, x) of the Gamma oracle checks; at x 0.05 Gamma changes sign at
+#: tau ~ 1.05 and 1.29, where no relative bound can hold.
+GAMMA_CONFIGS = [QbmConfig(alpha=a, x=x, theta=100.0)
+                 for a in (0.03, 0.3, 1.0) for x in (0.05, 0.5, 0.9)]
+GAMMA_IDS = [f"alpha{c.alpha:g}-x{c.x:g}" for c in GAMMA_CONFIGS]
+
+
+@pytest.mark.parametrize("cfg", GAMMA_CONFIGS, ids=GAMMA_IDS)
+def test_gamma_capital_matches_the_50_digit_closed_form(cfg):
+    # from tau = 1 to 2e5: within 1e-12 of the largest |Gamma| checked up to
+    # each tau, which is |Gamma| itself where Gamma grows (x 0.5, 0.9); the
+    # closed form is 5e-16 off where Gamma crosses zero at x 0.05 and alpha 1
+    taus = np.concatenate([np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 2e5, 61)[1:]])
+    want = np.array([gamma_capital_mp(cfg, t) for t in taus])
+    got = qbm._closed_forms(cfg, taus)[3]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum.accumulate(np.abs(want)))
+    # below tau = 1, at every node of step 0.01, it is no further from the oracle
+    # than the refined Simpson sum of the walk before it (2.7e-8 against
+    # 8.3e-7 relative at tau 0.01, x 0.5)
+    traj = imaginarity_trajectory(cfg, 1.0)
+    want = np.array([gamma_capital_mp(cfg, t) for t in traj.tau[1:-1]])
+    simpson = gamma_capital_simpson(cfg, traj.tau)[1:-1]
+    assert np.all(np.abs(traj.gamma_capital[1:-1] - want) <= np.abs(simpson - want))
+    assert traj.gamma_capital[0] == 0.0
+
+
+@pytest.mark.parametrize("cfg", [GAMMA_CONFIGS[4], GAMMA_CONFIGS[3]], ids=["x0.5", "x0.05"])
+def test_gamma_capital_oracle_matches_quadrature(cfg):
+    # the 50-digit closed form against mpmath quadrature of 2 int gamma
+    for tau in (0.01, 0.1, 1.0, 10.0, 60.0):
+        want = gamma_capital_quadrature(cfg, tau)
+        assert abs(gamma_capital_mp(cfg, tau) - want) <= 1e-14 * abs(want), tau
 
 
 def test_gamma_capital_eventually_monotone():
@@ -272,7 +315,8 @@ def _scipy_cumulative_simpson(y, x):
 
 
 def _assert_simpson_matches_scipy(y, x):
-    got = qbm._running_sum(np.zeros(y.shape[:-1]), qbm._simpson_parts(y, x))
+    # the test oracles' copy of the refined Simpson route
+    got = cumulative_simpson(y, x)
     assert got.shape == y.shape
     assert np.array_equal(got, _scipy_cumulative_simpson(y, x))
 
@@ -289,7 +333,7 @@ PANEL_CONFIGS = [
     ids=["panels", "long", "short-last-interval"],
 )
 def test_cumulative_simpson_matches_scipy_on_refined_grids(horizon, configs):
-    fine = qbm._refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+    fine = refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP))
     for cfg in configs:
         gamma, delta, pi_ = qbm.coefficients(cfg, fine)
         _assert_simpson_matches_scipy(gamma, fine)
@@ -339,13 +383,13 @@ def test_noise_zero_at_origin():
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
-    shared = qbm.coefficients
+    shared = qbm._closed_forms
 
     def no_diffusion(cfg, t):
-        gamma, delta, pi_ = shared(cfg, t)
-        return gamma, np.zeros_like(delta), np.zeros_like(pi_)
+        gamma, delta, pi_, big_gamma = shared(cfg, t)
+        return gamma, np.zeros_like(delta), np.zeros_like(pi_), big_gamma
 
-    monkeypatch.setattr(qbm, "coefficients", no_diffusion)
+    monkeypatch.setattr(qbm, "_closed_forms", no_diffusion)
     traj = imaginarity_trajectory(HIGH, 5.0)
     for i in (100, 300, 500):  # tau 1, 3, 5
         assert np.max(np.abs(qbm_channel(traj, i).N)) == 0.0
@@ -454,8 +498,9 @@ def test_trajectory_reports_cross_check_error(short_trajectory):
 @pytest.mark.parametrize("cfg,batches", [(HIGH, 1), (LOW, 2)], ids=["high", "low"])
 def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
     # one pair batch, E1 at -(b + i tau)/x and at its mirror (b - i tau)/x,
-    # per cutoff over each chunk's refined points (8 points a row at high T,
-    # 16 at low T, plus the point each seam shares), and one scalar pair,
+    # per cutoff over each chunk's nodes and interior Lobatto points (3
+    # arguments a row at high T, 6 at low T, plus the node each seam shares;
+    # Gamma reads the same batch), and one scalar pair,
     # E1(-b/x) and E1(b/x), per cutoff for the constants Ei(+-b/x).  The pair
     # is all that qbm imports from specfun.  A fresh copy of the configuration,
     # so that no earlier test has cached its constants
@@ -477,8 +522,8 @@ def test_trajectory_evaluates_each_ei_batch_once(monkeypatch, cfg, batches):
     intervals = len(traj.tau) - 1
     chunks = [min(qbm._CHUNK, intervals - lo) for lo in range(0, intervals, qbm._CHUNK)]
     assert len(chunks) == 3
-    assert array_points == [qbm.NOISE_REFINEMENT * n + 1 for n in chunks for _ in range(batches)]
-    assert sum(array_points) == batches * (qbm.NOISE_REFINEMENT * intervals + len(chunks))
+    assert array_points == [3 * n + 1 for n in chunks for _ in range(batches)]
+    assert sum(array_points) == batches * (3 * intervals + len(chunks))
     assert scalar_calls == [-b / cfg.x for b in (1.0, cfg.cutoff_shift)[:batches]]
 
 
@@ -556,7 +601,7 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     # i pi - E1((1 - i tau)/x) for Ei((-1 + i tau)/x); evaluating all four
     # Ei arguments directly stays here as the reference
     cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
-    t = qbm._refine_grid(qbm._make_grid(60.0, 0.01), qbm.NOISE_REFINEMENT)
+    t = qbm._lobatto_points(qbm._make_grid(60.0, 0.01))
     assert t[0] == 0.0
     direct = [expint_ei((s + 1j * sign * t) / x)
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
@@ -665,9 +710,9 @@ TRAJECTORY_COLUMNS = ("tau", "ic", "gamma_capital", "wbar", "n12", "term_t21", "
                       "cross_check_error", "wbar_asymmetry")
 
 
-#: 0.01 and 0.02 are grids of 2 and 3 nodes (the trapezoid fallback of the
-#: node-grid Gamma); 0.61-0.63 end 1, 2 and 3 intervals after a seam of
-#: chunk length 6; 0.604 and 60.004 end on a short interval, and 60.004
+#: 0.01 and 0.02 are grids of 2 and 3 nodes; 0.61-0.63 end 1, 2 and 3
+#: intervals after a seam of chunk length 6 (and 2, 3 and 4 after one of
+#: the odd length 5); 0.604 and 60.004 end on a short interval, and 60.004
 #: spans two chunks of the default length.
 @pytest.mark.parametrize("horizon", [0.01, 0.02, 0.61, 0.62, 0.63, 0.604, 60.004])
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
@@ -676,7 +721,7 @@ def test_chunk_length_does_not_change_the_trajectory(monkeypatch, tmp_path, cfg,
     monkeypatch.setattr(qbm, "_CHUNK", 1 << 20)  # the whole grid in one chunk
     whole = imaginarity_trajectory(cfg, horizon)
     whole.write_csv(tmp_path / "whole.csv")
-    for chunk in (2, 6, default) if horizon < 1.0 else (default,):
+    for chunk in (2, 5, 6, default) if horizon < 1.0 else (default,):
         monkeypatch.setattr(qbm, "_CHUNK", chunk)
         got = imaginarity_trajectory(cfg, horizon)
         for name in TRAJECTORY_COLUMNS:
@@ -694,7 +739,7 @@ def test_rebasing_does_not_depend_on_chunk_length(monkeypatch):
     monkeypatch.setattr(qbm, "_CHUNK", 1 << 20)
     whole = imaginarity_trajectory(STRONG, 300.0, step=0.5)
     assert whole.gamma_capital[-1] > 4 * qbm._REBASE
-    for chunk in (2, 6, 100):
+    for chunk in (2, 5, 6, 100):
         monkeypatch.setattr(qbm, "_CHUNK", chunk)
         got = imaginarity_trajectory(STRONG, 300.0, step=0.5)
         for name in TRAJECTORY_COLUMNS:
@@ -719,7 +764,7 @@ def test_strong_coupling_reaches_the_steady_state(x):
     assert traj.gamma_capital[-1] > 900.0
     late = traj.n12[traj.tau >= traj.tau[-1] - 100.0]
     steady = steady_state_n12(cfg)
-    assert np.max(np.abs(late - steady)) <= 1e-5 * abs(steady)
+    assert np.max(np.abs(late - steady)) <= 1e-7 * abs(steady)  # 3.4e-8 at x 0.5
 
 
 def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
@@ -741,8 +786,8 @@ def test_peak_memory_grows_by_at_most_200_bytes_a_node(tmp_path):
 
 
 def test_one_chunk_of_the_trajectory_peaks_below_5_mb():
-    # one full _CHUNK of intervals; the Simpson parts keep only the half-panel
-    # integrals they use (4.60 MB traced, 5.45 MB when every half was computed)
+    # one full _CHUNK of intervals at three points each (2.89 MB traced; 4.59 MB
+    # on four refined points with Simpson, 5.45 MB when it computed every half)
     horizon = qbm._CHUNK * qbm.DEFAULT_STEP
     tracemalloc.start()
     try:
@@ -768,6 +813,22 @@ def test_real_checked_rejects_non_finite(values):
     with pytest.raises(qbm.ClosedFormError, match="gamma"):
         qbm._real_checked(values, "gamma")
     assert np.array_equal(qbm._real_checked(np.array([2.0, -3.0]), "Pi"), [2.0, -3.0])
+
+
+@pytest.mark.parametrize("cfg", [
+    QbmConfig(alpha=0.3, x=0.5, theta=100.0), QbmConfig(alpha=1.0, x=0.9, theta=100.0),
+] + PANEL_CONFIGS, ids=["alpha0.3-x0.5", "alpha1-x0.9", "panel-x0.5", "panel-x0.7",
+                        "panel-x0.9", "panel-low-T"])
+def test_n12_matches_five_point_lobatto_at_a_tenth_of_the_step(cfg):
+    # max |N12 error| / max |N12| at horizon 60: at most 3.4e-9 at step 0.1
+    # and 3.5e-13 at step 0.01 (Simpson on four refined points: 4.9e-7 and
+    # 4.9e-11); Wbar[1, 0] holds the same bound
+    for step, bound in ((0.1, 5e-9), (0.01, 1e-11)):
+        traj = imaginarity_trajectory(cfg, 60.0, step)
+        want = wbar_lobatto5(cfg, traj.tau)
+        scale = np.max(np.abs(want[0, 1]))
+        for entry in ((0, 1), (1, 0)):
+            assert np.max(np.abs(traj.wbar[entry] - want[entry])) <= bound * scale, (step, entry)
 
 
 def test_n12_matrix_route_matches_scalar_oracle():
@@ -922,13 +983,30 @@ def test_steady_state_n12_magnitudes(alpha, x, expected):
     assert abs(steady_state_n12(cfg)) == pytest.approx(expected, rel=0.25)
 
 
+@pytest.mark.parametrize("cfg", [
+    HIGH, QbmConfig(alpha=0.3, x=0.9, theta=100.0), QbmConfig(alpha=1.0, x=0.5, theta=100.0),
+    LOW, QbmConfig(alpha=0.03, x=0.9, theta=3.0, regime="low"),
+    QbmConfig(alpha=0.3, x=0.7, theta=1.0, regime="low"),
+], ids=["high-0.03-0.5", "high-0.3-0.9", "high-1-0.5", "low-0.03-0.5", "low-0.03-0.9",
+        "low-0.3-0.7"])
+def test_steady_state_n12_matches_50_digit_limits(cfg):
+    want = steady_state_n12_mp(cfg)
+    assert abs(steady_state_n12(cfg) - want) <= 1e-12 * abs(want)
+    # the limits against the 40-digit closed forms at tau = 1e14
+    gamma, delta, pi_ = mp_coefficients(cfg, 1e14)
+    two_over_x = 2.0 / cfg.x
+    at_1e14 = -(delta * two_over_x + pi_ * 2.0 * gamma) / ((2.0 * gamma) ** 2 + two_over_x**2)
+    assert abs(at_1e14 - want) <= 1e-14 * abs(want)
+
+
 def test_high_temperature_saturation():
     """The mean of I_c over ten periods changes < 5% between two windows
     (theta = 100).  The early window starts where the T-term envelope
     (2/pi) e^{-Gamma/2}, the window mean of |e^{-Gamma/2} sin(tau/x)|, is
     half of 5% of the steady |N12|; the late one starts twice as late.
     Gamma ~ 2 gamma_inf tau there, with gamma_inf read off the closed form
-    at large tau as ``steady_state_n12`` does.  Halving the grid step
+    at three probes near tau = 2000, independently of the closed-form limits
+    of ``steady_state_n12``.  Halving the grid step
     moves both window means by less than 0.1%."""
     probes = np.array([2000.0, 2000.0 + np.pi * HIGH.x / 2, 2000.0 + np.pi * HIGH.x])
     gamma_inf = float(np.mean(coefficients(HIGH, probes)[0]))

@@ -188,7 +188,7 @@ def test_e1_on_closed_form_lines_equals_depth_300(x, b):
     # QbmConfig._ei_scalars: a per-point depth must give the fixed depth-300
     # fraction's values bit for bit, so that the coefficients and the
     # panels' CSVs do not move
-    tau = qbm._refine_grid(qbm._make_grid(60.0, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+    tau = qbm._lobatto_points(qbm._make_grid(60.0, qbm.DEFAULT_STEP))
     z = np.concatenate([-((b + 1j * tau) / x), (b - 1j * tau) / x,
                         [-np.conj(np.asarray(-b / x, dtype=complex))]])
     z = z[in_continued_fraction_region(-z)]
@@ -197,12 +197,12 @@ def test_e1_on_closed_form_lines_equals_depth_300(x, b):
 
 
 def closed_form_line_points() -> np.ndarray:
-    # w = (b + i tau)/x as qbm._ei_pairs forms it, on the refined grids of
-    # the four figure panels (horizon 60) and of qbm-long (horizon 615.7)
+    # w = (b + i tau)/x as qbm._ei_pairs forms it, at the points where the walk
+    # evaluates the four figure panels (horizon 60) and qbm-long (horizon 615.7)
     lines = []
     for horizon, x, b in [(60.0, 0.5, 1.0), (60.0, 0.7, 1.0), (60.0, 0.9, 1.0),
                           (60.0, 0.5, 1.1), (615.7, 0.5, 1.0)]:
-        tau = qbm._refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP), qbm.NOISE_REFINEMENT)
+        tau = qbm._lobatto_points(qbm._make_grid(horizon, qbm.DEFAULT_STEP))
         lines.append((b + 1j * tau) / x)
     return np.concatenate(lines)
 
