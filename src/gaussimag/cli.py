@@ -253,7 +253,7 @@ def _audit_suites(modes: int, trials: int, seed: int):
     # Breaking superchannels produce real output from any input channel.
     rng = streams[1]
     for _ in range(trials):
-        sup = sample_random_superchannel(modes, rng, "breaking")
+        sup = sample_random_superchannel(modes, rng, "real-eq8")
         chan = sample_random_channel(modes, rng, "any")
         if not channel_realness(apply_superchannel(sup, chan)).is_real:
             yield ("theorem2_forward", sup, chan)

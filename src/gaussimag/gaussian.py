@@ -455,8 +455,8 @@ def sample_random_state(n: int, seed, real: bool = False) -> GaussianState:
     rng = np.random.default_rng(seed)
     dim = 2 * n
     if real:
-        v1 = _random_spd(n, rng, low=1.0, high=4.0)
-        v2 = _random_spd(n, rng, low=1.0, high=4.0)
+        v1 = _random_spd(n, rng)
+        v2 = _random_spd(n, rng)
         nu = _interleave(n, v1, v2)
     else:
         g = rng.standard_normal((dim, dim)) / np.sqrt(dim)
@@ -467,10 +467,10 @@ def sample_random_state(n: int, seed, real: bool = False) -> GaussianState:
     return GaussianState(n, d0, nu)
 
 
-def _random_spd(n: int, rng: np.random.Generator, low: float, high: float) -> np.ndarray:
-    """Random symmetric matrix with eigenvalues drawn uniformly in [low, high]."""
+def _random_spd(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric matrix with eigenvalues drawn uniformly in [1, 4]."""
     q = _random_orthogonal(n, rng)
-    return q @ np.diag(rng.uniform(low, high, n)) @ q.T
+    return q @ np.diag(rng.uniform(1.0, 4.0, n)) @ q.T
 
 
 def sample_random_superchannel(
@@ -478,9 +478,9 @@ def sample_random_superchannel(
 ) -> GaussianSuperchannel:
     """Draw a random valid superchannel of the requested class.
 
-    ``flag`` is one of ``any``, ``real-eq8`` (momentum-erasing A),
-    ``real-eq9`` (sector-preserving A and O), ``breaking`` (momentum-
-    erasing A; equivalent structural class to ``real-eq8``).  With
+    ``flag`` is one of ``any``, ``real-eq8`` (momentum-erasing A, which
+    also makes the superchannel imaginarity-breaking) and ``real-eq9``
+    (sector-preserving A and O).  With
     ``unit_norm_a`` the A matrix is rescaled to unit spectral norm
     before the compensating Y is built (free-operation normalization).
 
@@ -501,7 +501,7 @@ def sample_random_superchannel(
     if flag == "real-eq9":
         o1 = _random_orthogonal(n, rng)
         o = _interleave(n, o1, o1)
-    elif flag in ("any", "real-eq8", "breaking"):
+    elif flag in ("any", "real-eq8"):
         o = _random_orthosymplectic(n, rng)
     else:
         raise ValueError(f"unknown superchannel class flag {flag!r}")

@@ -140,8 +140,8 @@ def _real_checked(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
-    """e_p = Ei(w), w = (b + i tau)/x, formed from E1(-w) as ``expint_ei``
-    forms it, and k = E1(conj w): one pair batch.
+    """e_p = Ei(w) = -E1(-w) + i pi sgn(Im w), w = (b + i tau)/x, real on the
+    axis, and k = E1(conj w): one pair batch, and the one place that rule is written.
 
     Ei(conj z) == conj(Ei(z)) gives the -i tau value, so a conjugate pair
     sums to 2 Re e_p and differs by 2i Im e_p.  The other pair is
@@ -203,8 +203,9 @@ def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
     return delta_1 + delta_b, pi_1 + pi_b
 
 
-def _closed_forms(cfg: QbmConfig, t: np.ndarray):
-    """(gamma, Delta, Pi, Gamma) on the 1-d array ``t``, closed form.
+def coefficients(cfg: QbmConfig, t: np.ndarray):
+    """(gamma, Delta, Pi, Gamma) on the 1-d array ``t``, closed form; at
+    ``t = 0`` all four are exactly 0.
 
     The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted one) is
     evaluated once and shared by all four; each is checked to be finite.  With
@@ -234,12 +235,6 @@ def _closed_forms(cfg: QbmConfig, t: np.ndarray):
         for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"),
                              (big_gamma, "Gamma"))
     )
-
-
-def coefficients(cfg: QbmConfig, t: np.ndarray):
-    """(gamma, Delta, Pi) on the 1-d array ``t``, closed form, from one
-    ``_ei_pairs`` batch per cutoff; at ``t = 0`` all three are exactly 0."""
-    return _closed_forms(cfg, t)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +571,7 @@ def imaginarity_trajectory(
         if hi > lo:  # else the last node alone, solved by the chunk before or the origin
             pts = _lobatto_points(grid[lo:hi + 1])
             widths = np.diff(grid[lo:hi + 1])
-            _, delta_p, pi_p, gamma_p = _closed_forms(cfg, pts)
+            _, delta_p, pi_p, gamma_p = coefficients(cfg, pts)
             g_n = big_gamma[lo:hi + 1] = gamma_p[::3]  # pts[::3] is the grid exactly
             rot = _rotations(pts, x)
             rot_n = rot[..., ::3]

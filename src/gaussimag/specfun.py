@@ -1,23 +1,15 @@
-"""The exponential integrals Ei and E1 at complex arguments, in numpy.
+"""The exponential integral E1 at complex arguments, in numpy.
 
-The quantum-Brownian-motion closed forms need both.  ``expint_e1``
-evaluates E1(z), choosing per element of w = -z (DLMF 6.6, 6.9, 6.12):
-the asymptotic series -(e^w/w) sum k!/w^k for |w| >= 40, as its even plus
-its odd powers of 1/w; the power series -gamma - log z - sum w^k/(k k!)
-for |w| < 5 right of Re w = -2 and in the wedge Re w > 2|Im w|; and the
-continued fraction of E1(z) elsewhere, each point only as deep as its
-convergence rate needs (at most 300 terms).  ``expint_e1_pair`` adds
-E1(-conj z), whose series is conj(even - odd) of the same powers.
-``expint_ei`` is -E1(-w) + i pi sgn(Im w).
-
-Branch conventions
-------------------
-Ei uses the principal branch (cut along the negative real axis).
-``expint_ei`` returns the *real principal value* for arguments exactly
-on the negative real axis; off the axis the limit from the containing
-half-plane applies, so ``Ei(conj(z)) == conj(Ei(z))``.  The QBM closed
-forms combine Ei values in conjugate pairs with real prefactors, so
-they read the real or imaginary part of one value of each pair.
+``expint_e1_pair`` evaluates E1 at z and at -conj(z), choosing per element
+of w = -z (DLMF 6.6, 6.9, 6.12): the asymptotic series -(e^w/w) sum k!/w^k
+for |w| >= 40, as its even plus its odd powers of 1/w, whose sum at the
+mirror -conj(z) is conj(even - odd); the power series -gamma - log z -
+sum w^k/(k k!) for |w| < 5 right of Re w = -2 and in the wedge
+Re w > 2|Im w|; and the continued fraction of E1(z) elsewhere, each point
+only as deep as its convergence rate needs (at most 300 terms).  The cut
+runs along the negative real axis, where the sign of a zero imaginary part
+picks the side, so E1(conj z) == conj(E1(z)).  ``qbm`` forms the closed
+forms' Ei(w) = -E1(-w) + i pi sgn(Im w) from the pair.
 """
 
 from __future__ import annotations
@@ -78,18 +70,21 @@ def _asymptotic_parts(u, terms):
     return parts[0], u * parts[1]
 
 
-def _e1(z, mirror: bool) -> list:
-    # E1 at z and, when mirror, at -conj(z): the two share |w| and so their
-    # band of the asymptotic series, where the mirror's sum is conj(even - odd)
+def expint_e1_pair(z):
+    """(E1(z), E1(-conj z)) at real or complex z, principal branch.
+
+    Accepts scalars or arrays.  The two points share |w| and so their band
+    of the asymptotic series, which runs once for both.
+    """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("argument contains non-finite entries")
     if np.any(z == 0):
-        raise PoleError("Ei and E1 have a logarithmic singularity at 0")
+        raise PoleError("E1 has a logarithmic singularity at 0")
     r = np.abs(z)
     near = r < _ASYMPTOTIC_BANDS[-1][0]
     outs = []
-    for point in (z, -np.conj(z))[:1 + mirror]:
+    for point in (z, -np.conj(z)):
         w, out = -point, np.empty(z.shape, dtype=complex)
         series = near & ((w.real > 2.0 * np.abs(w.imag))
                          | ((r < _SERIES_RADIUS) & (w.real > _SERIES_LEFT)))
@@ -109,41 +104,6 @@ def _e1(z, mirror: bool) -> list:
             u = 1.0 / wb
             even, odd = _asymptotic_parts(u, terms)
             outs[0][band] = -(np.exp(wb) * u * (even + odd))
-            if mirror:
-                outs[1][band] = -(np.exp(-np.conj(wb)) * -np.conj(u)
-                                  * (np.conj(even) - np.conj(odd)))
-    return [out if out.ndim else complex(out) for out in outs]
-
-
-def expint_e1(z):
-    """Exponential integral E1 at real or complex argument, principal branch.
-
-    Accepts scalars or arrays.  The cut runs along the negative real
-    axis, where the sign of a zero imaginary part picks the side, so
-    ``E1(conj z) == conj(E1(z))`` everywhere.  Each expansion is chosen
-    on w = -z, the argument of Ei(w) = -E1(-w) + i pi sgn(Im w).
-    """
-    return _e1(z, mirror=False)[0]
-
-
-def expint_e1_pair(z):
-    """(E1(z), E1(-conj z)) from one asymptotic series, each value as
-    ``expint_e1`` gives it bit for bit, but for the sign of a zero
-    imaginary part on the real axis."""
-    return tuple(_e1(z, mirror=True))
-
-
-def expint_ei(z):
-    """Exponential integral Ei at real or complex argument.
-
-    Accepts scalars or arrays.  Real arguments use the real-valued
-    principal value (Cauchy PV through the pole at 0 for negative
-    arguments); complex arguments use the principal branch, continuous
-    from each half-plane onto the negative real axis with a +/- i pi
-    jump across it.
-    """
-    w = np.asarray(z, dtype=complex)
-    # the i pi sgn(Im w) term moves the cut of -E1(-w) to the negative axis
-    out = -np.asarray(expint_e1(-w)) + 1j * np.pi * np.sign(w.imag)
-    out = np.where(w.imag == 0, out.real, out)
-    return out if out.ndim else complex(out)
+            outs[1][band] = -(np.exp(-np.conj(wb)) * -np.conj(u)
+                              * (np.conj(even) - np.conj(odd)))
+    return tuple(out if out.ndim else complex(out) for out in outs)

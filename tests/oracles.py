@@ -261,7 +261,7 @@ def n12_scalar_oracle(traj: Trajectory) -> np.ndarray:
                  e^{Gamma}[Delta sin(2(s-tau)/x) - Pi cos(2(s-tau)/x)] ds.
     """
     fine = refine_grid(traj.tau)
-    gamma, delta, pi_ = qbm.coefficients(traj.cfg, fine)
+    gamma, delta, pi_, _ = qbm.coefficients(traj.cfg, fine)
     big_gamma = 2.0 * cumulative_simpson(gamma, fine)
     x = traj.cfg.x
     weight = np.exp(big_gamma)
@@ -288,7 +288,7 @@ def wbar_lobatto5(cfg: QbmConfig, grid: np.ndarray, split: int = 10) -> np.ndarr
     fine = refine_grid(grid, split)
     widths = np.diff(fine)
     pts = np.append((fine[:-1, None] + widths[:, None] * _LOBATTO5_OFFSETS).ravel(), fine[-1])
-    _, delta, pi_, big_gamma = qbm._closed_forms(cfg, pts)
+    _, delta, pi_, big_gamma = qbm.coefficients(cfg, pts)
     c, s = np.cos(pts / cfg.x), np.sin(pts / cfg.x)
     rot = np.array([[c, s], [-s, c]])
     m_mat = np.array([[delta, -pi_ / 2.0], [-pi_ / 2.0, np.zeros_like(pts)]])

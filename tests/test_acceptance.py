@@ -203,7 +203,7 @@ def test_criterion_2_theorem_audits():
             if not channel_realness(apply_superchannel(sup, chan)).is_real:
                 violations += 1
         for _ in range(2000):
-            sup = sample_random_superchannel(n, rng, "breaking")
+            sup = sample_random_superchannel(n, rng, "real-eq8")
             chan = sample_random_channel(n, rng, "any")
             if not channel_realness(apply_superchannel(sup, chan)).is_real:
                 violations += 1

@@ -305,7 +305,7 @@ def test_check_super_identity(tmp_path, capsys):
 
 
 def test_check_super_breaking_sample(tmp_path, capsys):
-    sup = sample_random_superchannel(1, 11, "breaking")
+    sup = sample_random_superchannel(1, 11, "real-eq8")
     doc = write_doc(tmp_path, "breaking.json", sup)
     assert cli.main(["--json", "check-super", doc]) == cli.EXIT_OK
     results = json.loads(capsys.readouterr().out)["results"]

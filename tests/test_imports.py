@@ -2,8 +2,9 @@
 importing the package and running the CLI load no scipy code, `qbm`
 loads no OpenSSL, and no package module names scipy; the package modules,
 the root included, use only each other's public names, import nothing
-unused and define no private name that they never use; in the CLI only
-`main` names stderr, prints and reads the clock; and `qbm` walks its
+unused and define no private name that they never use; every public
+function of `specfun` is imported by another package module; in the CLI
+only `main` names stderr, prints and reads the clock; and `qbm` walks its
 grid in one loop."""
 
 import ast
@@ -235,6 +236,56 @@ def test_unused_private_findings_flags_module_level_names_only():
 def test_modules_use_every_private_name_they_define(module):
     source = (Path(gaussimag.__file__).parent / module).read_text()
     assert unused_private_findings(source) == []
+
+
+def unimported_findings(module: str, sources: dict[str, str]) -> list[str]:
+    """The public functions that ``module`` defines at top level and that no
+    other module of ``sources`` (module name -> source) imports from it or
+    reads as an attribute of it."""
+    defined = {node.name: node.lineno for node in ast.parse(sources[module]).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)) if name != module else ():
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == module):
+                used.add(node.attr)
+    return [f"line {line}: {name} is imported by no other module"
+            for name, line in defined.items() if name not in used]
+
+
+def test_unimported_findings_flags_functions_no_other_module_imports():
+    sources = {
+        "special": textwrap.dedent('''
+            def imported():
+                pass
+
+
+            def read():
+                pass
+
+
+            def only_tests_call_it():
+                return imported(), read()
+
+
+            def _private():
+                pass
+        '''),
+        "user": "from .special import imported\nfrom . import special\nspecial.read()\n",
+        "other": "from gaussimag.linalg import only_tests_call_it\n",
+    }
+    assert unimported_findings("special", sources) == [
+        "line 10: only_tests_call_it is imported by no other module"]
+
+
+def test_every_specfun_function_is_imported_by_another_module():
+    # a function that only the tests call is not part of the program
+    sources = {p.stem: p.read_text() for p in Path(gaussimag.__file__).parent.glob("*.py")}
+    assert unimported_findings("specfun", sources) == []
 
 
 def findings_outside_main(source: str, names: set[str]) -> list[str]:

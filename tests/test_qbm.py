@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gaussimag.qbm as qbm
 from gaussimag.gaussian import violated_constraint
-from gaussimag.specfun import expint_e1, expint_e1_pair, expint_ei
+from gaussimag.specfun import expint_e1_pair
 from gaussimag.qbm import (
     FormulaInconsistencyError,
     IntegrationResolutionError,
@@ -44,7 +44,7 @@ LOW = QbmConfig(alpha=0.03, x=0.5, theta=10.0, regime="low")
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
 @pytest.mark.parametrize("tau", [0.3, 1.7, 5.0, 12.0])
 def test_closed_forms_match_quadrature(cfg, tau):
-    (gamma,), (delta,), (pi_,) = coefficients(cfg, np.array([tau]))
+    (gamma,), (delta,), (pi_,), _ = coefficients(cfg, np.array([tau]))
     assert gamma == pytest.approx(
         coeff_gamma_quadrature(cfg, tau), rel=1e-6, abs=1e-12
     )
@@ -104,7 +104,7 @@ ORACLE_TAUS = [0.05, 0.7, 3.0, 25.0, 615.7, 3e3, 2e4, 4.2e4, 1e5, 2.1e5]
 def test_closed_forms_match_40_digit_evaluation(cfg):
     taus = np.array(ORACLE_TAUS)
     want = np.array([mp_coefficients(cfg, t) for t in taus]).T
-    got = coefficients(cfg, taus)
+    got = coefficients(cfg, taus)[:3]
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w)) <= 5e-14 * np.max(np.abs(w))
     # the transcription above agrees with the defining integrals
@@ -208,13 +208,13 @@ def test_config_domain_bounds():
 def _fixed_gamma(monkeypatch, value):
     """Replace the closed-form gamma by the constant ``value``, and Gamma by
     its integral 2 ``value`` tau."""
-    shared = qbm._closed_forms
+    shared = qbm.coefficients
 
     def fixed(cfg, t):
         gamma, delta, pi_, _ = shared(cfg, t)
         return np.full_like(gamma, value), delta, pi_, 2.0 * value * t
 
-    monkeypatch.setattr(qbm, "_closed_forms", fixed)
+    monkeypatch.setattr(qbm, "coefficients", fixed)
 
 
 def _gamma_at(traj, tau):
@@ -272,7 +272,7 @@ def test_gamma_capital_matches_the_50_digit_closed_form(cfg):
     # closed form is 5e-16 off where Gamma crosses zero at x 0.05 and alpha 1
     taus = np.concatenate([np.linspace(1.0, 3.0, 41), np.geomspace(3.0, 2e5, 61)[1:]])
     want = np.array([gamma_capital_mp(cfg, t) for t in taus])
-    got = qbm._closed_forms(cfg, taus)[3]
+    got = coefficients(cfg, taus)[3]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum.accumulate(np.abs(want)))
     # below tau = 1, at every node of step 0.01, it is no further from the oracle
     # than the refined Simpson sum of the walk before it (2.7e-8 against
@@ -335,7 +335,7 @@ PANEL_CONFIGS = [
 def test_cumulative_simpson_matches_scipy_on_refined_grids(horizon, configs):
     fine = refine_grid(qbm._make_grid(horizon, qbm.DEFAULT_STEP))
     for cfg in configs:
-        gamma, delta, pi_ = qbm.coefficients(cfg, fine)
+        gamma, delta, pi_, _ = coefficients(cfg, fine)
         _assert_simpson_matches_scipy(gamma, fine)
         _assert_simpson_matches_scipy(np.array([[delta, pi_], [pi_, gamma]]), fine)
 
@@ -383,13 +383,13 @@ def test_noise_zero_at_origin():
 
 
 def test_noise_zero_when_diffusion_off(monkeypatch):
-    shared = qbm._closed_forms
+    shared = qbm.coefficients
 
     def no_diffusion(cfg, t):
         gamma, delta, pi_, big_gamma = shared(cfg, t)
         return gamma, np.zeros_like(delta), np.zeros_like(pi_), big_gamma
 
-    monkeypatch.setattr(qbm, "_closed_forms", no_diffusion)
+    monkeypatch.setattr(qbm, "coefficients", no_diffusion)
     traj = imaginarity_trajectory(HIGH, 5.0)
     for i in (100, 300, 500):  # tau 1, 3, 5
         assert np.max(np.abs(qbm_channel(traj, i).N)) == 0.0
@@ -548,6 +548,13 @@ def test_ei_constants_are_worked_out_once_per_configuration(monkeypatch, cfg, cu
     assert len(calls) - len(scalars) == 4 * cutoffs  # the array batches
 
 
+def ei_direct(w):
+    """Ei(w) = -E1(-w) + i pi sgn(Im w), real on the axis, from its own pair call."""
+    w = np.asarray(w, dtype=complex)
+    e_p = -expint_e1_pair(-w)[0] + 1j * np.pi * np.sign(w.imag)
+    return np.where(w.imag == 0, e_p.real, e_p)
+
+
 def test_ei_constants_equal_ei_and_e1_bit_for_bit():
     # the cached (-Re E1(-b/x), -Re E1(b/x)) against Ei(b/x) and -E1(b/x), each
     # from its own scalar call, for b/x in [1e-3, 700] and beside the seams of
@@ -562,8 +569,8 @@ def test_ei_constants_equal_ei_and_e1_bit_for_bit():
     for v in targets:
         cfg = QbmConfig(alpha=0.03, x=1.001 / v, theta=1e3, regime="low")
         for b, (ei_pos, ei_neg) in zip((1.0, cfg.cutoff_shift), cfg._ei_scalars):
-            assert bits(ei_pos) == bits(expint_ei(b / cfg.x).real)
-            assert bits(ei_neg) == bits(-expint_e1(b / cfg.x).real)
+            assert bits(ei_pos) == bits(ei_direct(b / cfg.x).real)
+            assert bits(ei_neg) == bits(-expint_e1_pair(b / cfg.x)[0].real)
             seen += 1
     assert seen == 2 * len(targets)
 
@@ -571,9 +578,9 @@ def test_ei_constants_equal_ei_and_e1_bit_for_bit():
 def _low_t_shifted_terms_direct(cfg, t):
     """The cutoff-shifted low-T terms with both Ei batches evaluated."""
     x, a2, b = cfg.x, cfg.alpha**2, cfg.cutoff_shift
-    g_b = expint_ei((b + 1j * t) / x)
-    g_bc = expint_ei((b - 1j * t) / x)
-    k_b = expint_e1((b - 1j * t) / x)
+    g_b = ei_direct((b + 1j * t) / x)
+    g_bc = ei_direct((b - 1j * t) / x)
+    k_b = expint_e1_pair((b - 1j * t) / x)[0]
     boundary = t / (b * b + t * t)
     delta_b = 2.0 * a2 * (
         np.cos(t / x) * boundary
@@ -583,7 +590,7 @@ def _low_t_shifted_terms_direct(cfg, t):
             - np.exp(b / x) * 2j * k_b.imag
         )
     )
-    ei_b, ei_mb = expint_ei(b / x), expint_ei(-b / x)
+    ei_b, ei_mb = ei_direct(b / x), ei_direct(-b / x)
     pi_b = 2.0 * a2 * (
         np.sin(t / x) * boundary
         - (1.0 / (4.0 * x))
@@ -603,11 +610,11 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
     t = qbm._lobatto_points(qbm._make_grid(60.0, 0.01))
     assert t[0] == 0.0
-    direct = [expint_ei((s + 1j * sign * t) / x)
+    direct = [ei_direct((s + 1j * sign * t) / x)
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
     e_p, k = qbm._ei_pairs(t, x)
     assert np.array_equal(e_p, direct[0]) and np.array_equal(np.conj(e_p), direct[1])
-    assert np.array_equal(k, expint_e1((1.0 - 1j * t) / x))
+    assert np.array_equal(k, expint_e1_pair((1.0 - 1j * t) / x)[0])
     off = t > 0
     assert np.array_equal(1j * np.pi - k[off], direct[2][off])
     assert np.array_equal(np.conj(1j * np.pi - k[off]), direct[3][off])

@@ -2,12 +2,28 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussimag import qbm
-from gaussimag.specfun import PoleError, expint_e1, expint_e1_pair, expint_ei
+from gaussimag.specfun import PoleError, expint_e1_pair
 from oracles import ConvergenceError, QuadratureSpec, integrate_adaptive
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def ei_on_line(w) -> np.ndarray:
+    """Ei(w) as the closed forms form it at (b + i tau)/x: ``qbm._ei_pairs``
+    at b = Re w, tau = Im w and x = 1, which gives w back exactly."""
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    return qbm._ei_pairs(w.imag, 1.0, w.real)[0]
+
+
+def ei_constants(v) -> tuple:
+    """(Ei(v), Ei(-v)) for real v > 0 as ``QbmConfig._ei_scalars`` forms them
+    at v = b/x: (-Re E1(-v), -Re E1(v)) from one pair call."""
+    e, k = expint_e1_pair(-v)
+    return -e.real, -k.real
 
 
 def ei_series_oracle(terms: int = 60) -> float:
@@ -23,28 +39,30 @@ def ei_series_oracle(terms: int = 60) -> float:
 
 
 def test_ei_at_one_matches_rational_series():
-    assert expint_ei(1.0).real == pytest.approx(ei_series_oracle(), abs=1e-14)
-    assert expint_ei(1.0).imag == 0.0
+    (on_line,), (constant, _) = ei_on_line(1.0), ei_constants(1.0)
+    for got in (on_line.real, constant):
+        assert got == pytest.approx(ei_series_oracle(), abs=1e-14)
+    assert on_line.imag == 0.0
 
 
 def test_ei_small_argument_log_divergence():
     x = 1e-8
-    assert expint_ei(x).real == pytest.approx(np.log(x) + EULER_GAMMA, abs=1e-7)
+    for got in (ei_on_line(x)[0].real, ei_constants(x)[0]):
+        assert got == pytest.approx(np.log(x) + EULER_GAMMA, abs=1e-7)
 
 
 def test_ei_conjugate_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(100):
         z = complex(rng.uniform(-20, 20), rng.uniform(0.1, 20) * rng.choice([-1, 1]))
-        assert expint_ei(np.conj(z)) == pytest.approx(np.conj(expint_ei(z)), rel=1e-10)
+        assert ei_on_line(np.conj(z))[0] == pytest.approx(np.conj(ei_on_line(z)[0]), rel=1e-10)
 
 
 def test_ei_negative_axis_principal_value_is_real():
-    v = expint_ei(-2.0)
+    (v,) = ei_on_line(-2.0)
     assert v.imag == 0.0
     # limits from above/below differ by the 2*pi*i branch jump
-    above = expint_ei(complex(-2.0, 1e-12))
-    below = expint_ei(complex(-2.0, -1e-12))
+    above, below = ei_on_line([complex(-2.0, 1e-12), complex(-2.0, -1e-12)])
     assert above.imag == pytest.approx(np.pi, abs=1e-6)
     assert below.imag == pytest.approx(-np.pi, abs=1e-6)
     assert above.real == pytest.approx(v.real, abs=1e-6)
@@ -94,20 +112,24 @@ def real_axis_points() -> np.ndarray:
     ids=["trajectory-lines", "seams", "real-axis"],
 )
 def test_ei_matches_mpmath(points):
-    # the points lie on or above the real axis; their conjugates cover the
-    # lower half-plane
+    # Ei by qbm._ei_pairs at the points, which lie on or above the real axis,
+    # and at their conjugates; on the axis also by the route of the constants
+    # Ei(+-b/x), which must agree with it bit for bit
     w = points().astype(complex)
     assert np.all(w.imag >= 0)
     want = np.array([mp_ei(v) for v in w])
     for z, ref in ((w, want), (np.conj(w), np.conj(want))):
-        got = expint_ei(z)
-        assert np.array_equal(got, np.conj(expint_ei(np.conj(z))))
+        got = ei_on_line(z)
+        assert np.array_equal(got, np.conj(ei_on_line(np.conj(z))))
         near_zero = np.abs(z - EI_REAL_ZERO) < 1e-2
         error = np.abs(got - ref)
         assert np.all(error[near_zero] <= 1e-15)
         assert np.all(error[~near_zero] <= 1e-14 * np.abs(ref[~near_zero]))
     on_axis = w.imag == 0
-    assert np.all(expint_ei(w[on_axis]).imag == 0.0)
+    assert np.all(ei_on_line(w[on_axis]).imag == 0.0)
+    for v in w[on_axis].real:
+        constant = ei_constants(abs(v))[0 if v > 0 else 1]
+        assert constant == ei_on_line(v)[0].real
 
 
 @pytest.mark.filterwarnings("error")
@@ -124,8 +146,8 @@ def test_e1_matches_mpmath(points):
     z = np.where(z.imag == 0, z.real + 0j, z)
     with mp.workdps(40):
         want = np.array([complex(mp.e1(mp.mpc(v.real, v.imag))) for v in z])
-    got = expint_e1(z)
-    assert np.array_equal(expint_e1(np.conj(z)), np.conj(got))
+    got = expint_e1_pair(z)[0]
+    assert np.array_equal(expint_e1_pair(np.conj(z))[0], np.conj(got))
     normal = np.abs(want) > 1e-300  # below it E1 is subnormal
     assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want)[normal])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-310)
@@ -169,7 +191,7 @@ def test_e1_continued_fraction_region_matches_mpmath():
     z = -w
     with mp.workdps(40):
         want = np.array([complex(mp.e1(mp.mpc(v.real, v.imag))) for v in z])
-    got = expint_e1(z)
+    got = expint_e1_pair(z)[0]
     assert np.all(np.abs(got - want) <= 5e-15 * np.abs(want))
 
 
@@ -193,7 +215,7 @@ def test_e1_on_closed_form_lines_equals_depth_300(x, b):
                         [-np.conj(np.asarray(-b / x, dtype=complex))]])
     z = z[in_continued_fraction_region(-z)]
     assert z.size > 10_000
-    assert np.array_equal(expint_e1(z), depth_300_continued_fraction(z))
+    assert np.array_equal(expint_e1_pair(z)[0], depth_300_continued_fraction(z))
 
 
 def closed_form_line_points() -> np.ndarray:
@@ -220,23 +242,49 @@ def bits(values) -> np.ndarray:
     return np.asarray(values, dtype=complex).view(np.uint64)
 
 
-@pytest.mark.parametrize("points", [band_points, closed_form_line_points, seam_points],
-                         ids=["bands", "closed-form-lines", "seams"])
+def assert_pair_symmetric(z: np.ndarray) -> None:
+    """expint_e1_pair(-conj z) is expint_e1_pair(z) reversed, and
+    expint_e1_pair(conj z)[0] is conj(expint_e1_pair(z)[0]), bit for bit but
+    for the sign of a zero imaginary part on the real axis, where E1 is real
+    or sits on its cut."""
+    got, mirror = expint_e1_pair(z)
+    swapped = expint_e1_pair(-np.conj(z))
+    conjugated = expint_e1_pair(np.conj(z))[0]
+    off = z.imag != 0
+    for value, want in ((mirror, swapped[0]), (got, swapped[1]), (np.conj(got), conjugated)):
+        assert np.array_equal(bits(value[off]), bits(want[off]))
+        assert np.array_equal(bits(value.real), bits(want.real))
+        assert np.array_equal(value[~off], want[~off])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [band_points, closed_form_line_points, seam_points, trajectory_line_points, real_axis_points],
+    ids=["bands", "closed-form-lines", "seams", "trajectory-lines", "real-axis"],
+)
 def test_e1_pair_equals_two_single_calls(points):
-    # one asymptotic series serves E1(z) and E1(-conj z): each value keeps
-    # the bits of its own single call, but for the sign of a zero imaginary
-    # part on the real axis, where E1 is real
+    # one asymptotic series serves E1(z) and E1(-conj z): each value of the
+    # pair keeps the bits that a pair call at its own point gives first
     z = -points().astype(complex)
     r = np.abs(z)
     for lower, upper in ((0.0, 40.0), (40.0, 80.0), (80.0, 200.0), (200.0, np.inf)):
         assert np.any((r >= lower) & (r < upper))
-    got, mirror = expint_e1_pair(z)
-    assert np.array_equal(bits(got), bits(expint_e1(z)))
-    single = expint_e1(-np.conj(z))
-    off = z.imag != 0
-    assert np.array_equal(bits(mirror[off]), bits(single[off]))
-    assert np.array_equal(bits(mirror.real), bits(single.real))
-    assert np.array_equal(mirror[~off], single[~off])
+    assert_pair_symmetric(z)
+
+
+#: |w| beside the seams of the expansions, and anywhere in between.
+_SEAM_RADII = st.sampled_from([5.0, 40.0, 80.0, 200.0]).flatmap(
+    lambda r: st.sampled_from([-1e-12, -1e-15, 0.0, 1e-15, 1e-12]).map(lambda s: r * (1.0 + s)))
+_RADII = st.one_of(_SEAM_RADII, st.floats(min_value=1e-3, max_value=700.0))
+_ANGLES = st.one_of(st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 2, np.arctan(0.5)]),
+                    st.floats(min_value=-np.pi, max_value=np.pi))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_RADII, _ANGLES), min_size=1, max_size=12))
+def test_e1_pair_swap_and_conjugate_symmetry(polar):
+    z = np.array([r * np.exp(1j * a) for r, a in polar])
+    assert_pair_symmetric(z)
 
 
 @pytest.mark.filterwarnings("error")
@@ -258,30 +306,26 @@ def test_e1_pair_matches_mpmath(points):
 def test_e1_pair_scalar_in_scalars_out():
     got = expint_e1_pair(complex(-50.0, 3.0))
     assert all(isinstance(v, complex) for v in got)
-    assert got == (expint_e1(complex(-50.0, 3.0)), expint_e1(complex(50.0, 3.0)))
+    assert got == tuple(v[0] for v in expint_e1_pair(np.array([complex(-50.0, 3.0)])))
+    assert got[1] == expint_e1_pair(complex(50.0, 3.0))[0]
     with pytest.raises(PoleError):
         expint_e1_pair(0.0)
-
-
-def test_ei_scalar_in_scalar_out():
-    assert isinstance(expint_ei(2.5), complex)
-    assert expint_ei(2.5) == expint_ei(np.array([2.5]))[0]
     with pytest.raises(ValueError, match="non-finite"):
-        expint_ei(np.array([1.0, np.inf]))
+        expint_e1_pair(np.array([1.0, np.inf]))
 
 
 def test_poles_rejected():
     with pytest.raises(PoleError):
-        expint_ei(0.0)
+        ei_on_line(0.0)
     with pytest.raises(PoleError):
-        expint_e1(0.0)
-    assert isinstance(expint_e1(2.5), complex)
+        ei_constants(0.0)
+    assert isinstance(expint_e1_pair(2.5)[0], complex)
 
 
 def test_ei_ci_si_interrelation():
     # Ei(iy) = Ci(y) + i (Si(y) + pi/2) for real y > 0
     for y in np.linspace(0.2, 25.0, 30):
-        lhs = expint_ei(1j * y)
+        (lhs,) = ei_on_line(1j * y)
         si, ci = sp.sici(y)
         rhs = ci + 1j * (si + np.pi / 2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -297,7 +341,8 @@ def test_special_functions_vs_defining_integrals(x):
     ei_oracle = 2.0 * quad_oracle(lambda u: np.sinh(u) / u, 0.0, x) - quad_oracle(
         lambda u: np.exp(-u) / u, x, x + 80.0
     )
-    assert complex(expint_ei(x)).real == pytest.approx(ei_oracle, rel=1e-8)
+    for got in (ei_on_line(x)[0].real, ei_constants(x)[0]):
+        assert got == pytest.approx(ei_oracle, rel=1e-8)
 
 
 def test_integrate_adaptive_examples():
