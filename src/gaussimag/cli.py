@@ -116,37 +116,35 @@ def cmd_validate(args):
     return EXIT_INVALID if constraint else EXIT_OK, results, source
 
 
+#: ``measure --which``: the class of object that each measure takes, its kind word, the measure
+_MEASURES = {
+    "ic": (GaussianChannel, "channel", channel_measure_ic),
+    "id": (GaussianChannel, "channel", channel_measure_id),
+    "is": (GaussianChannel, "channel", channel_measure_is),
+    "ign": (GaussianState, "state", state_measure_ign),
+}
+
+
 def cmd_measure(args):
     obj, constraint, source = _load_document(args.path)
     if constraint:
         raise _Exit(EXIT_INVALID, f"invalid object: {constraint}")
 
     which = args.which
-    if which == "ign" and not isinstance(obj, GaussianState):
-        raise _Exit(EXIT_USAGE, "measure 'ign' requires a state document")
-    if which in ("ic", "id", "is") and not isinstance(obj, GaussianChannel):
-        raise _Exit(EXIT_USAGE, f"measure '{which}' requires a channel document")
+    cls, kind, measure = _MEASURES[which]
+    if not isinstance(obj, cls):
+        raise _Exit(EXIT_USAGE, f"measure '{which}' requires a {kind} document")
 
     if which == "is":
         try:
-            cfg = SupSearchConfig(
-                restarts=args.restarts,
-                iterations_per_restart=args.iterations,
-                seed=args.seed,
-            )
+            cfg = SupSearchConfig(restarts=args.restarts,
+                                  iterations_per_restart=args.iterations, seed=args.seed)
         except ValueError as exc:
             raise _Exit(EXIT_USAGE, f"bad parameters: {exc}") from exc
     try:
         # The value is checked below, so numpy's overflow warnings add nothing.
         with np.errstate(all="ignore"):
-            if which == "ign":
-                rep = state_measure_ign(obj)
-            elif which == "ic":
-                rep = channel_measure_ic(obj)
-            elif which == "id":
-                rep = channel_measure_id(obj)
-            else:
-                rep = channel_measure_is(obj, cfg)
+            rep = measure(obj, cfg) if which == "is" else measure(obj)
     except ValidationError as exc:
         raise _Exit(EXIT_COMPUTE, f"computation failed: measure '{which}': {exc}") from exc
     if not np.isfinite(rep.value):
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="evaluate an imaginarity measure")
     p.add_argument("path")
-    p.add_argument("--which", choices=["ic", "id", "is", "ign"], required=True)
+    p.add_argument("--which", choices=list(_MEASURES), required=True)
     p.add_argument("--restarts", type=int, default=SupSearchConfig.restarts)
     p.add_argument("--iterations", type=int, default=SupSearchConfig.iterations_per_restart)
     p.add_argument("--seed", type=int, default=SupSearchConfig.seed)

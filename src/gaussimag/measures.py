@@ -85,17 +85,18 @@ class MeasureReport:
 # state measure
 # ---------------------------------------------------------------------------
 
-def _ign_terms(cov: np.ndarray, disp: np.ndarray) -> np.ndarray:
-    """The (covariance, displacement) summands of I_Gn as (m, 2), for stacks
-    ``cov`` (m, 2n, 2n) and ``disp`` (m, 2n) in the interleaved ordering."""
+def _cov_summand(cov: np.ndarray) -> np.ndarray:
+    """The covariance summand of I_Gn of ``cov``, (2n, 2n) or a stack (m, 2n, 2n)."""
     det_qq = np.linalg.det(cov[..., 0::2, 0::2])
     det_pp = np.linalg.det(cov[..., 1::2, 1::2])
     if np.any(det_qq <= 0) or np.any(det_pp <= 0):
         raise ValidationError("covariance sector block has non-positive determinant")
-    cov_term = 1.0 - np.linalg.det(cov) / (det_qq * det_pp)
-    disp_term = step_function(np.sum(np.abs(disp[..., 1::2]), axis=-1),
-                              np.max(np.abs(disp), axis=-1))
-    return np.stack([cov_term, disp_term], axis=-1)
+    return 1.0 - np.linalg.det(cov) / (det_qq * det_pp)
+
+
+def _disp_summand(disp: np.ndarray) -> np.ndarray:
+    """The displacement summand of I_Gn of ``disp``, (2n,) or a stack (m, 2n)."""
+    return step_function(np.sum(np.abs(disp[..., 1::2]), axis=-1), np.max(np.abs(disp), axis=-1))
 
 
 def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
@@ -117,7 +118,7 @@ def state_measure_ign(s: GaussianState) -> MeasureReport:
     determinant ratio is 1 by block-diagonality) and the ratio term is
     in [0, 1) by the Fischer inequality.
     """
-    return _ign_report(_ign_terms(s.covariance[None], s.displacement[None])[0], "I_Gn")
+    return _ign_report((_cov_summand(s.covariance), _disp_summand(s.displacement)), "I_Gn")
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +131,24 @@ _TERM_NAMES = ("T21", "T12*T22", "N12", "displacement")
 
 
 def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
-    """The four raw summands (and their scales) shared by I_c and I_d.
+    """The four raw summands shared by I_c and I_d.
 
     Works on stacks: ``t`` and ``n`` are (m, 2n, 2n), ``d`` is (m, 2n),
     all in the interleaved ordering, so position rows/columns are the
     even indices and momentum ones the odd indices.  Returns four (m,)
-    summand arrays and a tuple of four (m,) scale arrays.  The
-    displacement summand is the trace (l2) norm of the momentum part of d.
+    summand arrays.  The displacement summand is the trace (l2) norm of
+    the momentum part of d.
     """
     term_t21 = trace_norms(t[..., 1::2, 0::2])
     term_t12t22 = trace_norms(t[..., 0::2, 1::2]) * trace_norms(t[..., 1::2, 1::2])
     term_n12 = trace_norms(n[..., 0::2, 1::2])
     term_d = np.linalg.norm(d[..., 1::2], axis=-1)
-    scale_t = np.max(np.abs(t), axis=(-2, -1))
-    scales = (scale_t, scale_t, np.max(np.abs(n), axis=(-2, -1)), np.max(np.abs(d), axis=-1))
-    return term_t21, term_t12t22, term_n12, term_d, scales
+    return term_t21, term_t12t22, term_n12, term_d
 
 
 def channel_measure_ic(c: GaussianChannel) -> MeasureReport:
     """Continuous channel imaginarity measure (four trace-norm summands)."""
-    *terms, _ = _channel_terms(c.T[None], c.N[None], c.d[None])
+    terms = _channel_terms(c.T[None], c.N[None], c.d[None])
     breakdown = [(name, float(v[0])) for name, v in zip(_TERM_NAMES, terms)]
     return MeasureReport(value=sum(v for _, v in breakdown), kind="I_c", breakdown=breakdown)
 
@@ -161,16 +160,14 @@ def channel_measure_ic_stack(t, n, d) -> np.ndarray:
     are those of :func:`channel_measure_ic`.  The matrices are not
     validated beyond finiteness.
     """
-    t21, t12t22, n12, disp, _ = _channel_terms(
-        np.asarray(t, dtype=float), np.asarray(n, dtype=float), np.asarray(d, dtype=float)
-    )
-    return t21 + t12t22 + n12 + disp
+    return sum(_channel_terms(*(np.asarray(a, dtype=float) for a in (t, n, d))))
 
 
 def channel_measure_id(c: GaussianChannel) -> MeasureReport:
     """Discrete channel imaginarity measure: step of each I_c summand."""
-    *terms, scales = _channel_terms(c.T[None], c.N[None], c.d[None])
-    steps = step_function(np.concatenate(terms), np.concatenate(scales))
+    terms = _channel_terms(c.T[None], c.N[None], c.d[None])
+    scales = [np.max(np.abs(a)) for a in (c.T, c.T, c.N, c.d)]
+    steps = step_function(np.concatenate(terms), np.array(scales))
     breakdown = [(name, float(v)) for name, v in zip(_TERM_NAMES, steps)]
     return MeasureReport(value=sum(v for _, v in breakdown), kind="I_d", breakdown=breakdown)
 
@@ -209,58 +206,53 @@ def channel_measure_is(
     The restarts advance in lockstep as one stack, each drawing from its
     own substream; a move is accepted only when it strictly improves.
     ``diagnostics``: the winning restart (None for the vacuum), accepted
-    moves, and objective evaluations, 1 + restarts * (1 + iterations).
+    moves, and objective evaluations (trial states scored), 1 + restarts * (1 + iterations).
     """
     n = c.modes
     bound, d_bound = CM_EIGENVALUE_BOUND, DISPLACEMENT_BOUND
-    evaluations = 0
 
-    def objective(d_pos, v1, v2):
-        # I_Gn terms of the channel outputs of the real states (d_pos, v1 (+) v2)
-        nonlocal evaluations
-        evaluations += len(d_pos)
-        d0 = np.zeros((len(d_pos), 2 * n))
-        d0[:, 0::2] = d_pos
-        nu = np.zeros((len(d_pos), 2 * n, 2 * n))
-        nu[:, 0::2, 0::2] = v1
-        nu[:, 1::2, 1::2] = v2
-        cov = c.T @ nu @ c.T.T + c.N
-        disp = (c.T @ d0[..., None])[..., 0] + c.d
-        if not all(np.all(np.isfinite(a)) for a in (d0, nu, disp, cov)):
+    def finite(states, outputs):
+        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(outputs))):
             raise ValidationError("search iterate or channel output has non-finite entries")
-        return _ign_terms(cov, disp)
+        return outputs
 
-    eye = np.eye(n)[None]
-    vacuum = objective(np.zeros((1, n)), eye, eye)[0]
+    def cov_term(nu):  # of the channel outputs of states with covariances nu (m, 2n, 2n)
+        return _cov_summand(finite(nu, c.T @ nu @ c.T.T + c.N))
 
+    def disp_term(d0):  # of the channel outputs of states with displacements d0 (m, 2n)
+        return _disp_summand(finite(d0, (c.T @ d0[..., None])[..., 0] + c.d))
+
+    vacuum = np.array([cov_term(np.eye(2 * n)[None])[0], disp_term(np.zeros((1, 2 * n)))[0]])
+
+    # The real states searched: momentum entries of d0 and qp blocks of nu stay zero.
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
-    d_pos = np.stack([rng.uniform(-d_bound, d_bound, n) for rng in rngs])
-    v1 = _clip_spd(_random_syms(rngs, n, bound), 1.0, bound)
-    v2 = _clip_spd(_random_syms(rngs, n, bound), 1.0, bound)
-    terms = objective(d_pos, v1, v2)
+    d0 = np.zeros((cfg.restarts, 2 * n))
+    d0[:, 0::2] = np.stack([rng.uniform(-d_bound, d_bound, n) for rng in rngs])
+    nu = np.zeros((cfg.restarts, 2 * n, 2 * n))
+    for s in (0, 1):
+        nu[:, s::2, s::2] = _clip_spd(_random_syms(rngs, n, bound), 1.0, bound)
+    terms = np.stack([cov_term(nu), disp_term(d0)], axis=-1)
     accepted = 0
     step_disp = 0.5 * max(d_bound, 1.0)
     step_cm = 0.25 * (bound - 1.0)
     for it in range(cfg.iterations_per_restart):
-        move = it % 3
-        d_new, v1_new, v2_new = d_pos, v1, v2
-        if move == 0:
-            d_new = d_pos.copy()
+        # A move re-scores only the summand it changes; the other one's inputs are unchanged.
+        d0_new, nu_new, trial = d0.copy(), nu.copy(), terms.copy()
+        if it % 3 == 0:
             for k, rng in enumerate(rngs):
-                d_new[k, rng.integers(n)] += rng.uniform(-step_disp, step_disp)
-            np.clip(d_new, -d_bound, d_bound, out=d_new)
-        elif move == 1:
-            v1_new = _clip_spd(v1 + _random_syms(rngs, n, step_cm), 1.0, bound)
+                d0_new[k, 2 * rng.integers(n)] += rng.uniform(-step_disp, step_disp)
+            np.clip(d0_new, -d_bound, d_bound, out=d0_new)
+            trial[:, 1] = disp_term(d0_new)
         else:
-            v2_new = _clip_spd(v2 + _random_syms(rngs, n, step_cm), 1.0, bound)
-        trial = objective(d_new, v1_new, v2_new)
+            s = it % 3 - 1  # the qq, then the pp block
+            block = nu[:, s::2, s::2] + _random_syms(rngs, n, step_cm)
+            nu_new[:, s::2, s::2] = _clip_spd(block, 1.0, bound)
+            trial[:, 0] = cov_term(nu_new)
         better = trial.sum(axis=1) > terms.sum(axis=1)
         accepted += int(np.count_nonzero(better))
-        keep = better[:, None]
-        d_pos = np.where(keep, d_new, d_pos)
-        v1 = np.where(keep[..., None], v1_new, v1)
-        v2 = np.where(keep[..., None], v2_new, v2)
-        terms = np.where(keep, trial, terms)
+        d0 = np.where(better[:, None], d0_new, d0)
+        nu = np.where(better[:, None, None], nu_new, nu)
+        terms = np.where(better[:, None], trial, terms)
         step_disp *= 0.985
         step_cm *= 0.985
 
@@ -273,6 +265,6 @@ def channel_measure_is(
         "I_s lower bound",
         winning_restart=winner,
         accepted_moves=accepted,
-        objective_evaluations=evaluations,
+        objective_evaluations=1 + cfg.restarts * (1 + cfg.iterations_per_restart),
     )
 

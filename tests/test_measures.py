@@ -162,7 +162,9 @@ def test_batched_terms_match_per_channel_measures(n):
     nm = np.stack([c.N for c in chans])
     d = np.stack([c.d for c in chans])
     assert np.any(np.abs(d[:, 1::2]) > 0.1)
-    t21, t12t22, n12, disp, scales = _channel_terms(t, nm, d)
+    t21, t12t22, n12, disp = _channel_terms(t, nm, d)
+    scale_t = np.max(np.abs(t), axis=(-2, -1))
+    scales = (scale_t, scale_t, np.max(np.abs(nm), axis=(-2, -1)), np.max(np.abs(d), axis=-1))
     batched = channel_measure_ic_stack(t, nm, d)
     p = mode_permutation(n)
     for i, c in enumerate(chans):
@@ -372,9 +374,33 @@ def test_is_search_equals_scalar_reference(n, seed, restarts, iterations):
             assert all(v < report.value for v in finals[:winner])
 
 
-def test_is_search_statistics_at_default_budget():
+@pytest.mark.parametrize("iterations,accepted", [(1, 1), (4, 2), (10, 3)])
+def test_is_search_accepts_a_displacement_move(iterations, accepted):
+    # The output momentum displacement 0.5 x + d_p is exactly zero at restart 0's
+    # start position x0, so the first displacement move raises that summand to 1.
+    x0 = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0]).uniform(-10, 10, 1)[0]
+    c = GaussianChannel(1, [[1.0, 0.0], [0.5, 1.0]], 0.3 * np.eye(2), [0.2, -0.5 * x0])
+    cfg = SupSearchConfig(restarts=1, iterations_per_restart=iterations, seed=0)
+    report = channel_measure_is(c, cfg)
+    value, breakdown, _, scalar_accepted = scalar_is_search(c, cfg)
+    assert (report.value, report.breakdown) == (value, breakdown)
+    assert report.diagnostics["accepted_moves"] == scalar_accepted == accepted
+    assert dict(breakdown)["displacement"] == 1.0
+
+
+def test_is_search_statistics_at_default_budget(monkeypatch):
     c = sample_random_channel(2, 5)
+    det, calls = np.linalg.det, []
+
+    def counting_det(a):
+        calls.append(a.shape)
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
     report = channel_measure_is(c)
+    # three stacked determinants for the vacuum, the starts and each of the 133
+    # covariance moves; the 67 displacement moves take none
+    assert len(calls) == 3 * (1 + 1 + 133)
     stats = report.diagnostics
     assert stats["objective_evaluations"] == 6433
     assert 0 < stats["accepted_moves"] <= 32 * 200
