@@ -233,31 +233,35 @@ def cmd_qbm(args):
     return EXIT_OK, results, None
 
 
+#: The audit's suites, in the order of their random streams.
+_AUDIT_SUITES = ("theorem1_forward", "theorem2_forward", "id_monotonicity", "ic_monotonicity")
+
+
 def _audit_suites(modes: int, trials: int, seed: int):
     """Randomized theorem/monotonicity audits; yields counterexamples."""
-    root = np.random.SeedSequence(seed)
-    streams = [np.random.default_rng(s) for s in root.spawn(4)]
+    spawned = np.random.SeedSequence(seed).spawn(len(_AUDIT_SUITES))
+    suites = zip(_AUDIT_SUITES, map(np.random.default_rng, spawned))
 
     # Forward direction: real superchannel x real channel -> real channel.
-    rng = streams[0]
+    name, rng = next(suites)
     for _ in range(trials):
         flag = "real-eq8" if rng.uniform() < 0.5 else "real-eq9"
         branch = "completely-real" if rng.uniform() < 0.5 else "covariant-real"
         sup = sample_random_superchannel(modes, rng, flag)
         chan = sample_random_channel(modes, rng, branch)
         if not channel_realness(apply_superchannel(sup, chan)).is_real:
-            yield ("theorem1_forward", sup, chan)
+            yield (name, sup, chan)
 
     # Breaking superchannels produce real output from any input channel.
-    rng = streams[1]
+    name, rng = next(suites)
     for _ in range(trials):
         sup = sample_random_superchannel(modes, rng, "real-eq8")
         chan = sample_random_channel(modes, rng, "any")
         if not channel_realness(apply_superchannel(sup, chan)).is_real:
-            yield ("theorem2_forward", sup, chan)
+            yield (name, sup, chan)
 
     # I_d monotonicity under real superchannels.
-    rng = streams[2]
+    name, rng = next(suites)
     for _ in range(trials):
         flag = "real-eq8" if rng.uniform() < 0.5 else "real-eq9"
         sup = sample_random_superchannel(modes, rng, flag)
@@ -265,17 +269,17 @@ def _audit_suites(modes: int, trials: int, seed: int):
         before = channel_measure_id(chan).value
         after = channel_measure_id(apply_superchannel(sup, chan)).value
         if after > before + 1e-9:
-            yield ("id_monotonicity", sup, chan)
+            yield (name, sup, chan)
 
     # I_c monotonicity under FO1 members.
-    rng = streams[3]
+    name, rng = next(suites)
     for _ in range(trials):
         sup = sample_random_superchannel(modes, rng, "real-eq9", unit_norm_a=True)
         chan = sample_random_channel(modes, rng, "any")
         before = channel_measure_ic(chan).value
         after = channel_measure_ic(apply_superchannel(sup, chan)).value
         if after > before + 1e-9:
-            yield ("ic_monotonicity", sup, chan)
+            yield (name, sup, chan)
 
 
 def cmd_audit(args):
@@ -300,12 +304,7 @@ def cmd_audit(args):
         "modes": args.modes,
         "trials": args.trials,
         "seed": args.seed,
-        "suites": [
-            "theorem1_forward",
-            "theorem2_forward",
-            "id_monotonicity",
-            "ic_monotonicity",
-        ],
+        "suites": list(_AUDIT_SUITES),
         "counterexamples": counterexamples,
         "passed": not counterexamples,
     }

@@ -53,10 +53,13 @@ ALPHA_MAX = 1.0
 #: included: Gamma passes 700 there, and the rescaled noise integral stays finite).
 NOISE_SCALE_MAX = 1e5
 
-#: Largest exponent of the closed forms: exp(2/x) at high T and exp(b/x),
-#: b = 1 + 1/theta, at low T overflow near 709.8.  At alpha 0.03, x 0.5 and
-#: 0.9 and horizons 60 and 615.7, b/x = 705 passes the cross-check (error
-#: <= 4.4e-16) and b/x = 709 fails with a non-finite Delta.
+#: Largest exponent b/x of the closed forms' exp(b/x), b = 1 + 1/theta, at
+#: low T; it overflows near 709.8.  At alpha 0.03, x 0.5 and 0.9 and horizons
+#: 60 and 615.7, b/x = 709 passes the cross-check (error <= 4.4e-16) and
+#: b/x = 709.8 fails with a non-finite Delta.  High T keeps 2/x under the same
+#: bound though its closed forms reach only exp(1/x): widening it needs
+#: accuracy evidence, and at x = 2/700 the rotation period 2 pi x ~ 0.018 is
+#: already under two default steps.
 LOW_T_EXPONENT_MAX = 700.0
 
 
@@ -122,11 +125,18 @@ class QbmConfig:
         return 1.0 + 1.0 / self.theta
 
     @cached_property
-    def _ei_scalars(self) -> tuple:
-        """(Ei(b/x), Ei(-b/x)) = (-Re E1(-b/x), -Re E1(b/x)) of the Pi closed forms, one
-        pair call per cutoff b = 1 and, at low temperature, 1 + 1/theta."""
-        cutoffs = (1.0,) if self.regime == "high" else (1.0, self.cutoff_shift)
-        return tuple((-e.real, -k.real) for e, k in (expint_e1_pair(-b / self.x) for b in cutoffs))
+    def _baths(self) -> tuple:
+        """The thermal weight 2P+1 as copies of one bath, one row (b, s, sigma, w,
+        (Ei(b/x), Ei(-b/x))) per copy: cutoff, scale, sign, boundary weight and
+        (-Re E1(-b/x), -Re E1(b/x)) from one pair call.  Row 0 has cutoff 1.
+        High T (2 theta/u) is the one copy (1, alpha^2 theta/2, -1, 0); low T
+        (1 + 2 e^{-u/theta}) is (1, alpha^2/(4x), +1, alpha^2) and the
+        cutoff-shifted (1 + 1/theta, alpha^2/(2x), +1, 2 alpha^2)."""
+        a2, x = self.alpha**2, self.x
+        copies = [(1.0, a2 * self.theta / 2.0, -1.0, 0.0)] if self.regime == "high" else [
+            (1.0, a2 / (4.0 * x), 1.0, a2), (self.cutoff_shift, a2 / (2.0 * x), 1.0, 2.0 * a2)]
+        return tuple((*row, tuple(-e.real for e in expint_e1_pair(-row[0] / x)))
+                     for row in copies)
 
 
 # ---------------------------------------------------------------------------
@@ -161,57 +171,38 @@ def _zero_at_origin(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(tau == 0.0, 0.0, values)
 
 
-def _delta_pi_high(cfg: QbmConfig, pairs):
-    x, a2, theta = cfg.x, cfg.alpha**2, cfg.theta
-    e_p, k = pairs
-    pref = a2 * theta * np.exp(-1.0 / x) / 2.0
-    b1 = 2.0 * e_p.imag
-    b2 = 2.0 * k.imag
-    delta = pref * (b1 + np.exp(2.0 / x) * b2)
-    ei_pos, ei_neg = cfg._ei_scalars[0]
-    c1 = -2.0 * e_p.real + 2.0 * ei_pos
-    c2 = -2.0 * ei_neg - 2.0 * k.real
-    pi_ = pref * (c1 + np.exp(2.0 / x) * c2)
-    return delta, pi_
+def _bath_terms(cfg: QbmConfig, t: np.ndarray, pairs):
+    """(Delta, Pi) summed over the rows of ``cfg._baths``.
 
-
-def _low_t_bath_terms(cfg: QbmConfig, t: np.ndarray, b: float, weight: float, pairs,
-                      scalars):
-    """(Delta, Pi) of one bath copy with cutoff b and thermal weight ``weight``,
-    from the ``_ei_pairs(t, x, b)`` batches and ``scalars`` = (Ei(b/x), Ei(-b/x)).
-
-    The low-T weight 1 + 2 e^{-u/theta} makes the coefficients the sum of
-    the copy (b, weight) = (1, 1) and the cutoff-shifted copy
-    (1 + 1/theta, 2).
+    A copy (b, s, sigma, w) with the ``_ei_pairs(t, x, b)`` batch (g, k)
+    adds s[e^{-b/x} 2 Im g - sigma e^{b/x} 2 Im k] to Delta and
+    s[e^{-b/x}(2 Ei(b/x) - 2 Re g) + sigma e^{b/x}(2 Re k + 2 Ei(-b/x))] to Pi
+    and, only where w != 0, the boundary terms w (cos, sin)(t/x) t/(b^2 + t^2).
+    The cutoff-1 copy reads ``pairs``.
     """
-    x, a2 = cfg.x, cfg.alpha**2
-    g, k = pairs
-    ei_b, ei_mb = scalars
-    boundary = t / (b * b + t * t)
-    delta = weight * a2 * (np.cos(t / x) * boundary + (1.0 / (4.0 * x)) * (
-        np.exp(-b / x) * (2.0 * g.imag) - np.exp(b / x) * 2.0 * k.imag))
-    pi_ = weight * a2 * (np.sin(t / x) * boundary - (1.0 / (4.0 * x)) * (
-        np.exp(-b / x) * (2.0 * g.real - 2.0 * ei_b)
-        - np.exp(b / x) * (2.0 * k.real + 2.0 * ei_mb)))
+    x = cfg.x
+    for i, (b, s, sign, w, (ei_b, ei_mb)) in enumerate(cfg._baths):
+        g, k = _ei_pairs(t, x, b) if i else pairs
+        down, up = 2.0 * s * np.exp(-b / x), sign * 2.0 * s * np.exp(b / x)
+        d = down * g.imag - up * k.imag
+        p = down * (ei_b - g.real) + up * (k.real + ei_mb)
+        if w:
+            boundary = w * t / (b * b + t * t)
+            d, p = d + np.cos(t / x) * boundary, p + np.sin(t / x) * boundary
+        delta, pi_ = (delta + d, pi_ + p) if i else (d, p)
     return delta, pi_
-
-
-def _delta_pi_low(cfg: QbmConfig, t: np.ndarray, pairs):
-    b, scalars = cfg.cutoff_shift, cfg._ei_scalars
-    delta_1, pi_1 = _low_t_bath_terms(cfg, t, 1.0, 1.0, pairs, scalars[0])
-    delta_b, pi_b = _low_t_bath_terms(cfg, t, b, 2.0, _ei_pairs(t, cfg.x, b), scalars[1])
-    return delta_1 + delta_b, pi_1 + pi_b
 
 
 def coefficients(cfg: QbmConfig, t: np.ndarray):
     """(gamma, Delta, Pi, Gamma) on the 1-d array ``t``, closed form; at
     ``t = 0`` all four are exactly 0.
 
-    The ``_ei_pairs`` batch (and, at low temperature, the cutoff-shifted one) is
-    evaluated once and shared by all four; each is checked to be finite.  With
-    z = (1 + i t)/x and w = (1 - i t)/x, gamma = dF/dt for
+    The cutoff-1 ``_ei_pairs`` batch is evaluated once and shared by all four
+    (``_bath_terms`` adds the other cutoffs' batches); each is checked to be
+    finite.  With z = (1 + i t)/x and w = (1 - i t)/x, gamma = dF/dt for
     F = (alpha^2/2)[e^{-1/x} Re((1 - z) Ei(z)) + e^{1/x} Re((1 + w) E1(w))], so
-    Gamma = 2 [F(t) - F(0+)], where F(0+) reads the constants Ei(+-1/x).
+    Gamma = 2 [F(t) - F(0+)], where F(0+) reads the constants Ei(+-1/x) of
+    ``cfg._baths[0]``.
     """
     x, a2 = cfg.x, cfg.alpha**2
     pairs = _ei_pairs(t, x)
@@ -221,15 +212,12 @@ def coefficients(cfg: QbmConfig, t: np.ndarray):
         + np.exp(1.0 / x) * 2.0 * k.imag
         - 4.0 * x * np.sin(t / x) / (1.0 + t * t)
     )
-    ei_pos, ei_neg = cfg._ei_scalars[0]
+    ei_pos, ei_neg = cfg._baths[0][-1]
     big_gamma = a2 * (
         np.exp(-1.0 / x) * ((1.0 - 1.0 / x) * (e_p.real - ei_pos) + (t / x) * e_p.imag)
         + np.exp(1.0 / x) * ((1.0 + 1.0 / x) * (k.real + ei_neg) + (t / x) * k.imag)
     )
-    if cfg.regime == "high":
-        delta, pi_ = _delta_pi_high(cfg, pairs)
-    else:
-        delta, pi_ = _delta_pi_low(cfg, t, pairs)
+    delta, pi_ = _bath_terms(cfg, t, pairs)
     return tuple(
         _zero_at_origin(t, _real_checked(values, name))
         for values, name in ((gamma, "gamma"), (delta, "Delta"), (pi_, "Pi"),
@@ -614,12 +602,10 @@ def steady_state_n12(cfg: QbmConfig) -> float:
     """N12(inf) = -[Delta_inf (2/x) + Pi_inf 2 gamma_inf] / ((2 gamma_inf)^2 + (2/x)^2),
     the steady state of the co-rotating noise build-up, from the tau -> inf
     limits of the closed forms (Im Ei((b + i tau)/x) -> pi, Re Ei and E1 -> 0),
-    summed over the bath copies at low temperature."""
+    summed over the rows of ``cfg._baths``."""
     x, a2 = cfg.x, cfg.alpha**2
-    copies = [(1.0, a2 * cfg.theta, -1.0)] if cfg.regime == "high" else [
-        (1.0, a2 / (2.0 * x), 1.0), (cfg.cutoff_shift, a2 / x, 1.0)]
-    d_inf = sum(s * np.pi * np.exp(-b / x) for b, s, _ in copies)
-    p_inf = sum(s * (np.exp(-b / x) * ei_b + sign * np.exp(b / x) * ei_mb)
-                for (b, s, sign), (ei_b, ei_mb) in zip(copies, cfg._ei_scalars))
+    d_inf = sum(2.0 * s * np.pi * np.exp(-b / x) for b, s, *_ in cfg._baths)
+    p_inf = sum(2.0 * s * (np.exp(-b / x) * ei_b + sign * np.exp(b / x) * ei_mb)
+                for b, s, sign, _, (ei_b, ei_mb) in cfg._baths)
     g_inf, two_over_x = a2 * np.pi * np.exp(-1.0 / x) / (2.0 * x), 2.0 / x
     return -(d_inf * two_over_x + p_inf * 2.0 * g_inf) / ((2.0 * g_inf) ** 2 + two_over_x**2)

@@ -813,6 +813,21 @@ def test_audit_counterexamples_name_their_suite_and_parse_back(capsys, monkeypat
         assert to_document(sup) == c["superchannel"] and to_document(chan) == c["channel"]
 
 
+def test_audit_reports_every_suite_that_yields_counterexamples(capsys, monkeypatch):
+    # checks that always fail make every trial of every suite a
+    # counterexample; the suites found are exactly the suites reported
+    calls = itertools.count()
+    monkeypatch.setattr(cli, "channel_realness", lambda chan: SimpleNamespace(is_real=False))
+    for measure in ("channel_measure_id", "channel_measure_ic"):
+        monkeypatch.setattr(cli, measure, lambda chan: SimpleNamespace(value=float(next(calls))))
+    code = cli.main(["--json", "audit", "--modes", "1", "--trials", "2", "--seed", "3"])
+    assert code == cli.EXIT_COUNTEREXAMPLE
+    results = json.loads(capsys.readouterr().out)["results"]
+    found = [c["suite"] for c in results["counterexamples"]]
+    assert len(found) == 2 * len(results["suites"])
+    assert set(found) == set(results["suites"])
+
+
 def test_audit_zero_trials(capsys):
     assert cli.main(["audit", "--trials", "0"]) == cli.EXIT_USAGE
 

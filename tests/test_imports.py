@@ -5,7 +5,7 @@ the root included, use only each other's public names, import nothing
 unused and define no private name that they never use; every public
 function of `specfun` is imported by another package module; in the CLI
 only `main` names stderr, prints and reads the clock; and `qbm` walks its
-grid in one loop."""
+grid in one loop and reads the temperature regime only inside `QbmConfig`."""
 
 import ast
 import json
@@ -401,3 +401,49 @@ def test_chunk_walk_findings_flags_a_second_walk_and_stray_reads():
 
 def test_qbm_walks_its_grid_in_one_loop():
     assert chunk_walk_findings((Path(gaussimag.__file__).parent / "qbm.py").read_text()) == []
+
+
+def regime_findings(source: str) -> list[str]:
+    """Where ``source`` reads an attribute ``regime`` outside the body of its
+    top-level class ``QbmConfig``, in line order: the regime is chosen once,
+    by the table of bath copies that every closed form reads."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "QbmConfig"
+              for node in ast.walk(cls)}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "regime"
+             and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+    return [f"line {node.lineno}: reads .regime"
+            for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_regime_findings_flags_reads_outside_the_config_class():
+    source = textwrap.dedent('''
+        class QbmConfig:
+            regime: str = "high"
+
+            def __post_init__(self):
+                if self.regime not in ("high", "low"):
+                    raise ValueError(self.regime)
+
+            @property
+            def _baths(self):
+                return 1 if self.regime == "high" else 2
+
+
+        def coefficients(cfg):
+            """A docstring naming cfg.regime."""
+            cfg.regime = "low"  # a store, not a read
+            return cfg._baths if cfg.regime == "high" else None
+
+
+        class Other:
+            def steady(self, cfg):
+                return cfg.regime
+    ''')
+    assert regime_findings(source) == ["line 17: reads .regime", "line 22: reads .regime"]
+
+
+def test_qbm_reads_the_regime_only_inside_its_config():
+    assert regime_findings((Path(gaussimag.__file__).parent / "qbm.py").read_text()) == []

@@ -568,38 +568,32 @@ def test_ei_constants_equal_ei_and_e1_bit_for_bit():
     seen = 0
     for v in targets:
         cfg = QbmConfig(alpha=0.03, x=1.001 / v, theta=1e3, regime="low")
-        for b, (ei_pos, ei_neg) in zip((1.0, cfg.cutoff_shift), cfg._ei_scalars):
+        assert [row[0] for row in cfg._baths] == [1.0, cfg.cutoff_shift]
+        for b, *_, (ei_pos, ei_neg) in cfg._baths:
             assert bits(ei_pos) == bits(ei_direct(b / cfg.x).real)
             assert bits(ei_neg) == bits(-expint_e1_pair(b / cfg.x)[0].real)
             seen += 1
     assert seen == 2 * len(targets)
 
 
-def _low_t_shifted_terms_direct(cfg, t):
-    """The cutoff-shifted low-T terms with both Ei batches evaluated."""
-    x, a2, b = cfg.x, cfg.alpha**2, cfg.cutoff_shift
-    g_b = ei_direct((b + 1j * t) / x)
-    g_bc = ei_direct((b - 1j * t) / x)
-    k_b = expint_e1_pair((b - 1j * t) / x)[0]
-    boundary = t / (b * b + t * t)
-    delta_b = 2.0 * a2 * (
-        np.cos(t / x) * boundary
-        + (1.0 / (4j * x))
-        * (
-            np.exp(-b / x) * (g_b - g_bc)
-            - np.exp(b / x) * 2j * k_b.imag
-        )
-    )
-    ei_b, ei_mb = ei_direct(b / x), ei_direct(-b / x)
-    pi_b = 2.0 * a2 * (
-        np.sin(t / x) * boundary
-        - (1.0 / (4.0 * x))
-        * (
-            np.exp(-b / x) * (g_b + g_bc - 2.0 * ei_b)
-            - np.exp(b / x) * (2.0 * k_b.real + 2.0 * ei_mb)
-        )
-    )
-    return delta_b, pi_b
+def _bath_terms_direct(cfg, t):
+    """(Delta, Pi) summed over the bath copies in ``_bath_terms``'s association,
+    each copy from four batches evaluated directly: Ei((b +- i t)/x) and
+    E1((b -+ i t)/x), whose sums and differences are 2 Re and 2i Im exactly,
+    with the constants Ei(+-b/x) from their own calls."""
+    x = cfg.x
+    for i, (b, s, sign, w, _) in enumerate(cfg._baths):
+        g, g_c = (ei_direct((b + 1j * u * t) / x) for u in (1.0, -1.0))
+        k, k_c = (expint_e1_pair((b - 1j * u * t) / x)[0] for u in (1.0, -1.0))
+        ei_b, ei_mb = ei_direct(b / x).real, ei_direct(-b / x).real
+        down, up = 2.0 * s * np.exp(-b / x), sign * 2.0 * s * np.exp(b / x)
+        d = down * ((g - g_c).imag / 2.0) - up * ((k - k_c).imag / 2.0)
+        p = down * (ei_b - (g + g_c).real / 2.0) + up * ((k + k_c).real / 2.0 + ei_mb)
+        if w:
+            boundary = w * t / (b * b + t * t)
+            d, p = d + np.cos(t / x) * boundary, p + np.sin(t / x) * boundary
+        delta, pi_ = (delta + d, pi_ + p) if i else (d, p)
+    return delta, pi_
 
 
 @pytest.mark.parametrize("x", [0.5, 0.7, 0.9])
@@ -607,7 +601,6 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     # Ei(conj z) == conj(Ei(z)) stands in for the -i tau batch, and
     # i pi - E1((1 - i tau)/x) for Ei((-1 + i tau)/x); evaluating all four
     # Ei arguments directly stays here as the reference
-    cfg = QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")
     t = qbm._lobatto_points(qbm._make_grid(60.0, 0.01))
     assert t[0] == 0.0
     direct = [ei_direct((s + 1j * sign * t) / x)
@@ -618,11 +611,12 @@ def test_conjugate_ei_batches_equal_direct_evaluation(x):
     off = t > 0
     assert np.array_equal(1j * np.pi - k[off], direct[2][off])
     assert np.array_equal(np.conj(1j * np.pi - k[off]), direct[3][off])
-    b = cfg.cutoff_shift
-    terms = qbm._low_t_bath_terms(cfg, t, b, 2.0, qbm._ei_pairs(t, x, b),
-                                  cfg._ei_scalars[1])
-    for got, want in zip(terms, _low_t_shifted_terms_direct(cfg, t)):
-        assert np.array_equal(got, want)
+    # every bath copy of both regimes: one at high T, two at low T
+    for cfg in (QbmConfig(alpha=0.03, x=x, theta=100.0),
+                QbmConfig(alpha=0.03, x=x, theta=10.0, regime="low")):
+        terms = qbm._bath_terms(cfg, t, (e_p, k))
+        for got, want in zip(terms, _bath_terms_direct(cfg, t)):
+            assert np.array_equal(got, want)
 
 
 def _corrupt_wbar(monkeypatch, entry, value, horizon, node):

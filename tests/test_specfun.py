@@ -20,7 +20,7 @@ def ei_on_line(w) -> np.ndarray:
 
 
 def ei_constants(v) -> tuple:
-    """(Ei(v), Ei(-v)) for real v > 0 as ``QbmConfig._ei_scalars`` forms them
+    """(Ei(v), Ei(-v)) for real v > 0 as ``QbmConfig._baths`` forms them
     at v = b/x: (-Re E1(-v), -Re E1(v)) from one pair call."""
     e, k = expint_e1_pair(-v)
     return -e.real, -k.real
@@ -207,7 +207,7 @@ def depth_300_continued_fraction(z: np.ndarray) -> np.ndarray:
 def test_e1_on_closed_form_lines_equals_depth_300(x, b):
     # the figure panels' E1 arguments (+-b - i tau)/x, formed as in
     # qbm._ei_pairs, and b/x, the mirror of the scalar pair of
-    # QbmConfig._ei_scalars: a per-point depth must give the fixed depth-300
+    # QbmConfig._baths: a per-point depth must give the fixed depth-300
     # fraction's values bit for bit, so that the coefficients and the
     # panels' CSVs do not move
     tau = qbm._lobatto_points(qbm._make_grid(60.0, qbm.DEFAULT_STEP))
