@@ -306,14 +306,13 @@ def channel_realness(c: GaussianChannel) -> RealnessReport:
 
     completely = not common and not erase
     covariant = not common and not mix
-    report = RealnessReport(
+    return RealnessReport(
         is_real=completely or covariant,
         is_completely_real=completely,
         is_covariant_real=covariant,
+        # the shorter of the two transfer patterns; erase on a tie
+        violations=[] if completely or covariant else common + min(erase, mix, key=len),
     )
-    if not report.is_real:
-        report.violations = common + (erase if len(erase) <= len(mix) else mix)
-    return report
 
 
 def state_realness(s: GaussianState) -> bool:

@@ -67,18 +67,16 @@ class SupSearchConfig:
 
 @dataclass
 class MeasureReport:
-    """A measure value, its per-term breakdown, and what the computation
-    reports about itself (``diagnostics``; the I_s search statistics)."""
+    """A measure's per-term breakdown, whose sum is its value, and what the
+    computation reports about itself (``diagnostics``; the I_s search statistics)."""
 
-    value: float
     kind: str
-    breakdown: list = field(default_factory=list)
+    breakdown: list
     diagnostics: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        total = sum(v for _, v in self.breakdown)
-        if abs(total - self.value) > 1e-12 * max(1.0, abs(self.value)):
-            raise ValueError("breakdown does not sum to the reported value")
+    @property
+    def value(self) -> float:
+        return sum(v for _, v in self.breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +98,8 @@ def _disp_summand(disp: np.ndarray) -> np.ndarray:
 
 
 def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
-    cov_term, disp_term = terms
-    return MeasureReport(
-        value=float(cov_term + disp_term),
-        kind=kind,
-        breakdown=[("covariance", float(cov_term)), ("displacement", float(disp_term))],
-        diagnostics=diagnostics,
-    )
+    breakdown = [(name, float(v)) for name, v in zip(("covariance", "displacement"), terms)]
+    return MeasureReport(kind, breakdown, diagnostics)
 
 
 def state_measure_ign(s: GaussianState) -> MeasureReport:
@@ -149,8 +142,7 @@ def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
 def channel_measure_ic(c: GaussianChannel) -> MeasureReport:
     """Continuous channel imaginarity measure (four trace-norm summands)."""
     terms = _channel_terms(c.T[None], c.N[None], c.d[None])
-    breakdown = [(name, float(v[0])) for name, v in zip(_TERM_NAMES, terms)]
-    return MeasureReport(value=sum(v for _, v in breakdown), kind="I_c", breakdown=breakdown)
+    return MeasureReport("I_c", [(name, float(v[0])) for name, v in zip(_TERM_NAMES, terms)])
 
 
 def channel_measure_ic_stack(t, n, d) -> np.ndarray:
@@ -168,8 +160,7 @@ def channel_measure_id(c: GaussianChannel) -> MeasureReport:
     terms = _channel_terms(c.T[None], c.N[None], c.d[None])
     scales = [np.max(np.abs(a)) for a in (c.T, c.T, c.N, c.d)]
     steps = step_function(np.concatenate(terms), np.array(scales))
-    breakdown = [(name, float(v)) for name, v in zip(_TERM_NAMES, steps)]
-    return MeasureReport(value=sum(v for _, v in breakdown), kind="I_d", breakdown=breakdown)
+    return MeasureReport("I_d", [(name, float(v)) for name, v in zip(_TERM_NAMES, steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +247,9 @@ def channel_measure_is(
         step_disp *= 0.985
         step_cm *= 0.985
 
-    best, winner = vacuum.sum(), None
-    for k, value in enumerate(terms.sum(axis=1)):
-        if value > best:
-            best, winner = value, k
+    # The first restart of the highest total wins, if it beats the vacuum strictly.
+    totals = terms.sum(axis=1)
+    winner = int(np.argmax(totals)) if totals.max() > vacuum.sum() else None
     return _ign_report(
         vacuum if winner is None else terms[winner],
         "I_s lower bound",

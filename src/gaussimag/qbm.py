@@ -159,7 +159,7 @@ def _ei_pairs(tau: np.ndarray, x: float, b: float = 1.0):
     closed forms read Re k and Im k: Im Ei((-b + i tau)/x) is pi minus a
     part of size e^{-b/x}, which pi + Im would lose at small x.
     """
-    w = (b + 1j * tau) / x
+    w = b / x + 1j * (tau / x)
     e1, k = expint_e1_pair(-w)
     e_p = -e1 + 1j * np.pi * np.sign(w.imag)
     return np.where(w.imag == 0, e_p.real, e_p), k

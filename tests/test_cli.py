@@ -17,8 +17,11 @@ import pytest
 from gaussimag import cli
 from gaussimag.gaussian import (
     GaussianChannel,
+    GaussianState,
     GaussianSuperchannel,
     from_document,
+    sample_random_channel,
+    sample_random_state,
     sample_random_superchannel,
     to_document,
 )
@@ -103,6 +106,24 @@ def test_measure_is_with_budget(amplifying_doc, capsys):
     assert search["objective_evaluations"] == 1 + 2 * (1 + 10)
     assert 0 <= search["accepted_moves"] <= 2 * 10
     assert search["winning_restart"] in (None, 0, 1)
+
+
+@pytest.mark.parametrize("which, obj", [
+    *((which, chan) for which in ("ic", "id", "is") for chan in (
+        GaussianChannel.amplifying(1, tau=2.0, d=np.array([0.5, 1.5])),
+        sample_random_channel(2, 3),
+        sample_random_channel(3, 4, "covariant-real"),
+    )),
+    *(("ign", state) for state in (
+        GaussianState.vacuum(1), sample_random_state(2, 5), sample_random_state(3, 6, real=True),
+    )),
+])
+def test_measure_value_is_the_sum_of_its_breakdown(tmp_path, capsys, which, obj):
+    doc = write_doc(tmp_path, "doc.json", obj)
+    assert cli.main(["--json", "measure", doc, "--which", which]) == cli.EXIT_OK
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results["breakdown"]) == (4 if which in ("ic", "id") else 2)
+    assert results["value"] == sum(results["breakdown"].values())
 
 
 def test_measure_kind_mismatch(amplifying_doc, tmp_path, capsys):

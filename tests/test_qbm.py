@@ -11,6 +11,7 @@ import gaussimag.qbm as qbm
 from gaussimag.gaussian import violated_constraint
 from gaussimag.specfun import expint_e1_pair
 from gaussimag.qbm import (
+    REGIMES,
     FormulaInconsistencyError,
     IntegrationResolutionError,
     QbmConfig,
@@ -57,12 +58,16 @@ def test_closed_forms_match_quadrature(cfg, tau):
 
 
 def mp_coefficients(cfg: QbmConfig, tau: float) -> tuple:
-    """(gamma, Delta, Pi) of the closed forms at 40 digits.
+    """(gamma, Delta, Pi) of the closed forms at 40 digits and more at small x.
 
     Each conjugate pair Ei(z) +/- Ei(conj z) is written as 2 Re or 2i Im of
-    mpmath's Ei(z), so no float kernel or cancellation enters.
+    mpmath's Ei(z), so no float kernel enters.  e^{b/x} multiplies
+    2 pi - 2 Im Ei((-b + i tau)/x), a difference of size e^{-b/x} between
+    numbers of size 1, which loses b/(x ln 10) digits: the working precision
+    adds twice that, for the largest cutoff b.
     """
-    with mp.workdps(40):
+    b = 1.0 if cfg.regime == "high" else cfg.cutoff_shift
+    with mp.workdps(40 + int(2 * b / (cfg.x * np.log(10)))):
         x, a2, t = mp.mpf(cfg.x), mp.mpf(cfg.alpha) ** 2, mp.mpf(tau)
 
         def ei(re):  # Ei((re + i tau)/x)
@@ -124,13 +129,45 @@ def test_closed_forms_match_quadrature_at_small_x(regime, theta, x):
               ("Pi", coeff_pi_quadrature))
     for index, (name, quadrature) in enumerate(routes):
         # low-T Delta at x 0.01 is 1e3-fold smaller than its boundary and Ei
-        # terms, which the rounding of tau/x and b/x moves by ~1e-15: it
-        # measures 1.3e-11 at tau 1
-        tol = 2e-11 if (regime, x, name) == ("low", 0.01, "Delta") else 1e-11
+        # terms, which cancel as far as their phases agree; with every phase
+        # read from tau/x it measures 3.2e-13 at tau 1
+        tol = 1e-12 if (regime, x, name) == ("low", 0.01, "Delta") else 1e-11
         for tau in (0.5, 1.0, 3.0):
             want = quadrature(cfg, tau)
             closed = coefficients(cfg, np.array([tau]))[index][0]
             assert abs(closed - want) <= tol * abs(want), (name, tau)
+
+
+def _accepted_configs(rng, count):
+    """``count`` configurations that QbmConfig accepts, alpha, x and theta
+    log-uniform over [0.01, 1], [0.0029, 1e3] and [0.01, 1e3], either regime."""
+    ranges = np.log10([(0.01, 1.0), (0.0029, 1e3), (0.01, 1e3)])
+    configs = []
+    while len(configs) < count:
+        alpha, x, theta = 10.0 ** rng.uniform(ranges[:, 0], ranges[:, 1])
+        try:
+            configs.append(QbmConfig(alpha, x, theta, REGIMES[rng.integers(2)]))
+        except ValueError:
+            continue
+    return configs
+
+
+def test_closed_forms_match_oracle_over_the_declared_domain():
+    # Each error is scaled by the coefficient's largest |value| over the sampled
+    # tau and tau in {0.3x, x, 3x, 0.3, 1, 3}.  gamma keeps a residue at the
+    # smallest x: over 1,176 (configuration, tau) pairs of four seeds it read up
+    # to 3.6e-13 of its scale at x 0.003-0.004 and at most 1.5e-13 above x 0.005,
+    # where Delta and Pi stayed within 1e-13.
+    rng = np.random.default_rng(7)
+    bounds = {"gamma": 5e-13, "Delta": 1e-13, "Pi": 1e-13}
+    for cfg in _accepted_configs(rng, 128):
+        taus = 10.0 ** rng.uniform(-2.0, np.log10(2e5), 3)
+        scale_taus = np.concatenate([taus, cfg.x * np.array([0.3, 1.0, 3.0]), [0.3, 1.0, 3.0]])
+        scale = np.max(np.abs(coefficients(cfg, np.sort(scale_taus))[:3]), axis=1)
+        want = np.array([mp_coefficients(cfg, t) for t in taus]).T
+        got = coefficients(cfg, taus)[:3]
+        for name, g, w, s in zip(bounds, got, want, scale):
+            assert np.max(np.abs(g - w)) <= bounds[name] * s, (name, cfg)
 
 
 @pytest.mark.parametrize("cfg", [HIGH, LOW], ids=["high", "low"])
@@ -583,8 +620,8 @@ def _bath_terms_direct(cfg, t):
     with the constants Ei(+-b/x) from their own calls."""
     x = cfg.x
     for i, (b, s, sign, w, _) in enumerate(cfg._baths):
-        g, g_c = (ei_direct((b + 1j * u * t) / x) for u in (1.0, -1.0))
-        k, k_c = (expint_e1_pair((b - 1j * u * t) / x)[0] for u in (1.0, -1.0))
+        g, g_c = (ei_direct(b / x + 1j * (u * t / x)) for u in (1.0, -1.0))
+        k, k_c = (expint_e1_pair(b / x - 1j * (u * t / x))[0] for u in (1.0, -1.0))
         ei_b, ei_mb = ei_direct(b / x).real, ei_direct(-b / x).real
         down, up = 2.0 * s * np.exp(-b / x), sign * 2.0 * s * np.exp(b / x)
         d = down * ((g - g_c).imag / 2.0) - up * ((k - k_c).imag / 2.0)
@@ -600,14 +637,15 @@ def _bath_terms_direct(cfg, t):
 def test_conjugate_ei_batches_equal_direct_evaluation(x):
     # Ei(conj z) == conj(Ei(z)) stands in for the -i tau batch, and
     # i pi - E1((1 - i tau)/x) for Ei((-1 + i tau)/x); evaluating all four
-    # Ei arguments directly stays here as the reference
+    # Ei arguments directly stays here as the reference.  Every argument is
+    # formed from the real quotients b/x and tau/x, as the program forms it.
     t = qbm._lobatto_points(qbm._make_grid(60.0, 0.01))
     assert t[0] == 0.0
-    direct = [ei_direct((s + 1j * sign * t) / x)
+    direct = [ei_direct(s / x + 1j * (sign * t / x))
               for s in (1.0, -1.0) for sign in (1.0, -1.0)]
     e_p, k = qbm._ei_pairs(t, x)
     assert np.array_equal(e_p, direct[0]) and np.array_equal(np.conj(e_p), direct[1])
-    assert np.array_equal(k, expint_e1_pair((1.0 - 1j * t) / x)[0])
+    assert np.array_equal(k, expint_e1_pair(1.0 / x - 1j * (t / x))[0])
     off = t > 0
     assert np.array_equal(1j * np.pi - k[off], direct[2][off])
     assert np.array_equal(np.conj(1j * np.pi - k[off]), direct[3][off])
