@@ -145,7 +145,7 @@ def cmd_measure(args):
         # The value is checked below, so numpy's overflow warnings add nothing.
         with np.errstate(all="ignore"):
             rep = measure(obj, cfg) if which == "is" else measure(obj)
-    except ValidationError as exc:
+    except (ValidationError, MemoryError) as exc:
         raise _Exit(EXIT_COMPUTE, f"computation failed: measure '{which}': {exc}") from exc
     if not np.isfinite(rep.value):
         raise _Exit(EXIT_COMPUTE,

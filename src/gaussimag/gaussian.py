@@ -260,42 +260,55 @@ def decompose_superchannel(
 
 _MOMENTUM, _POSITION, _ALL = slice(1, None, 2), slice(0, None, 2), slice(None)
 
-#: The (rows, cols) blocks that each zero pattern asks to vanish; ``cols``
-#: None marks the entries of a vector.  :func:`_violations` checks them and
-#: :func:`_impose` writes them.
+#: The index of each block that a zero pattern asks to vanish, into a vector
+#: (..., k) or a matrix (..., r, c) of a stack.  :func:`pattern_holds` and
+#: :func:`_violations` check them and :func:`_impose` writes them.  ``pq`` and
+#: ``pp`` are the single blocks T21 and T22 whose steps the measure I_d sums.
 _PATTERNS = {
-    "momentum": [(_MOMENTUM, None)],
-    "qp": [(_POSITION, _MOMENTUM)],
-    "momentum_rows": [(_MOMENTUM, _ALL)],
-    "mixing": [(_POSITION, _MOMENTUM), (_MOMENTUM, _POSITION)],
+    "momentum": [(..., _MOMENTUM)],
+    "qp": [(..., _POSITION, _MOMENTUM)],
+    "pq": [(..., _MOMENTUM, _POSITION)],
+    "pp": [(..., _MOMENTUM, _MOMENTUM)],
+    "momentum_rows": [(..., _MOMENTUM, _ALL)],
+    "mixing": [(..., _POSITION, _MOMENTUM), (..., _MOMENTUM, _POSITION)],
 }
+
+
+def _above(a: np.ndarray, pattern: str) -> tuple:
+    """The axes of one vector or matrix of a stack, as ``pattern`` asks of
+    vectors or of matrices, and where the entries of ``a`` = |m| exceed
+    DEFAULT_PATTERN_TOL * max(1, max |m|), the maximum taken over them."""
+    axes = tuple(range(1 - len(_PATTERNS[pattern][0]), 0))
+    return axes, a > DEFAULT_PATTERN_TOL * np.max(a, axis=axes, keepdims=True, initial=1.0)
+
+
+def pattern_holds(m, pattern: str) -> np.ndarray:
+    """Whether every entry of the blocks of ``pattern`` is zero to within
+    DEFAULT_PATTERN_TOL * max(1, max |m|): one bool per vector (..., k) or
+    matrix (..., r, c) of the stack ``m``."""
+    axes, above = _above(np.abs(m), pattern)
+    return ~np.any([above[block].any(axis=axes) for block in _PATTERNS[pattern]], axis=0)
 
 
 def _violations(m: np.ndarray, name: str, pattern: str) -> list:
     """(f"{name}_{pattern}", (i, j), |m_ij|) for each entry of the blocks of
-    ``pattern`` above DEFAULT_PATTERN_TOL * max(1, max |m|), block by block
-    in row-major order; a vector's entry i is reported at (i, i)."""
+    ``pattern`` that fails :func:`pattern_holds`'s test, block by block in
+    row-major order; a vector's entry i is reported at (i, i)."""
     a = np.abs(m)
-    above = a > DEFAULT_PATTERN_TOL * max(1.0, max_abs(m))
-    index = np.arange(len(m))
+    _, above = _above(a, pattern)
+    rows, cols = np.indices(m.shape)[[0, -1]]
     out = []
-    for rows, cols in _PATTERNS[pattern]:
-        if cols is None:
-            i = j = index[rows][above[rows]]
-            magnitudes = a[i]
-        else:
-            bi, bj = np.nonzero(above[rows, cols])
-            i, j = index[rows][bi], index[cols][bj]
-            magnitudes = a[i, j]
-        out += [(f"{name}_{pattern}", (r, c), v)
-                for r, c, v in zip(i.tolist(), j.tolist(), magnitudes.tolist())]
+    for block in _PATTERNS[pattern]:
+        hit = above[block]
+        out += [(f"{name}_{pattern}", (r, c), v) for r, c, v in
+                zip(rows[block][hit].tolist(), cols[block][hit].tolist(), a[block][hit].tolist())]
     return out
 
 
 def _impose(m: np.ndarray, pattern: str) -> None:
     """Zero, in place, the blocks of ``m`` that ``pattern`` asks to vanish."""
-    for rows, cols in _PATTERNS[pattern]:
-        m[rows if cols is None else (rows, cols)] = 0.0
+    for block in _PATTERNS[pattern]:
+        m[block] = 0.0
 
 
 def channel_realness(c: GaussianChannel) -> RealnessReport:
@@ -318,8 +331,7 @@ def channel_realness(c: GaussianChannel) -> RealnessReport:
 def state_realness(s: GaussianState) -> bool:
     """Whether the state has no momentum displacement and a covariance
     that does not couple the position and momentum sectors."""
-    return not (_violations(s.displacement, "d0", "momentum")
-                or _violations(s.covariance, "nu", "qp"))
+    return bool(pattern_holds(s.displacement, "momentum") & pattern_holds(s.covariance, "qp"))
 
 
 @dataclass(frozen=True)
@@ -363,11 +375,10 @@ class SuperchannelPatterns:
 def superchannel_patterns(s: GaussianSuperchannel) -> SuperchannelPatterns:
     """The realness patterns of ``s``; see :class:`SuperchannelPatterns`."""
     return SuperchannelPatterns(
-        momentum_pattern_dbar_Y=not (_violations(s.dbar, "dbar", "momentum")
-                                     or _violations(s.Y, "Y", "qp")),
-        A_erases_momentum=not _violations(s.A, "A", "momentum_rows"),
-        A_O_sector_preserving=not (_violations(s.A, "A", "mixing")
-                                   or _violations(s.O, "O", "mixing")),
+        momentum_pattern_dbar_Y=bool(pattern_holds(s.dbar, "momentum")
+                                     & pattern_holds(s.Y, "qp")),
+        A_erases_momentum=bool(pattern_holds(s.A, "momentum_rows")),
+        A_O_sector_preserving=bool(pattern_holds(s.A, "mixing") & pattern_holds(s.O, "mixing")),
         spectral_norm_A=spectral_norm(s.A),
     )
 

@@ -4,16 +4,16 @@ Three channel measures are provided:
 
 * ``channel_measure_ic`` -- the continuous measure built from trace
   norms of the sector-mixing blocks of T, N and the momentum part of d;
-* ``channel_measure_id`` -- its discrete {0,...,4} counterpart obtained
-  by applying a step function to each summand;
+* ``channel_measure_id`` -- its discrete {0,...,4} counterpart, a step per
+  summand that reads the realness pattern test ``gaussian.pattern_holds``;
 * ``channel_measure_is`` -- a certified *lower bound* on the supremum of
   the state measure over real Gaussian input states, obtained by seeded
   random sampling plus coordinate-wise local refinement (the supremum
   itself has no known closed-form algorithm).
 
-Plus the determinant-based state measure I_Gn.  Membership of a
-superchannel in the free-operation sets FO and FO1 is read from
-``gaussian.superchannel_patterns``.
+Plus the determinant-based state measure I_Gn, whose displacement step reads
+the same test.  Membership of a superchannel in the free-operation sets FO
+and FO1 is read from ``gaussian.superchannel_patterns``.
 """
 
 from __future__ import annotations
@@ -22,26 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianChannel, GaussianState, ValidationError
+from .gaussian import GaussianChannel, GaussianState, ValidationError, pattern_holds
 from .linalg import trace_norms
-
-
-#: Relative threshold of the step function h (0 at zero, else 1): a value t
-#: counts as zero when |t| <= STEP_EPSILON * max(1, scale of the containing
-#: matrix/vector).  Exact zero tests are meaningless in floating point, and
-#: a tiny relative threshold keeps the {0, 1} values of the discrete measure.
-STEP_EPSILON = 1e-12
 
 #: The compact domain of the ``channel_measure_is`` search: real-pattern
 #: displacements bounded by DISPLACEMENT_BOUND and sector-block covariance
 #: eigenvalues in [1, CM_EIGENVALUE_BOUND].
 CM_EIGENVALUE_BOUND = 50.0
 DISPLACEMENT_BOUND = 10.0
-
-
-def step_function(value, scale=1.0) -> np.ndarray:
-    """h(value) elementwise: 0 where |value| <= STEP_EPSILON * max(1, scale), else 1."""
-    return np.where(np.abs(value) <= STEP_EPSILON * np.maximum(1.0, scale), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ def _cov_summand(cov: np.ndarray) -> np.ndarray:
 
 def _disp_summand(disp: np.ndarray) -> np.ndarray:
     """The displacement summand of I_Gn of ``disp``, (2n,) or a stack (m, 2n)."""
-    return step_function(np.sum(np.abs(disp[..., 1::2]), axis=-1), np.max(np.abs(disp), axis=-1))
+    return 1.0 - pattern_holds(disp, "momentum")
 
 
 def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
@@ -105,11 +93,11 @@ def _ign_report(terms: np.ndarray, kind: str, **diagnostics) -> MeasureReport:
 def state_measure_ign(s: GaussianState) -> MeasureReport:
     """Determinant-based state imaginarity measure.
 
-    1 - det(nu) / (det(V_qq) det(V_pp)) + h(||momentum displacement||_1),
-    where V_qq, V_pp are the position/momentum diagonal blocks of the
-    sector-sorted covariance.  Vanishes exactly on real states (the
-    determinant ratio is 1 by block-diagonality) and the ratio term is
-    in [0, 1) by the Fischer inequality.
+    1 - det(nu) / (det(V_qq) det(V_pp)) + h(momentum displacement), where
+    V_qq, V_pp are the position/momentum diagonal blocks of the sector-sorted
+    covariance and h is the realness pattern step.  Vanishes exactly on real
+    states (the determinant ratio is 1 by block-diagonality) and the ratio
+    term is in [0, 1) by the Fischer inequality.
     """
     return _ign_report((_cov_summand(s.covariance), _disp_summand(s.displacement)), "I_Gn")
 
@@ -119,12 +107,12 @@ def state_measure_ign(s: GaussianState) -> MeasureReport:
 # ---------------------------------------------------------------------------
 
 #: The names of the four summands of I_c and I_d, in the order of
-#: :func:`_channel_terms`.
+#: :func:`_channel_terms` and :func:`channel_measure_id`.
 _TERM_NAMES = ("T21", "T12*T22", "N12", "displacement")
 
 
 def _channel_terms(t: np.ndarray, n: np.ndarray, d: np.ndarray) -> tuple:
-    """The four raw summands shared by I_c and I_d.
+    """The four summands of I_c.
 
     Works on stacks: ``t`` and ``n`` are (m, 2n, 2n), ``d`` is (m, 2n),
     all in the interleaved ordering, so position rows/columns are the
@@ -156,10 +144,11 @@ def channel_measure_ic_stack(t, n, d) -> np.ndarray:
 
 
 def channel_measure_id(c: GaussianChannel) -> MeasureReport:
-    """Discrete channel imaginarity measure: step of each I_c summand."""
-    terms = _channel_terms(c.T[None], c.N[None], c.d[None])
-    scales = [np.max(np.abs(a)) for a in (c.T, c.T, c.N, c.d)]
-    steps = step_function(np.concatenate(terms), np.array(scales))
+    """Discrete channel imaginarity measure h(T21) + h(T12) h(T22) + h(N12) + h(d_p),
+    where h(block) is 0 if the block passes :func:`gaussian.pattern_holds`, else 1."""
+    t21, t12, t22, n12, d_p = (1.0 - pattern_holds(m, p) for m, p in (
+        (c.T, "pq"), (c.T, "qp"), (c.T, "pp"), (c.N, "qp"), (c.d, "momentum")))
+    steps = (t21, t12 * t22, n12, d_p)
     return MeasureReport("I_d", [(name, float(v)) for name, v in zip(_TERM_NAMES, steps)])
 
 

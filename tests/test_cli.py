@@ -126,6 +126,32 @@ def test_measure_value_is_the_sum_of_its_breakdown(tmp_path, capsys, which, obj)
     assert results["value"] == sum(results["breakdown"].values())
 
 
+@pytest.mark.parametrize("t, n, expected", [
+    # T12 and T22 are 1e-6: neither completely nor covariant real
+    ([[1.0, 1e-6], [0.0, 1e-6]], [[2.0, 0.0], [0.0, 2.0]], 1.0),
+    # N12 is 1e-11, below the pattern threshold 1e-10 * 2: real
+    ([[1.0, 0.0], [0.0, 1.0]], [[2.0, 1e-11], [1e-11, 2.0]], 0.0),
+], ids=["not-real", "real"])
+def test_measure_id_reads_the_realness_pattern(tmp_path, capsys, t, n, expected):
+    doc = write_doc(tmp_path, "doc.json", GaussianChannel(1, t, n, np.zeros(2)))
+    assert cli.main(["validate", doc]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["--json", "measure", doc, "--which", "id"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["value"] == expected
+
+
+def test_measure_memory_error_is_compute_error(amplifying_doc, capsys, monkeypatch):
+    def no_memory(c, cfg):
+        raise MemoryError("Unable to allocate the search stacks")
+
+    cls, kind, _ = cli._MEASURES["is"]
+    monkeypatch.setitem(cli._MEASURES, "is", (cls, kind, no_memory))
+    assert cli.main(["--json", "measure", amplifying_doc, "--which", "is"]) == cli.EXIT_COMPUTE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line(err, "computation failed: measure 'is': Unable to allocate")
+
+
 def test_measure_kind_mismatch(amplifying_doc, tmp_path, capsys):
     assert cli.main(["measure", amplifying_doc, "--which", "ign"]) == cli.EXIT_USAGE
     sup_doc = write_doc(tmp_path, "sup.json", GaussianSuperchannel.identity())

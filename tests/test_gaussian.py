@@ -15,6 +15,7 @@ from gaussimag.gaussian import (
     compose,
     decompose_superchannel,
     from_document,
+    pattern_holds,
     sample_random_channel,
     sample_random_state,
     sample_random_superchannel,
@@ -315,6 +316,28 @@ def test_channel_realness_equals_loop_reference(n):
                 kinds.add((report.is_completely_real, report.is_covariant_real,
                            bool(report.violations)))
     assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pattern_holds_on_stacks_equals_loop_reference(n):
+    # one answer per vector or matrix of a stack, each with its own threshold
+    rng = np.random.default_rng(700 + n)
+    dim, tol = 2 * n, DEFAULT_PATTERN_TOL
+    pos, mom = range(0, dim, 2), range(1, dim, 2)
+    blocks = {"qp": [(pos, mom)], "pq": [(mom, pos)], "pp": [(mom, mom)],
+              "momentum_rows": [(mom, range(dim))], "mixing": [(pos, mom), (mom, pos)]}
+    chans = [sample_random_channel(n, rng, flag) for flag in
+             12 * ["any", "completely-real", "covariant-real"]]
+    ts = np.stack([_near_threshold(c.T, rng) for c in chans]).reshape(6, 6, dim, dim)
+    ds = np.stack([_near_threshold(c.d, rng) for c in chans]).reshape(6, 6, dim)
+    for pattern, pattern_blocks in blocks.items():
+        want = [[not any(_block_violations(t, rows, cols, "", tol) for rows, cols in pattern_blocks)
+                 for t in row] for row in ts]
+        assert pattern_holds(ts, pattern).tolist() == want
+        assert [pattern_holds(t, pattern) for t in ts[0]] == want[0]
+    want = [[not _vector_violations(d, "", tol) for d in row] for row in ds]
+    assert pattern_holds(ds, "momentum").tolist() == want
+    assert {v for row in want for v in row} == {False, True}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

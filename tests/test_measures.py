@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussimag.gaussian import (
+    DEFAULT_PATTERN_TOL,
     GaussianChannel,
     GaussianState,
     GaussianSuperchannel,
@@ -11,16 +12,17 @@ from gaussimag.gaussian import (
     apply_channel,
     apply_superchannel,
     channel_realness,
+    pattern_holds,
     sample_random_channel,
     sample_random_state,
     sample_random_superchannel,
+    state_realness,
     superchannel_patterns,
 )
-from gaussimag.linalg import trace_norms
+from gaussimag.linalg import max_abs, trace_norms
 from gaussimag.measures import (
     CM_EIGENVALUE_BOUND,
     DISPLACEMENT_BOUND,
-    STEP_EPSILON,
     SupSearchConfig,
     _channel_terms,
     channel_measure_ic,
@@ -28,8 +30,8 @@ from gaussimag.measures import (
     channel_measure_id,
     channel_measure_is,
     state_measure_ign,
-    step_function,
 )
+from test_gaussian import _block_violations, _near_threshold, _vector_violations
 
 
 def mode_permutation(n: int) -> np.ndarray:
@@ -92,9 +94,8 @@ def scalar_ign(s: GaussianState) -> tuple:
     if det_qq <= 0 or det_pp <= 0:
         raise ValidationError("covariance sector block has non-positive determinant")
     cov_term = 1.0 - np.linalg.det(s.covariance) / (det_qq * det_pp)
-    mom = float(np.sum(np.abs(s.displacement[1::2])))
-    scale = float(np.max(np.abs(s.displacement)))
-    disp_term = 0.0 if abs(mom) <= STEP_EPSILON * max(1.0, scale) else 1.0
+    thresh = DEFAULT_PATTERN_TOL * max(1.0, max_abs(s.displacement))
+    disp_term = 1.0 if any(abs(v) > thresh for v in s.displacement[1::2]) else 0.0
     return float(cov_term + disp_term), float(cov_term), disp_term
 
 
@@ -150,6 +151,20 @@ def test_ic_amplifying_counts_momentum_displacement():
     assert dict(report.breakdown)["displacement"] == pytest.approx(2.5, abs=1e-12)
 
 
+def id_steps_reference(c: GaussianChannel) -> list:
+    """The four I_d summands of ``c`` from the entrywise loops of the realness
+    reference: h(block) is 1 when an entry of the block is above the pattern
+    threshold, else 0."""
+    dim, tol = 2 * c.modes, DEFAULT_PATTERN_TOL
+    pos, mom = range(0, dim, 2), range(1, dim, 2)
+
+    def h(m, rows, cols):
+        return 1.0 if _block_violations(m, rows, cols, "", tol) else 0.0
+
+    return [h(c.T, mom, pos), h(c.T, pos, mom) * h(c.T, mom, mom), h(c.N, pos, mom),
+            1.0 if _vector_violations(c.d, "", tol) else 0.0]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_terms_match_per_channel_measures(n):
     rng = np.random.default_rng(100 + n)
@@ -162,8 +177,6 @@ def test_batched_terms_match_per_channel_measures(n):
     d = np.stack([c.d for c in chans])
     assert np.any(np.abs(d[:, 1::2]) > 0.1)
     t21, t12t22, n12, disp = _channel_terms(t, nm, d)
-    scale_t = np.max(np.abs(t), axis=(-2, -1))
-    scales = (scale_t, scale_t, np.max(np.abs(nm), axis=(-2, -1)), np.max(np.abs(d), axis=-1))
     batched = channel_measure_ic_stack(t, nm, d)
     p = mode_permutation(n)
     for i, c in enumerate(chans):
@@ -180,8 +193,7 @@ def test_batched_terms_match_per_channel_measures(n):
             + float(np.linalg.norm(c.d[1::2]))
         )
         assert batched[i] == pytest.approx(oracle, abs=1e-12)
-        steps = [step_function(v, scales[k][i]) for k, v in enumerate(terms)]
-        assert steps == [v for _, v in channel_measure_id(c).breakdown]
+        assert id_steps_reference(c) == [v for _, v in channel_measure_id(c).breakdown]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -226,6 +238,41 @@ def test_id_bounds_and_steps():
         assert v in (0.0, 1.0, 2.0, 3.0, 4.0)
 
 
+_FLAGS = st.sampled_from(["any", "completely-real", "covariant-real"])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), flag=_FLAGS, seed=st.integers(0, 2**32 - 1))
+def test_id_vanishes_exactly_on_real_channels(n, flag, seed):
+    # Entries set just below, at and just above the pattern threshold: each
+    # I_d summand is 0 exactly when its blocks pass the realness pattern
+    # test, so I_d is 0 exactly when the channel is real.
+    rng = np.random.default_rng(seed)
+    c = sample_random_channel(n, rng, flag)
+    c = GaussianChannel(n, *(_near_threshold(m, rng) for m in (c.T, c.N, c.d)))
+    report = channel_measure_id(c)
+    steps = [v for _, v in report.breakdown]
+    holds = [pattern_holds(c.T, "pq"), pattern_holds(c.T, "qp") or pattern_holds(c.T, "pp"),
+             pattern_holds(c.N, "qp"), pattern_holds(c.d, "momentum")]
+    assert [v == 0.0 for v in steps] == [bool(h) for h in holds]
+    assert steps == id_steps_reference(c)
+    assert (report.value == 0.0) is channel_realness(c).is_real
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_ign_displacement_step_vanishes_exactly_on_real_states(n, seed):
+    # A real covariance, and a displacement with entries set near the
+    # threshold: the displacement summand is 0 exactly when the state is real.
+    rng = np.random.default_rng(seed)
+    s = sample_random_state(n, rng, real=True)
+    s = GaussianState(n, _near_threshold(s.displacement, rng), s.covariance)
+    disp_term = dict(state_measure_ign(s).breakdown)["displacement"]
+    assert disp_term in (0.0, 1.0)
+    assert (disp_term == 0.0) is state_realness(s)
+    assert disp_term == scalar_ign(s)[2]
+
+
 def test_ic_continuity():
     # entrywise perturbations move I_c by at most ~(matrix dimension)^2
     rng = np.random.default_rng(57)
@@ -243,7 +290,6 @@ def test_ic_continuity():
         assert diff <= 4.0 * (2 * n) ** 2 * eps
 
 
-_FLAGS = st.sampled_from(["any", "completely-real", "covariant-real"])
 _SHARES = st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1.0])
 
 
